@@ -17,8 +17,18 @@ from .groebner import Ideal
 from .multifactor import factor_multipoly
 from .multigcd import multi_gcd
 from .multipoly import MultiPoly, MultiRing, multi_divrem, multi_mul, multi_pow
-from .unifactor import factor_unipoly, uni_is_irreducible
-from .unipoly import UniRing, uni_mul, uni_pow
+from .primes import is_prime, next_prime
+from .unifactor import factor_finite, factor_unipoly, uni_is_irreducible
+from .unipoly import (
+    UniRing,
+    _poly,
+    uni_content,
+    uni_derivative,
+    uni_gcd,
+    uni_mul,
+    uni_pow,
+    uni_primitive,
+)
 
 FAMILIES = (
     "gcd-sparse",
@@ -31,6 +41,10 @@ FAMILIES = (
 
 CSV_HEADER = ("family", "ring", "n_vars", "size", "trial",
               "elapsed_ms", "result_kind", "verified")
+
+# primes examined per factor when proving irreducibility over Z or Q, from 3
+# up; 1 + sum(i*x^i) settles after 8, 3 and 10 at degrees 10, 20 and 30
+IRREDUCIBILITY_PRIMES = 20
 
 
 # --------------------------------------------------------------- constructors
@@ -248,6 +262,50 @@ def _rebuild_uni(K, unit, parts):
     return f
 
 
+def _proved_irreducible_z(g):
+    """True when the degree patterns of g modulo primes rule out a split.
+
+    g is primitive over Z.  A factor of degree d over Z would show up as a
+    subset of the factor degrees modulo every prime that keeps g squarefree
+    and its degree, so once no d in 1..deg-1 survives every pattern, g is
+    irreducible.  False means unproved within the prime budget.
+    """
+    n = g.degree
+    if n == 1:
+        return True
+    possible = set(range(1, n))
+    p = 2
+    for _ in range(IRREDUCIBILITY_PRIMES):
+        if not possible:
+            break
+        p = next_prime(p)
+        if g.lc() % p == 0:
+            continue
+        gp = _poly(rings.ZpRing(p), [c % p for c in g.coeffs])
+        if uni_gcd(gp, uni_derivative(gp)).degree != 0:
+            continue
+        sums = {0}
+        for h, _ in factor_finite(gp)[1]:
+            sums |= {t + h.degree for t in sums}
+        possible &= sums
+    return not possible
+
+
+def _irreducible_over(K, g):
+    """Certify one factor of factor_unipoly: Rabin's test over a finite
+    field, primitive or monic plus degree patterns over Z and Q."""
+    if K.is_finite:
+        return uni_is_irreducible(g)
+    if isinstance(K, rings.IntegerRing):
+        if g.degree == 0:
+            return is_prime(g.lc())
+        return g.lc() > 0 and uni_content(g) == 1 and _proved_irreducible_z(g)
+    if g.degree < 1 or not K.is_one(g.lc()):
+        return False
+    _, nums = K.clear_denominators(g.coeffs)
+    return _proved_irreducible_z(uni_primitive(_poly(K.inner, nums))[1])
+
+
 def _gcd_rows(spec, trial, ag, bg, g, seed, deadline):
     rows = []
     res, el = _timed(lambda: multi_gcd(ag, bg, seed=seed))
@@ -335,7 +393,7 @@ def _run_trial(spec, trial, rng):
             return [_row(spec, trial, el, "timeout", False)]
         unit, facs = parts
         ok = _rebuild_uni(K, unit, facs) == f and all(
-            uni_is_irreducible(g) for g, _ in facs
+            _irreducible_over(K, g) for g, _ in facs
         )
         return [_row(spec, trial, el, "nontrivial", ok)]
 

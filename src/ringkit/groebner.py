@@ -90,10 +90,8 @@ class _Engine:
             items.append((self.pack(e), self.okey(e), c))
         items.sort(key=lambda t: -t[1])
         if self.mode == "zz":
-            den = 1
-            for _, _, c in items:
-                den = den * c.den // math.gcd(den, c.den)
-            ints = [(p, o, c.num * (den // c.den)) for p, o, c in items]
+            _, nums = self.K.clear_denominators(c for _, _, c in items)
+            ints = [(p, o, c) for (p, o, _), c in zip(items, nums)]
             g = 0
             for _, _, c in ints:
                 g = math.gcd(g, c)
@@ -520,9 +518,18 @@ class Ideal:
             self._engine.add_entry(t, self._engine.tdeg(t[0][0]))
 
     def reduce(self, f):
-        """Normal form of f modulo the ideal, unique for the fixed order."""
-        if not isinstance(f, MultiPoly) or f.ring != self.ring:
+        """Normal form of f modulo the ideal, unique for the fixed order.
+
+        f lives in the basis ring or in the ring of the generators, which
+        differs from it only in the monomial order when one was given.
+        """
+        if not isinstance(f, MultiPoly) or f.ring not in (
+            self.ring,
+            self.generators[0].ring,
+        ):
             raise ValueError("polynomial does not live in %s" % (self.ring,))
+        if f.ring != self.ring:
+            f = MultiPoly(self.ring, dict(f.terms))
         if f.is_zero():
             return self.ring.zero
         eng = self._engine

@@ -1,95 +1,12 @@
-"""Machine-word modular arithmetic with precomputed magic reduction constants.
+"""Integer modular helpers: inverses, CRT and symmetric lifting.
 
-Division by a fixed modulus is replaced by multiply + shift with at most one
-correction branch: with magic = floor(2^shift / p), the quotient estimate
-(a * magic) >> shift is either exact or short by one.
+Residue arithmetic itself is plain Python int arithmetic (`a * b % p`) in the
+ring descriptors; these are the operations that need more than one step.
 """
 
 import math
 
 from .errors import NonInvertibleError
-
-WORD_BITS = 64
-
-
-class MachineModulus:
-    """Immutable modulus 2 <= p < 2^64 with precomputed reduction constants.
-
-    reduce() accepts any 0 <= a < 2^128, so products of two reduced operands
-    never need a separate wide path.  Instances are safe to share between
-    threads; nothing is mutated after construction.
-    """
-
-    __slots__ = ("p", "magic", "shift", "needs_correction", "_mask")
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise TypeError("modulus must be an int")
-        if not 2 <= p < (1 << WORD_BITS):
-            raise ValueError("modulus out of range [2, 2^64): %r" % (p,))
-        self.p = p
-        # shift covers 128-bit dividends: error < 2^(128-shift) <= 1/2
-        self.shift = 2 * WORD_BITS + (p - 1).bit_length()
-        self.magic = (1 << self.shift) // p
-        # power-of-two moduli divide 2^shift exactly; no fixup ever fires
-        self.needs_correction = (1 << self.shift) % p != 0
-        self._mask = p - 1 if not self.needs_correction else None
-
-    def reduce(self, a: int) -> int:
-        """a mod p for 0 <= a < 2^128."""
-        if self._mask is not None:
-            return a & self._mask
-        r = a - ((a * self.magic) >> self.shift) * self.p
-        if r >= self.p:
-            r -= self.p
-        return r
-
-    def add(self, a: int, b: int) -> int:
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a: int, b: int) -> int:
-        d = a - b
-        return d + self.p if d < 0 else d
-
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
-
-    def mul(self, a: int, b: int) -> int:
-        return self.reduce(a * b)
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e mod p by square and multiply; e < 0 routes through inv()."""
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = 1 % self.p
-        while e:
-            if e & 1:
-                result = self.reduce(result * a)
-            a = self.reduce(a * a)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        return mod_inverse(a, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, MachineModulus) and other.p == self.p
-
-    def __hash__(self):
-        return hash((MachineModulus, self.p))
-
-    def __repr__(self):
-        return "MachineModulus(%d)" % self.p
-
-
-def mod_pow(a: int, e: int, m) -> int:
-    """a^e mod m where m is a MachineModulus or a plain modulus int."""
-    if isinstance(m, MachineModulus):
-        return m.pow(a % m.p, e)
-    if e < 0:
-        return pow(mod_inverse(a, m), -e, m)
-    return pow(a, e, m)
 
 
 def mod_inverse(a: int, m: int) -> int:

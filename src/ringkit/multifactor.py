@@ -23,12 +23,14 @@ import random
 from . import rings
 from .errors import UnsupportedRingError
 from .modular import symmetric_lift
-from .multigcd import _from_unipoly, _lc_in, _to_unipoly, _uni_image, multi_gcd
+from .multigcd import multi_gcd
 from .multipoly import (
     MultiPoly,
     MultiRing,
     coefficients_in,
     content_primitive,
+    from_unipoly,
+    lc_in,
     multi_add,
     multi_derivative,
     multi_divides,
@@ -38,6 +40,10 @@ from .multipoly import (
     multi_pow,
     multi_scale,
     multi_sub,
+    multi_subs,
+    multi_value,
+    to_unipoly,
+    univariate_image,
 )
 from .primes import factor_integer
 from .unifactor import (
@@ -198,7 +204,7 @@ def _constant_into(acc, c, mult):
 
 
 def _single_var_into(acc, f, i, mult, rng):
-    u = _to_unipoly(f, i)
+    u = to_unipoly(f, i)
     K = acc.K
     if K.is_field:
         unit, parts = factor_finite(u, seed=rng.randrange(1 << 30))
@@ -206,7 +212,7 @@ def _single_var_into(acc, f, i, mult, rng):
         unit, parts = factor_over_z(u)
     acc.scalar(unit.constant(), mult)
     for g, e in parts:
-        acc.add(_from_unipoly(f.ring, g, i), mult * e)
+        acc.add(from_unipoly(f.ring, g, i), mult * e)
 
 
 def _yun(f, v, rng):
@@ -278,13 +284,13 @@ def _attempt(F, m, rng, attempt):
         return [F]
     n = len(ring.vars)
     others = [i for i in range(n) if i != m and F.degree(i) > 0]
-    L = _lc_in(F, m)
+    L = lc_in(F, m)
 
     alpha = _draw_alpha(K, others, rng, attempt)
-    La = _eval_at(L, alpha, K)
+    La = multi_value(L, alpha)
     if K.is_zero(La):
         raise _BadPoint()
-    u = _uni_image(F, m, alpha)
+    u = univariate_image(F, m, alpha)
     if uni_gcd(u, uni_derivative(u)).degree != 0:
         raise _BadPoint()
 
@@ -317,8 +323,9 @@ def _attempt(F, m, rng, attempt):
 
     # scout: lift the first variable alone and group by bivariate division
     v1 = order[0]
-    F1 = _section(F, order[1:], alpha)
-    L1 = _section(L, order[1:], alpha)
+    rest = {i: alpha[i] for i in order[1:]}
+    F1 = multi_subs(F, rest)
+    L1 = multi_subs(L, rest)
     F1w = F1 if field else _map_into(work, F1, M)
     L1w = L1 if field else _map_into(work, L1, M)
     Fs1 = multi_mul(F1w, multi_pow(L1w, r - 1))
@@ -353,13 +360,6 @@ def _attempt(F, m, rng, attempt):
     return [g for _, g in split]
 
 
-def _section(f, idxs, alpha):
-    """f with the listed variables evaluated at alpha, innermost first."""
-    for i in reversed(idxs):
-        f = _map_eval(f, i, alpha[i])
-    return f
-
-
 def _monic_lists(us, M):
     out = []
     for g in us:
@@ -385,22 +385,6 @@ def _draw_alpha(K, others, rng, attempt):
         return {i: K.of(rng.randrange(K.p)) for i in others}
     w = 1 + attempt
     return {i: rng.randint(-w, w) for i in others}
-
-
-def _eval_at(f, alpha, K):
-    acc = K.zero
-    pw = {}
-    for e, c in f.terms.items():
-        v = c
-        for i, val in alpha.items():
-            x = e[i]
-            if x:
-                key = (i, x)
-                if key not in pw:
-                    pw[key] = K.pow(val, x)
-                v = K.mul(v, pw[key])
-        acc = K.add(acc, v)
-    return acc
 
 
 def _precision(F, L, r, dF, p):
@@ -610,12 +594,12 @@ def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv, work, M, field, rng):
     cur = Fw
     for s in range(len(order), 0, -1):
         Es[s] = cur
-        cur = _map_eval(cur, order[s - 1], alpha[order[s - 1]])
+        cur = multi_subs(cur, {order[s - 1]: alpha[order[s - 1]]})
     Ls = [None] * (len(order) + 1)
     cur = Lw
     for s in range(len(order), 0, -1):
         Ls[s] = cur
-        cur = _map_eval(cur, order[s - 1], alpha[order[s - 1]])
+        cur = multi_subs(cur, {order[s - 1]: alpha[order[s - 1]]})
 
     dxs = [len(cs) - 1 for cs in uhat]
     for s in range(1, len(order) + 1):
@@ -662,8 +646,8 @@ def _probably_same(facs, target, rng):
         vals = {i: K.of(rng.randrange(2, 1 << 30)) for i in range(n)}
         lhs = K.one
         for g in facs:
-            lhs = K.mul(lhs, _eval_at(g, vals, K))
-        if lhs != _eval_at(target, vals, K):
+            lhs = K.mul(lhs, multi_value(g, vals))
+        if lhs != multi_value(target, vals):
             return False
     return True
 
@@ -677,27 +661,6 @@ def _unit_exp(work, m, d):
 def _drop_lc(f, m, d, work):
     terms = {e: c for e, c in f.terms.items() if e[m] != d}
     return MultiPoly(work, terms)
-
-
-def _map_eval(f, i, a):
-    """Evaluate variable i at a, staying in f's own ring."""
-    K = f.ring.cring
-    out = {}
-    pw = [K.one]
-    top = f.degree(i)
-    for _ in range(max(top, 0)):
-        pw.append(K.mul(pw[-1], a))
-    for e, c in f.terms.items():
-        v = K.mul(c, pw[e[i]]) if e[i] else c
-        if K.is_zero(v):
-            continue
-        ee = e[:i] + (0,) + e[i + 1 :]
-        u = K.add(out.get(ee, K.zero), v)
-        if K.is_zero(u):
-            out.pop(ee, None)
-        else:
-            out[ee] = u
-    return MultiPoly(f.ring, out)
 
 
 def _level(ctx, s, v, D, rowsF, grows):
@@ -956,15 +919,9 @@ def _subset_split(target, Gs, order, ctx):
 def _factor_over_q(ring, f, seed):
     """Clear denominators, factor over Z, then fold units back into Q."""
     K = ring.cring
-    Z = K.inner
     zring = MultiRing(rings.ZZ, ring.vars, ring.order)
-    den = 1
-    for c in f.terms.values():
-        den = den * c.den // math.gcd(den, c.den)
-    terms = {}
-    for e, c in f.terms.items():
-        terms[e] = c.num * (den // c.den)
-    fz = MultiPoly(zring, terms)
+    den, nums = K.clear_denominators(f.terms.values())
+    fz = MultiPoly(zring, dict(zip(f.terms, nums)))
     unit_z, parts = factor_multipoly(zring, fz, seed)
     unit = K.div(K.of(unit_z.constant()), K.of(den))
     out = []

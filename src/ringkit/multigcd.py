@@ -25,12 +25,18 @@ from .multipoly import (
     MultiPoly,
     MultiRing,
     coefficients_in,
+    from_unipoly,
+    lc_in,
     multi_add,
     multi_divides,
-    multi_eval,
     multi_exact_div,
     multi_mul,
     multi_scale,
+    multi_subs,
+    multi_value,
+    term_values,
+    to_unipoly,
+    univariate_image,
 )
 from .unipoly import (
     _poly,
@@ -177,7 +183,7 @@ def _zippel_gcd(a, b, rng):
     act = _active_vars(a, b)
     if len(act) == 1:
         i = act[0]
-        return _from_unipoly(ring, uni_gcd(_to_unipoly(a, i), _to_unipoly(b, i)), i)
+        return from_unipoly(ring, uni_gcd(to_unipoly(a, i), to_unipoly(b, i)), i)
     bounds = _degree_bounds(a, b, act, rng)
     if all(bounds[i] == 0 for i in act):
         return ring.one
@@ -192,7 +198,7 @@ def _zippel_gcd(a, b, rng):
     ca, A = _content_split(a, m, rng, _zippel_gcd)
     cb, B = _content_split(b, m, rng, _zippel_gcd)
     cg = _zippel_gcd(ca, cb, rng)
-    gamma = _zippel_gcd(_lc_in(A, m), _lc_in(B, m), rng)
+    gamma = _zippel_gcd(lc_in(A, m), lc_in(B, m), rng)
     degm = bounds[m]
     dv = {v: bounds[v] + gamma.degree(v) for v in others}
 
@@ -200,11 +206,11 @@ def _zippel_gcd(a, b, rng):
     degA, degB = A.degree(m), B.degree(m)
     for _ in range(_RETRIES):
         alpha = {i: _nonzero(K, rng) for i in others}
-        ua = _uni_image(A, m, alpha)
-        ub = _uni_image(B, m, alpha)
+        ua = univariate_image(A, m, alpha)
+        ub = univariate_image(B, m, alpha)
         if ua.degree != degA or ub.degree != degB:
             continue
-        gval = _eval_full(gamma, alpha)
+        gval = multi_value(gamma, alpha)
         if K.is_zero(gval):
             continue
         u = uni_gcd(ua, ub)
@@ -215,7 +221,7 @@ def _zippel_gcd(a, b, rng):
         break
     else:
         raise _Restart
-    H = _from_unipoly(ring, uni_scale(u, gval), m)
+    H = from_unipoly(ring, uni_scale(u, gval), m)
 
     processed = []
     for v in others:
@@ -322,7 +328,7 @@ class _LevelEval:
     advances the value by one probe per multiplication.
     """
 
-    __slots__ = ("K", "ring", "zp", "p", "deg", "ems", "evs", "base", "pexps", "mults")
+    __slots__ = ("K", "ring", "zp", "p", "deg", "v", "exps", "ems", "base", "mults", "first")
 
     def __init__(self, f, m, v, processed, alpha):
         K = f.ring.cring
@@ -331,86 +337,23 @@ class _LevelEval:
         self.zp = isinstance(K, rings.ZpRing)
         self.p = K.p if self.zp else 0
         self.deg = f.degree(m)
+        self.v = v
         skip = set(processed)
         skip.add(v)
-        ems, evs, base, pexps = [], [], [], []
-        pw = {}
-        for e, c in f.terms.items():
-            val = c
-            if self.zp:
-                p = self.p
-                for j, aval in alpha.items():
-                    x = e[j]
-                    if x and j not in skip:
-                        key = (j, x)
-                        if key not in pw:
-                            pw[key] = pow(aval, x, p)
-                        val = val * pw[key] % p
-            else:
-                for j, aval in alpha.items():
-                    x = e[j]
-                    if x and j not in skip:
-                        key = (j, x)
-                        if key not in pw:
-                            pw[key] = K.pow(aval, x)
-                        val = K.mul(val, pw[key])
-            ems.append(e[m])
-            evs.append(e[v])
-            base.append(val)
-            pexps.append(tuple((i, e[i]) for i in processed if e[i]))
-        self.ems = ems
-        self.evs = evs
-        self.base = base
-        self.pexps = pexps
-        self.mults = None
+        fixed = {j: a for j, a in alpha.items() if j not in skip}
+        self.exps = list(f.terms)
+        self.ems = [e[m] for e in self.exps]
+        self.base = term_values(K, self.exps, fixed, f.terms.values())
+        self.mults = self.first = None
 
     def set_rho(self, rho):
-        K = self.K
-        pw = {}
-        mults = []
-        if self.zp:
-            p = self.p
-            for pes in self.pexps:
-                mt = 1
-                for i, x in pes:
-                    key = (i, x)
-                    if key not in pw:
-                        pw[key] = pow(rho[i], x, p)
-                    mt = mt * pw[key] % p
-                mults.append(mt)
-        else:
-            for pes in self.pexps:
-                mt = K.one
-                for i, x in pes:
-                    key = (i, x)
-                    if key not in pw:
-                        pw[key] = K.pow(rho[i], x)
-                    mt = K.mul(mt, pw[key])
-                mults.append(mt)
-        self.mults = mults
+        """Point the processed variables at rho; rho has exactly those keys."""
+        self.mults = term_values(self.K, self.exps, rho)
+        self.first = term_values(self.K, self.exps, rho, self.base)
 
     def start(self, beta):
         """Term values at the first probe with x_v = beta."""
-        K = self.K
-        cur = []
-        if self.zp:
-            p = self.p
-            bp = {}
-            for val, ev, mt in zip(self.base, self.evs, self.mults):
-                if ev:
-                    if ev not in bp:
-                        bp[ev] = pow(beta, ev, p)
-                    val = val * bp[ev] % p
-                cur.append(val * mt % p)
-        else:
-            bp = {}
-            for val, ev, mt in zip(self.base, self.evs, self.mults):
-                if ev:
-                    if ev not in bp:
-                        bp[ev] = K.pow(beta, ev)
-                    val = K.mul(val, bp[ev])
-                cur.append(K.mul(val, mt))
-        return cur
+        return term_values(self.K, self.exps, {self.v: beta}, self.first)
 
     def advance(self, cur):
         if self.zp:
@@ -436,20 +379,10 @@ class _LevelEval:
 
 def _group_nodes(groups, rho, K):
     """Monomial values per group; None when a group has a collision."""
+    flat = iter(term_values(K, [e for mons in groups.values() for e in mons], rho))
     nodes = {}
-    pw = {}
     for d, mons in groups.items():
-        vals = []
-        for e in mons:
-            val = K.one
-            for i, r in rho.items():
-                x = e[i]
-                if x:
-                    key = (i, x)
-                    if key not in pw:
-                        pw[key] = K.pow(r, x)
-                    val = K.mul(val, pw[key])
-            vals.append(val)
+        vals = [next(flat) for _ in mons]
         if len(set(vals)) != len(vals):
             return None
         nodes[d] = vals
@@ -488,7 +421,7 @@ def _dense_gcd(a, b, rng):
     act = _active_vars(a, b)
     if len(act) == 1:
         i = act[0]
-        return _from_unipoly(ring, uni_gcd(_to_unipoly(a, i), _to_unipoly(b, i)), i)
+        return from_unipoly(ring, uni_gcd(to_unipoly(a, i), to_unipoly(b, i)), i)
     bounds = _degree_bounds(a, b, act, rng)
     if all(bounds[i] == 0 for i in act):
         return ring.one
@@ -504,7 +437,7 @@ def _dense_gcd(a, b, rng):
     ca, A = _content_split(a, m, rng, _dense_gcd)
     cb, B = _content_split(b, m, rng, _dense_gcd)
     cg = _dense_gcd(ca, cb, rng)
-    gamma = _dense_gcd(_lc_in(A, m), _lc_in(B, m), rng)
+    gamma = _dense_gcd(lc_in(A, m), lc_in(B, m), rng)
     degm = bounds[m]
     degA = A.degree(m)
     degB = B.degree(m)
@@ -513,14 +446,13 @@ def _dense_gcd(a, b, rng):
     pts, imgs = [], []
     used = set()
     fails = 0
-    vname = ring.vars[v]
     while len(pts) < need:
         if fails > _RETRIES:
             raise _Restart
         beta = _fresh_point(K, rng, used)
         used.add(beta)
-        Ab = multi_eval(A, {vname: beta})
-        Bb = multi_eval(B, {vname: beta})
+        Ab = multi_subs(A, {v: beta})
+        Bb = multi_subs(B, {v: beta})
         if Ab.degree(m) != degA or Bb.degree(m) != degB:
             fails += 1
             continue
@@ -530,13 +462,13 @@ def _dense_gcd(a, b, rng):
             continue
         if gb.degree(m) < degm:
             raise _Restart
-        gammab = multi_eval(gamma, {vname: beta})
+        gammab = multi_subs(gamma, {v: beta})
         if gammab.is_zero():
             fails += 1
             continue
         # rescale the monic image so its x_m lead matches gamma at beta
         try:
-            q = multi_exact_div(gammab, _lc_in(gb, m))
+            q = multi_exact_div(gammab, lc_in(gb, m))
         except ArithmeticError:
             fails += 1
             continue
@@ -624,8 +556,8 @@ def _gcd_z(a, b, rng, method):
     act = _active_vars(A, B)
     if len(act) == 1:
         i = act[0]
-        g = uni_gcd(_to_unipoly(A, i), _to_unipoly(B, i))
-        return multi_scale(_from_unipoly(ring, g, i), c)
+        g = uni_gcd(to_unipoly(A, i), to_unipoly(B, i))
+        return multi_scale(from_unipoly(ring, g, i), c)
 
     # scaling the monic mod-p image by Gamma makes images CRT-compatible,
     # since the lead coefficient of the true gcd divides Gamma
@@ -725,13 +657,8 @@ def _sym_candidate(ring, acc, mod):
 
 def _q_to_z(f):
     zring = MultiRing(rings.ZZ, f.ring.vars, f.ring.order)
-    lcm = 1
-    for cc in f.terms.values():
-        lcm = lcm * (cc.den // math.gcd(lcm, cc.den))
-    return (
-        MultiPoly(zring, {e: cc.num * (lcm // cc.den) for e, cc in f.terms.items()}),
-        zring,
-    )
+    _, nums = f.ring.cring.clear_denominators(f.terms.values())
+    return MultiPoly(zring, dict(zip(f.terms, nums))), zring
 
 
 # ------------------------------------------------------------------ helpers
@@ -768,89 +695,6 @@ def _active_vars(a, b):
     ]
 
 
-def _to_unipoly(f, i):
-    """f uses only variable i; rebuild it as a UniPoly over the base ring."""
-    K = f.ring.cring
-    if f.is_zero():
-        return _poly(K, [])
-    coeffs = [K.zero] * (f.degree(i) + 1)
-    for e, cc in f.terms.items():
-        coeffs[e[i]] = cc
-    return _poly(K, coeffs)
-
-
-def _from_unipoly(ring, u, i):
-    n = len(ring.vars)
-    terms = {}
-    for k, cc in enumerate(u.coeffs):
-        if not ring.cring.is_zero(cc):
-            e = [0] * n
-            e[i] = k
-            terms[tuple(e)] = cc
-    return MultiPoly(ring, terms)
-
-
-def _lc_in(f, m):
-    """Leading coefficient of f as a polynomial in x_m (a MultiPoly)."""
-    d = f.degree(m)
-    sub = {}
-    for e, cc in f.terms.items():
-        if e[m] == d:
-            sub[e[:m] + (0,) + e[m + 1 :]] = cc
-    return MultiPoly(f.ring, sub)
-
-
-def _uni_image(f, m, values):
-    """UniPoly in x_m after substituting values[i] for every other variable."""
-    K = f.ring.cring
-    if isinstance(K, rings.ZpRing):
-        p = K.p
-        coeffs = [0] * (f.degree(m) + 1)
-        pw = {}
-        for e, cc in f.terms.items():
-            v = cc
-            for i, val in values.items():
-                x = e[i]
-                if x:
-                    key = (i, x)
-                    if key not in pw:
-                        pw[key] = pow(val, x, p)
-                    v = v * pw[key] % p
-            coeffs[e[m]] = (coeffs[e[m]] + v) % p
-        return _poly(K, coeffs)
-    coeffs = [K.zero] * (f.degree(m) + 1)
-    pw = {}
-    for e, cc in f.terms.items():
-        v = cc
-        for i, val in values.items():
-            x = e[i]
-            if x:
-                key = (i, x)
-                if key not in pw:
-                    pw[key] = K.pow(val, x)
-                v = K.mul(v, pw[key])
-        coeffs[e[m]] = K.add(coeffs[e[m]], v)
-    return _poly(K, coeffs)
-
-
-def _eval_full(f, values):
-    """Value of f with every active variable assigned through `values`."""
-    K = f.ring.cring
-    acc = K.zero
-    pw = {}
-    for e, cc in f.terms.items():
-        v = cc
-        for i, val in values.items():
-            x = e[i]
-            if x:
-                key = (i, x)
-                if key not in pw:
-                    pw[key] = K.pow(val, x)
-                v = K.mul(v, pw[key])
-        acc = K.add(acc, v)
-    return acc
-
-
 def _degree_bounds(a, b, act, rng):
     """Likely gcd degree per active variable, from univariate image gcds."""
     K = a.ring.cring
@@ -858,8 +702,8 @@ def _degree_bounds(a, b, act, rng):
     for i in act:
         for _ in range(_RETRIES):
             values = {j: _nonzero(K, rng) for j in act if j != i}
-            ua = _uni_image(a, i, values)
-            ub = _uni_image(b, i, values)
+            ua = univariate_image(a, i, values)
+            ub = univariate_image(b, i, values)
             if ua.degree == a.degree(i) and ub.degree == b.degree(i):
                 bounds[i] = uni_gcd(ua, ub).degree
                 break

@@ -5,13 +5,20 @@ Monomial orders produce sortable keys (bigger key = bigger monomial), so
 descending term iteration is a sort.  Multiplication packs exponent
 vectors into single integer keys when the bit budget allows; division is
 the standard multi-divisor reduction driven by a lazy max-heap.
+
+This module owns evaluation: `term_values` substitutes a point into every
+term from one power cache, and the full value, the partial substitution and
+the univariate image in one variable are built on it.  The conversions
+between a MultiPoly in one variable and a UniPoly live here too.
 """
 
 import heapq
-import random
+import itertools
+import operator
 
 from . import rings
 from .errors import UnsupportedRingError
+from .unipoly import UniPoly, _poly
 
 
 class MonomialOrder:
@@ -480,6 +487,83 @@ def multi_divides(b: MultiPoly, a: MultiPoly) -> bool:
 # ------------------------------------------------------------------ evaluate
 
 
+def term_values(K, exps, values, coeffs=None):
+    """Value of each term c * prod(values[i] ** e[i]), in the order of exps.
+
+    `values` maps variable indices to points of K; a variable it leaves out
+    contributes no factor.  `coeffs` runs parallel to `exps` and defaults to
+    all ones, which gives monomial values.  Each power of a point is computed
+    once.  This is the one place a MultiPoly is evaluated: every shape below
+    and the probe evaluators of the gcd build on it.
+    """
+    caches = [(i, v, {}) for i, v in values.items()]
+    if coeffs is None:
+        coeffs = itertools.repeat(K.one)
+    out = []
+    mod = getattr(K, "coeff_modulus", None)
+    if mod is not None:
+        for e, c in zip(exps, coeffs):
+            for i, v, pw in caches:
+                x = e[i]
+                if x:
+                    w = pw.get(x)
+                    if w is None:
+                        w = pw[x] = pow(v, x, mod)
+                    c = c * w % mod
+            out.append(c)
+        return out
+    for e, c in zip(exps, coeffs):
+        for i, v, pw in caches:
+            x = e[i]
+            if x:
+                w = pw.get(x)
+                if w is None:
+                    w = pw[x] = K.pow(v, x)
+                c = K.mul(c, w)
+        out.append(c)
+    return out
+
+
+def multi_value(f: MultiPoly, values):
+    """f at a point given by variable index; assign every variable f uses."""
+    K = f.ring.cring
+    acc = K.zero
+    for v in term_values(K, f.terms, values, f.terms.values()):
+        acc = K.add(acc, v)
+    return acc
+
+
+def multi_subs(f: MultiPoly, values) -> MultiPoly:
+    """f with x_i = values[i] substituted, in the same ring."""
+    ring = f.ring
+    K = ring.cring
+    mask = tuple(0 if i in values else 1 for i in range(len(ring.vars)))
+    out = {}
+    for e, v in zip(f.terms, term_values(K, f.terms, values, f.terms.values())):
+        if K.is_zero(v):
+            continue
+        e = tuple(map(operator.mul, e, mask))
+        s = out.get(e)
+        if s is None:
+            out[e] = v
+            continue
+        s = K.add(s, v)
+        if K.is_zero(s):
+            del out[e]
+        else:
+            out[e] = s
+    return MultiPoly(ring, out)
+
+
+def univariate_image(f: MultiPoly, m, values) -> UniPoly:
+    """UniPoly in x_m after substituting values[i] for the other variables."""
+    K = f.ring.cring
+    coeffs = [K.zero] * (f.degree(m) + 1)
+    for e, v in zip(f.terms, term_values(K, f.terms, values, f.terms.values())):
+        coeffs[e[m]] = K.add(coeffs[e[m]], v)
+    return _poly(K, coeffs)
+
+
 def multi_eval(f: MultiPoly, assignment):
     """Substitute variables by name; full evaluation gives a coefficient.
 
@@ -491,121 +575,46 @@ def multi_eval(f: MultiPoly, assignment):
     for name in assignment:
         if name not in ring.vars:
             raise ValueError("unknown variable %r" % name)
-    idx = {ring.vars.index(name): K.of(v) for name, v in assignment.items()}
-    full = len(idx) == len(ring.vars)
-    # one power cache per substituted variable
-    powers = {i: {0: K.one} for i in idx}
-
-    def power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = K.mul(power(i, e - 1), idx[i])
-        return cache[e]
-
-    if full:
-        acc = K.zero
-        for e, c in f.terms.items():
-            v = c
-            for i, x in enumerate(e):
-                if x:
-                    v = K.mul(v, power(i, x))
-            acc = K.add(acc, v)
-        return acc
-    out = {}
-    n = len(ring.vars)
-    for e, c in f.terms.items():
-        v = c
-        for i in idx:
-            if e[i]:
-                v = K.mul(v, power(i, e[i]))
-        if K.is_zero(v):
-            continue
-        e2 = tuple(0 if i in idx else e[i] for i in range(n))
-        if e2 in out:
-            s = K.add(out[e2], v)
-            if K.is_zero(s):
-                del out[e2]
-            else:
-                out[e2] = s
-        else:
-            out[e2] = v
-    return MultiPoly(ring, out)
+    values = {ring.vars.index(name): K.of(v) for name, v in assignment.items()}
+    if len(values) == len(ring.vars):
+        return multi_value(f, values)
+    return multi_subs(f, values)
 
 
-class SparseRecursive:
-    """Nested view: polynomial in one variable whose coefficients recurse."""
-
-    __slots__ = ("ring", "var_index", "children")
-
-    def __init__(self, ring, var_index, children):
-        self.ring = ring
-        self.var_index = var_index
-        self.children = children  # exponent -> SparseRecursive | coefficient
-
-    @classmethod
-    def from_poly(cls, f: MultiPoly, var_index: int = 0):
-        return cls._build(f.ring, f.terms, var_index)
-
-    @classmethod
-    def _build(cls, ring, terms, i):
-        n = len(ring.vars)
-        if i == n - 1:
-            # innermost level: children are plain coefficients
-            return cls(ring, i, {e[i]: c for e, c in terms.items()})
-        groups = {}
-        for e, c in terms.items():
-            groups.setdefault(e[i], {})[e] = c
-        return cls(
-            ring, i, {x: cls._build(ring, sub, i + 1) for x, sub in groups.items()}
-        )
-
-    def evaluate(self, values):
-        """Horner evaluation at a full point (list indexed by variable)."""
-        K = self.ring.cring
-        x = values[self.var_index]
-        acc = K.zero
-        prev = None
-        for e in sorted(self.children, reverse=True):
-            child = self.children[e]
-            v = child if not isinstance(child, SparseRecursive) else child.evaluate(values)
-            if prev is None:
-                acc = v
-            else:
-                acc = K.add(K.mul(acc, K.pow(x, prev - e)), v)
-            prev = e
-        if prev is None:
-            return K.zero
-        return K.mul(acc, K.pow(x, prev)) if prev else acc
-
-    def flatten(self) -> MultiPoly:
-        n = len(self.ring.vars)
-        out = {}
-
-        def walk(node, acc):
-            for e, child in node.children.items():
-                acc2 = acc + [(node.var_index, e)]
-                if isinstance(child, SparseRecursive):
-                    walk(child, acc2)
-                else:
-                    exp = [0] * n
-                    for i, x in acc2:
-                        exp[i] = x
-                    out[tuple(exp)] = child
-
-        walk(self, [])
-        return MultiPoly(self.ring, out)
+# ------------------------------------------------- univariate conversions
 
 
-def multi_eval_horner(f: MultiPoly, assignment) -> object:
-    """Full evaluation through the sparse-recursive view."""
-    ring = f.ring
-    K = ring.cring
-    if set(assignment) != set(ring.vars):
-        raise ValueError("horner evaluation needs every variable assigned")
+def to_unipoly(f: MultiPoly, i) -> UniPoly:
+    """f uses only variable i; rebuild it as a UniPoly over the base ring."""
+    K = f.ring.cring
     if f.is_zero():
-        return K.zero
-    values = [K.of(assignment[name]) for name in ring.vars]
-    return SparseRecursive.from_poly(f).evaluate(values)
+        return _poly(K, [])
+    coeffs = [K.zero] * (f.degree(i) + 1)
+    for e, cc in f.terms.items():
+        coeffs[e[i]] = cc
+    return _poly(K, coeffs)
+
+
+def from_unipoly(ring, u: UniPoly, i) -> MultiPoly:
+    """The UniPoly u as a polynomial in variable i of `ring`."""
+    n = len(ring.vars)
+    terms = {}
+    for k, cc in enumerate(u.coeffs):
+        if not ring.cring.is_zero(cc):
+            e = [0] * n
+            e[i] = k
+            terms[tuple(e)] = cc
+    return MultiPoly(ring, terms)
+
+
+def lc_in(f: MultiPoly, m) -> MultiPoly:
+    """Leading coefficient of f as a polynomial in x_m (a MultiPoly)."""
+    d = f.degree(m)
+    sub = {}
+    for e, cc in f.terms.items():
+        if e[m] == d:
+            sub[e[:m] + (0,) + e[m + 1 :]] = cc
+    return MultiPoly(f.ring, sub)
 
 
 # ------------------------------------------------------- content & primitive

@@ -8,7 +8,7 @@ multipoly.py; GF(p, k) in galois.py.  All descriptors are immutable.
 import math
 
 from .errors import NonInvertibleError, UnsupportedRingError
-from .modular import MachineModulus, mod_inverse
+from .modular import mod_inverse
 from .primes import factor_integer, is_prime
 
 
@@ -236,10 +236,9 @@ class IntegerRing(Ring):
 
 
 class ZpRing(Ring):
-    """Prime field Z/pZ; residues are ints in [0, p).
+    """Prime field Z/pZ; residues are ints in [0, p) reduced with `% p`.
 
-    Machine-size moduli (p < 2^64) carry a MachineModulus with the magic
-    reduction constants; larger primes fall back to plain big-int division.
+    Any prime is accepted; Python ints make the reduction exact at every size.
     """
 
     is_field = True
@@ -253,13 +252,8 @@ class ZpRing(Ring):
         self.p = p
         self.characteristic = p
         self.cardinality = p
-        self.modulus = MachineModulus(p) if p < 2**64 else None
         # elements are plain ints; bulk code may defer reduction to the end
         self.coeff_modulus = p
-
-    @property
-    def is_machine(self):
-        return self.modulus is not None
 
     def of(self, x):
         if isinstance(x, bool) or not isinstance(x, int):
@@ -375,6 +369,18 @@ class FractionField(Ring):
 
     def from_inner(self, a):
         return Rational(a, self.inner.one)
+
+    def clear_denominators(self, coeffs):
+        """(d, [c * d for c in coeffs]) with d the least common denominator.
+
+        The products are elements of the inner ring.
+        """
+        inner = self.inner
+        coeffs = list(coeffs)
+        den = inner.one
+        for c in coeffs:
+            den = inner.exact_div(inner.mul(den, c.den), inner.gcd(den, c.den))
+        return den, [inner.mul(c.num, inner.exact_div(den, c.den)) for c in coeffs]
 
     def add(self, a, b):
         inner = self.inner

@@ -396,11 +396,8 @@ def _recombine(f: UniPoly, lifted, modulus):
 
 def _factor_over_q(K, f: UniPoly):
     """Monic factors over Q = Frac(Z); the unit soaks up all constants."""
-    from .unipoly import _clear_denominators
-
-    Z = K.inner
-    fz, _ = _clear_denominators(f)
-    _, facs = factor_over_z(fz)
+    _, nums = K.clear_denominators(f.coeffs)
+    _, facs = factor_over_z(_poly(K.inner, nums))
     unit = f.lc()
     out = []
     for g, e in facs:

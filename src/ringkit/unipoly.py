@@ -1,7 +1,7 @@
 """Dense univariate polynomials over an arbitrary coefficient ring.
 
 A UniPoly is a coefficient list (lowest degree first, no trailing zeros)
-plus the coefficient ring.  Machine Zp coefficients take specialized int
+plus the coefficient ring.  Zp coefficients take specialized int
 paths; every other ring goes through the generic ring operations.
 """
 
@@ -11,7 +11,7 @@ from .modular import crt_pair, symmetric_lift
 from .primes import next_prime
 
 KARATSUBA_THRESHOLD = 32  # coefficients; below this schoolbook wins
-PACKED_MUL_THRESHOLD = 40  # machine Zp: pack into one big int above this
+PACKED_MUL_THRESHOLD = 40  # Zp: pack into one big int above this
 NEWTON_DIV_THRESHOLD = 60  # remainder degree where Newton division kicks in
 HALF_GCD_THRESHOLD = 180  # degree where the gcd loop switches to Half-GCD
 
@@ -248,14 +248,14 @@ def _kara_generic(K, x, y):
 
 def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
     """Product; schoolbook below KARATSUBA_THRESHOLD, Karatsuba above,
-    packed big-int convolution for large machine-Zp operands."""
+    packed big-int convolution for large Zp operands."""
     K = a.ring
     if a.is_zero() or b.is_zero():
         return UniPoly(K, [])
     x, y = a.coeffs, b.coeffs
     if _is_zp(K):
         p = K.p
-        if min(len(x), len(y)) >= PACKED_MUL_THRESHOLD and K.is_machine:
+        if min(len(x), len(y)) >= PACKED_MUL_THRESHOLD:
             raw = _packed_int(x, y, p)
         elif min(len(x), len(y)) <= KARATSUBA_THRESHOLD:
             raw = _school_int(x, y)
@@ -706,9 +706,9 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     if b.is_zero():
         return _canonical_gcd_result(a)
     if isinstance(K, rings.FractionField) and isinstance(K.inner, rings.IntegerRing):
-        az, _ = _clear_denominators(a)
-        bz, _ = _clear_denominators(b)
-        g = uni_gcd_z_brown(az, bz)
+        _, az = K.clear_denominators(a.coeffs)
+        _, bz = K.clear_denominators(b.coeffs)
+        g = uni_gcd_z_brown(_poly(K.inner, az), _poly(K.inner, bz))
         return uni_monic(_poly(K, [K.from_inner(c) for c in g.coeffs]))
     if K.is_field:
         if max(a.degree, b.degree) > HALF_GCD_THRESHOLD:
@@ -729,17 +729,6 @@ def _canonical_gcd_result(a: UniPoly) -> UniPoly:
     c, pp = uni_primitive(a)
     _, c = K.normalize_unit(c)
     return pp if K.is_one(c) else uni_scale(pp, c)
-
-
-def _clear_denominators(a: UniPoly):
-    """Over Frac(Z): (integer polynomial, common denominator)."""
-    K = a.ring
-    Z = K.inner
-    den = Z.one
-    for c in a.coeffs:
-        den = Z.exact_div(Z.mul(den, c.den), Z.gcd(den, c.den))
-    coeffs = [Z.mul(c.num, Z.exact_div(den, c.den)) for c in a.coeffs]
-    return _poly(Z, coeffs), den
 
 
 def uni_extended_gcd(a: UniPoly, b: UniPoly):

@@ -274,6 +274,22 @@ def test_integer_coefficients_rejected():
         groebner_basis([x + y])
 
 
+def test_order_override_ideal_accepts_generator_ring():
+    R = MultiRing(rings.QQ, ("x", "y"), "GREVLEX")
+    x, y = R.gens()
+    gens = [x * x + y * y - R.one, x - y]
+    ideal = Ideal(gens, order="LEX")
+    L = ideal.ring
+    assert L.order.name == "LEX"
+    assert all(ideal.contains(g) for g in gens)
+    assert ideal_membership(x * y - y * y, ideal)
+    assert not ideal.contains(x)
+    nf = ideal.reduce(x * x + x)
+    assert nf.ring == L
+    assert nf == ideal.reduce(MultiPoly(L, dict((x * x + x).terms)))
+    assert ideal_reduce(x, ideal) == L.var("y")
+
+
 def test_reduce_rejects_foreign_polynomials():
     R = MultiRing(rings.ZpRing(17), ("x", "y"), "GREVLEX")
     other = MultiRing(rings.ZpRing(17), ("x", "y"), "LEX")

