@@ -247,6 +247,8 @@ class ZpRing(Ring):
     one = 1
 
     def __init__(self, p: int):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise TypeError("Zp modulus must be an int, got %r" % (p,))
         if not is_prime(p):
             raise ValueError("Zp modulus must be prime, got %r" % (p,))
         self.p = p
