@@ -42,7 +42,7 @@ class _Engine:
             raise UnsupportedRingError(
                 "Groebner bases need field coefficients, got %s" % (self.K,)
             )
-        if isinstance(self.K, rings.ZpRing):
+        if self.K.coeff_modulus is not None:
             self.mode = "zp"
         elif self.K == rings.QQ and not exact:
             # fraction-free: primitive integer coefficients throughout
@@ -108,7 +108,7 @@ class _Engine:
         lead = triples[0][2]
         terms = {}
         if self.mode == "zp":
-            pm = K.p
+            pm = K.coeff_modulus
             inv = pow(lead, -1, pm)
             for p, _, c in triples:
                 terms[self.unpack(p)] = c * inv % pm
@@ -125,7 +125,7 @@ class _Engine:
         """Insert a nonzero polynomial as a reducer, monic where possible."""
         lead_p, lead_o, lc = triples[0]
         if self.mode == "zp":
-            pm = self.K.p
+            pm = self.K.coeff_modulus
             inv = pow(lc, -1, pm)
             tail = [(tp, to, tc * inv % pm) for tp, to, tc in triples[1:]]
             lc = 1
@@ -166,7 +166,7 @@ class _Engine:
         return s if s > sugar else sugar
 
     def _nf_zp(self, terms, sugar):
-        pm = self.K.p
+        pm = self.K.coeff_modulus
         work = {}
         heap = []
         for p, o, c in terms:

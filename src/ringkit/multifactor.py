@@ -19,6 +19,7 @@ unlucky evaluation points cost retries, never wrong answers.
 import itertools
 import math
 import random
+from functools import reduce
 
 from . import rings
 from .errors import UnsupportedRingError
@@ -46,14 +47,19 @@ from .multipoly import (
     univariate_image,
 )
 from .primes import factor_integer
-from .unifactor import (
-    _good_prime,
-    _pm_divrem_monic,
-    _pm_mul,
-    factor_finite,
-    factor_over_z,
+from .unifactor import _good_prime, factor_finite, factor_over_z
+from .unipoly import (
+    UniPoly,
+    _poly,
+    uni_derivative,
+    uni_extended_gcd,
+    uni_gcd,
+    uni_monic,
+    uni_mul,
+    uni_rem,
+    uni_scale,
+    uni_sub,
 )
-from .unipoly import _poly, uni_derivative, uni_extended_gcd, uni_gcd
 
 _TRIES = 16
 _SUBSET_BUDGET = 4096
@@ -306,30 +312,28 @@ def _attempt(F, m, rng, attempt):
 
     if field:
         work = ring
-        p = M = K.p
-        alpha_w = alpha
-        La_w = La
+        p = K.p
     else:
         p = _good_prime(u)
         ell = _precision(F, L, r, dF, p) + 2 * min(attempt, 3)
-        M = p**ell
-        work = MultiRing(_ZmRing(M), ring.vars, ring.order)
-        alpha_w = {i: a % M for i, a in alpha.items()}
-        La_w = La % M
+        work = MultiRing(rings.ZmRing(p**ell), ring.vars, ring.order)
+    Kw = work.cring
+    alpha_w = {i: Kw.of(a) for i, a in alpha.items()}
+    La_w = Kw.of(La)
 
     order = list(others)
-    uhat = _monic_lists(us, M)
-    tinv = _bezout_rows(uhat, La_w, r, M, p)
+    uhat = [uni_monic(_poly(Kw, [Kw.of(c) for c in g.coeffs])) for g in us]
+    tinv = _bezout_rows(uhat, La_w, p)
 
     # scout: lift the first variable alone and group by bivariate division
     v1 = order[0]
     rest = {i: alpha[i] for i in order[1:]}
     F1 = multi_subs(F, rest)
     L1 = multi_subs(L, rest)
-    F1w = F1 if field else _map_into(work, F1, M)
-    L1w = L1 if field else _map_into(work, L1, M)
+    F1w = _map_into(work, F1)
+    L1w = _map_into(work, L1)
     Fs1 = multi_mul(F1w, multi_pow(L1w, r - 1))
-    ctx1 = _run_levels(Fs1, L1w, m, [v1], alpha_w, La_w, uhat, tinv, work, M, field, rng)
+    ctx1 = _run_levels(Fs1, L1w, m, [v1], alpha_w, La_w, uhat, tinv, rng)
     split1 = _subset_split(F1, ctx1.snapshots[-1], [v1], ctx1)
     if len(split1) == 1:
         return [F]
@@ -338,44 +342,25 @@ def _attempt(F, m, rng, attempt):
         return [g for _, g in split1]
     groups = [subset for subset, _ in split1]
     if len(groups) < r:
-        uhat = [_pm_prod([uhat[i] for i in subset], M) for subset in groups]
+        uhat = [reduce(uni_mul, [uhat[i] for i in subset]) for subset in groups]
         r = len(groups)
         if not field:
             # the scoped-down factor count usually shrinks the precision a lot
             ell = _precision(F, L, r, dF, p) + 2 * min(attempt, 3)
-            M2 = p**ell
-            if M2 < M:
-                M = M2
-                work = MultiRing(_ZmRing(M), ring.vars, ring.order)
-                alpha_w = {i: a % M for i, a in alpha.items()}
-                La_w = La % M
-                uhat = [[c % M for c in cs] for cs in uhat]
-        tinv = _bezout_rows(uhat, La_w, r, M, p)
+            if p**ell < Kw.m:
+                work = MultiRing(rings.ZmRing(p**ell), ring.vars, ring.order)
+                Kw = work.cring
+                alpha_w = {i: Kw.of(a) for i, a in alpha.items()}
+                La_w = Kw.of(La)
+                uhat = [_poly(Kw, [Kw.of(c) for c in g.coeffs]) for g in uhat]
+        tinv = _bezout_rows(uhat, La_w, p)
 
     Fstar = multi_mul(F, multi_pow(L, r - 1))
-    Fw = Fstar if field else _map_into(work, Fstar, M)
-    Lw = L if field else _map_into(work, L, M)
-    ctx = _run_levels(Fw, Lw, m, order, alpha_w, La_w, uhat, tinv, work, M, field, rng)
+    Fw = _map_into(work, Fstar)
+    Lw = _map_into(work, L)
+    ctx = _run_levels(Fw, Lw, m, order, alpha_w, La_w, uhat, tinv, rng)
     split = _subset_split(F, ctx.snapshots[-1], order, ctx)
     return [g for _, g in split]
-
-
-def _monic_lists(us, M):
-    out = []
-    for g in us:
-        cs = [int(c) % M for c in g.coeffs]
-        if cs[-1] != 1:
-            il = pow(cs[-1], -1, M)
-            cs = [c * il % M for c in cs]
-        out.append(cs)
-    return out
-
-
-def _pm_prod(ls, M):
-    out = [1]
-    for l in ls:
-        out = _pm_mul(out, l, M)
-    return out
 
 
 def _draw_alpha(K, others, rng, attempt):
@@ -403,61 +388,17 @@ def _precision(F, L, r, dF, p):
     return ell
 
 
-def _map_into(work, f, M):
+def _map_into(work, f):
+    """f over the lifting ring; a no-op when f already lives there."""
+    if f.ring == work:
+        return f
+    K = work.cring
     out = {}
     for e, c in f.terms.items():
-        v = int(c) % M
+        v = K.of(c)
         if v:
             out[e] = v
     return MultiPoly(work, out)
-
-
-class _ZmRing(rings.Ring):
-    """Z/m for a prime power m; elements are ints in [0, m)."""
-
-    is_field = False
-    is_finite = True
-
-    def __init__(self, m):
-        self.m = m
-        self.characteristic = m
-        self.cardinality = m
-        self.coeff_modulus = m
-        self.zero = 0
-        self.one = 1 % m
-
-    def of(self, x):
-        return int(x) % self.m
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def sub(self, a, b):
-        return (a - b) % self.m
-
-    def neg(self, a):
-        return -a % self.m
-
-    def mul(self, a, b):
-        return a * b % self.m
-
-    def is_unit(self, a):
-        return math.gcd(a, self.m) == 1
-
-    def inv(self, a):
-        return pow(a, -1, self.m)
-
-    def pow(self, a, e):
-        return pow(a, e, self.m)
-
-    def spec_string(self):
-        return "Zm[%d]" % self.m
-
-    def __eq__(self, other):
-        return isinstance(other, _ZmRing) and other.m == self.m
-
-    def __hash__(self):
-        return hash(("Zm", self.m))
 
 
 # --------------------------------------------------------------- the lifting
@@ -466,18 +407,16 @@ class _ZmRing(rings.Ring):
 class _LiftCtx:
     """Carries the lifted factor versions and the diophantine machinery."""
 
-    def __init__(self, work, M, m, order, alpha, bounds, uhat, tinv, r, field):
+    def __init__(self, work, m, order, alpha, bounds, uhat, tinv):
         self.work = work
         self.K = work.cring
-        self.M = M
         self.m = m
         self.order = order
         self.alpha = alpha
         self.bounds = bounds
         self.uhat = uhat
         self.tinv = tinv
-        self.r = r
-        self.field = field
+        self.r = len(uhat)
         self.snapshots = []
         self.cof = {}
         self.exact = True
@@ -520,7 +459,7 @@ def _shift_rows(rows, a, work, D=None):
     for _ in range(top):
         apow.append(K.mul(apow[-1], a))
     acc = {}
-    mod = getattr(K, "coeff_modulus", None)
+    mod = K.coeff_modulus
     for k, poly in rows.items():
         for j in range(k + 1):
             if D is not None and j > D:
@@ -570,24 +509,15 @@ def _trunc(f, pairs, work):
     return f
 
 
-def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv, work, M, field, rng):
+def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv, rng):
     """Variable-by-variable lift of the monic image factors against Fw."""
+    work = Fw.ring
     K = work.cring
     r = len(uhat)
     bounds = {v: Fw.degree(v) for v in order}
 
-    ctx = _LiftCtx(work, M, m, order, alpha, bounds, uhat, tinv, r, field)
-    base = []
-    for cs in uhat:
-        terms = {}
-        for k, c in enumerate(cs):
-            v = c * La % M if not field else K.mul(K.of(c), La)
-            if v:
-                e = [0] * len(work.vars)
-                e[m] = k
-                terms[tuple(e)] = v
-        base.append(MultiPoly(work, terms))
-    ctx.snapshots.append(base)
+    ctx = _LiftCtx(work, m, order, alpha, bounds, uhat, tinv)
+    ctx.snapshots.append([from_unipoly(work, uni_scale(g, La), m) for g in uhat])
 
     # partial evaluations of F* from the innermost level outward
     Es = [None] * (len(order) + 1)
@@ -601,7 +531,7 @@ def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv, work, M, field, rng):
         Ls[s] = cur
         cur = multi_subs(cur, {order[s - 1]: alpha[order[s - 1]]})
 
-    dxs = [len(cs) - 1 for cs in uhat]
+    dxs = [g.degree for g in uhat]
     for s in range(1, len(order) + 1):
         v = order[s - 1]
         a = alpha[v]
@@ -747,41 +677,33 @@ def _cof0_table(base0, r, work):
     return table
 
 
-def _bezout_rows(uhat, La, r, M, p):
-    """tinv[i] with tinv[i] * cofactor_i = inv(La^(r-1)) modulo (uhat_i, M)."""
+def _bezout_rows(uhat, La, p):
+    """tinv[i] with tinv[i] * cofactor_i = inv(La^(r-1)) modulo uhat_i.
+
+    The uhat are monic over Z/p^k (k >= 1); the inverses come from the
+    extended gcd over Zp and are Newton-lifted to p^k.
+    """
+    K = uhat[0].ring
     zp = rings.ZpRing(p)
-    scale = pow(int(La) % M, -(r - 1), M) if r > 1 else 1 % M
+    r = len(uhat)
+    scale = K.pow(La, 1 - r)
+    two = _poly(K, [K.of(2)])
     out = []
     for i in range(r):
-        cof = [1]
-        for k in range(r):
-            if k != i:
-                cof = _pm_mul(cof, uhat[k], M)
-        _, cofr = _pm_divrem_monic(cof, uhat[i], M)
-        # invert modulo (uhat_i, p), then Newton-lift the inverse to mod M
-        a = _poly(zp, [c % p for c in cofr])
-        b = _poly(zp, [c % p for c in uhat[i]])
+        cofr = uni_rem(reduce(uni_mul, uhat[:i] + uhat[i + 1 :]), uhat[i])
+        a = _poly(zp, [c % p for c in cofr.coeffs])
+        b = _poly(zp, [c % p for c in uhat[i].coeffs])
         g, sp, _ = uni_extended_gcd(a, b)
         if g.degree != 0:
             raise _BadPoint()
-        inv0 = [c * pow(g.constant(), -1, p) % p for c in sp.coeffs]
-        si = inv0
-        steps = 0
+        # g is monic, so sp inverts cofr mod (uhat_i, p); its residues mod p
+        # are residues mod p^k as they stand
+        si = UniPoly(K, sp.coeffs)
         pe = p
-        while pe < M:
+        while pe < K.coeff_modulus:
             pe *= pe
-            steps += 1
-        for _ in range(steps):
-            prod = _pm_mul(si, cofr, M)
-            prod = [(-c) % M for c in prod]
-            if prod:
-                prod[0] = (prod[0] + 2) % M
-            else:
-                prod = [2 % M]
-            si = _pm_mul(si, prod, M)
-            _, si = _pm_divrem_monic(si, uhat[i], M)
-        si = [c * scale % M for c in si]
-        out.append(si)
+            si = uni_rem(uni_mul(si, uni_sub(two, uni_mul(si, cofr))), uhat[i])
+        out.append(uni_scale(si, scale))
     return out
 
 
@@ -793,20 +715,11 @@ def _mdp(e, s, ctx):
     if e.is_zero():
         return [None] * r
     if s == 0:
-        el = [0] * (e.degree(ctx.m) + 1)
-        for ex, c in e.terms.items():
-            el[ex[ctx.m]] = int(c)
+        el = to_unipoly(e, ctx.m)
         out = []
-        for i in range(r):
-            si = _pm_mul(ctx.tinv[i], el, ctx.M)
-            _, si = _pm_divrem_monic(si, ctx.uhat[i], ctx.M)
-            terms = {}
-            for k, c in enumerate(si):
-                if c:
-                    ee = [0] * len(work.vars)
-                    ee[ctx.m] = k
-                    terms[tuple(ee)] = K.of(c)
-            out.append(MultiPoly(work, terms) if terms else None)
+        for ti, ui in zip(ctx.tinv, ctx.uhat):
+            d = uni_rem(uni_mul(ti, el), ui)
+            out.append(None if d.is_zero() else from_unipoly(work, d, ctx.m))
         return out
     v = ctx.order[s - 1]
     a = ctx.alpha[v]
@@ -862,12 +775,12 @@ def _subset_split(target, Gs, order, ctx):
         for i in idxs[1:]:
             prod = multi_mul(prod, Gs[i])
             prod = _trunc(prod, pairs, work)
-        if ctx.field:
+        if work.cring.is_field:
             g = prod
         else:
             terms = {}
             for e, c in prod.terms.items():
-                v = symmetric_lift(c, ctx.M)
+                v = symmetric_lift(c, work.cring.coeff_modulus)
                 if v:
                     terms[e] = v
             g = MultiPoly(ring, terms)

@@ -328,14 +328,13 @@ class _LevelEval:
     advances the value by one probe per multiplication.
     """
 
-    __slots__ = ("K", "ring", "zp", "p", "deg", "v", "exps", "ems", "base", "mults", "first")
+    __slots__ = ("K", "ring", "mod", "deg", "v", "exps", "ems", "base", "mults", "first")
 
     def __init__(self, f, m, v, processed, alpha):
         K = f.ring.cring
         self.K = K
         self.ring = f.ring
-        self.zp = isinstance(K, rings.ZpRing)
-        self.p = K.p if self.zp else 0
+        self.mod = K.coeff_modulus
         self.deg = f.degree(m)
         self.v = v
         skip = set(processed)
@@ -356,8 +355,8 @@ class _LevelEval:
         return term_values(self.K, self.exps, {self.v: beta}, self.first)
 
     def advance(self, cur):
-        if self.zp:
-            p = self.p
+        p = self.mod
+        if p is not None:
             return [val * mt % p for val, mt in zip(cur, self.mults)]
         K = self.K
         return [K.mul(val, mt) for val, mt in zip(cur, self.mults)]
@@ -365,8 +364,8 @@ class _LevelEval:
     def image(self, cur):
         """UniPoly in x_m from the current term values."""
         K = self.K
-        if self.zp:
-            p = self.p
+        p = self.mod
+        if p is not None:
             coeffs = [0] * (self.deg + 1)
             for em, val in zip(self.ems, cur):
                 coeffs[em] = (coeffs[em] + val) % p
@@ -516,11 +515,10 @@ def _interp_terms(ring, v, pts, imgs):
     support = set()
     for img in imgs:
         support |= set(img.terms)
-    zp = isinstance(K, rings.ZpRing)
+    p = K.coeff_modulus
     terms = {}
     for e in support:
-        if zp:
-            p = K.p
+        if p is not None:
             acc = [0] * k
             for img, bc in zip(imgs, basis):
                 y = img.terms.get(e)

@@ -193,7 +193,7 @@ def _mk(ring, terms):
 def multi_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     K = a.ring.cring
     out = dict(a.terms)
-    mod = getattr(K, "coeff_modulus", None)
+    mod = K.coeff_modulus
     if mod is not None:
         for e, c in b.terms.items():
             s = (out.get(e, 0) + c) % mod
@@ -216,7 +216,7 @@ def multi_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 def multi_sub(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     K = a.ring.cring
-    mod = getattr(K, "coeff_modulus", None)
+    mod = K.coeff_modulus
     if mod is not None:
         out = dict(a.terms)
         for e, c in b.terms.items():
@@ -245,7 +245,7 @@ def multi_mono_mul(a: MultiPoly, exp, c) -> MultiPoly:
     """a * c*x^exp for a single monomial."""
     K = a.ring.cring
     out = {}
-    mod = getattr(K, "coeff_modulus", None)
+    mod = K.coeff_modulus
     if mod is not None:
         for e, coef in a.terms.items():
             v = coef * c % mod
@@ -315,7 +315,7 @@ def _mul_packed(a: MultiPoly, b: MultiPoly, widths) -> MultiPoly:
     A = _pack(a.terms, widths)
     B = _pack(b.terms, widths)
     acc = {}
-    mod = getattr(K, "coeff_modulus", None)
+    mod = K.coeff_modulus
     if mod is not None:
         for ka, ca in A.items():
             for kb, cb in B.items():
@@ -500,7 +500,7 @@ def term_values(K, exps, values, coeffs=None):
     if coeffs is None:
         coeffs = itertools.repeat(K.one)
     out = []
-    mod = getattr(K, "coeff_modulus", None)
+    mod = K.coeff_modulus
     if mod is not None:
         for e, c in zip(exps, coeffs):
             for i, v, pw in caches:

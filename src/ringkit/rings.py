@@ -1,8 +1,9 @@
 """Ring descriptors: elements are plain values, operations go through the ring.
 
-Integers are Python ints, Zp residues are ints in [0, p), fractions are
-Rational pairs over the inner ring.  Polynomial rings live in unipoly.py and
-multipoly.py; GF(p, k) in galois.py.  All descriptors are immutable.
+Integers are Python ints, residues mod m (Z/m and Zp) are ints in [0, m),
+fractions are Rational pairs over the inner ring.  Polynomial rings live in
+unipoly.py and multipoly.py; GF(p, k) in galois.py.  All descriptors are
+immutable.
 """
 
 import math
@@ -22,6 +23,9 @@ class Ring:
 
     zero = None
     one = None
+    # m when elements are ints in [0, m) under `% m` arithmetic; the int
+    # fast paths of the polynomial modules key on it
+    coeff_modulus = None
 
     def of(self, x):
         raise NotImplementedError
@@ -235,49 +239,86 @@ class IntegerRing(Ring):
         return hash(IntegerRing)
 
 
-class ZpRing(Ring):
-    """Prime field Z/pZ; residues are ints in [0, p) reduced with `% p`.
+class ZmRing(Ring):
+    """Residue ring Z/mZ; residues are ints in [0, m) reduced with `% m`.
+
+    Elements coprime to m are units; inverting any other element raises
+    NonInvertibleError carrying its gcd with m.
+    """
+
+    is_finite = True
+    zero = 0
+    one = 1
+
+    def __init__(self, m: int):
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise TypeError("modulus must be an int, got %r" % (m,))
+        if m < 2:
+            raise ValueError("modulus must be at least 2, got %r" % (m,))
+        self.m = m
+        self.characteristic = m
+        self.cardinality = m
+        self.coeff_modulus = m
+
+    def of(self, x):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError("not an integer: %r" % (x,))
+        return x % self.m
+
+    def add(self, a, b):
+        s = a + b
+        return s - self.m if s >= self.m else s
+
+    def sub(self, a, b):
+        d = a - b
+        return d + self.m if d < 0 else d
+
+    def neg(self, a):
+        return self.m - a if a else 0
+
+    def mul(self, a, b):
+        return a * b % self.m
+
+    def is_zero(self, a):
+        return a == 0
+
+    def is_unit(self, a):
+        return math.gcd(a, self.m) == 1
+
+    def inv(self, a):
+        return mod_inverse(a, self.m)
+
+    def pow(self, a, e):
+        if e < 0:
+            return pow(self.inv(a), -e, self.m)
+        return pow(a, e, self.m)
+
+    def random_element(self, rng, **opts):
+        return rng.randrange(self.m)
+
+    def spec_string(self):
+        return "Zm[%d]" % self.m
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.m == self.m
+
+    def __hash__(self):
+        return hash((type(self), self.m))
+
+
+class ZpRing(ZmRing):
+    """Prime field Z/pZ: the residue ring with a prime modulus.
 
     Any prime is accepted; Python ints make the reduction exact at every size.
     """
 
     is_field = True
-    is_finite = True
-    zero = 0
-    one = 1
 
     def __init__(self, p: int):
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise TypeError("Zp modulus must be an int, got %r" % (p,))
+        super().__init__(p)
         if not is_prime(p):
             raise ValueError("Zp modulus must be prime, got %r" % (p,))
         self.p = p
-        self.characteristic = p
-        self.cardinality = p
-        # elements are plain ints; bulk code may defer reduction to the end
-        self.coeff_modulus = p
-
-    def of(self, x):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError("not an integer: %r" % (x,))
-        return x % self.p
-
-    def add(self, a, b):
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a, b):
-        d = a - b
-        return d + self.p if d < 0 else d
-
-    def neg(self, a):
-        return self.p - a if a else 0
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def is_zero(self, a):
-        return a == 0
 
     def divmod(self, a, b):
         return self.div(a, b), 0
@@ -285,28 +326,11 @@ class ZpRing(Ring):
     def exact_div(self, a, b):
         return self.div(a, b)
 
-    def inv(self, a):
-        return mod_inverse(a, self.p)
-
     def div(self, a, b):
         return a * mod_inverse(b, self.p) % self.p
 
-    def pow(self, a, e):
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
-    def random_element(self, rng, **opts):
-        return rng.randrange(self.p)
-
     def spec_string(self):
         return "Zp[%d]" % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, ZpRing) and other.p == self.p
-
-    def __hash__(self):
-        return hash((ZpRing, self.p))
 
 
 class Rational:

@@ -12,17 +12,15 @@ from itertools import combinations
 
 from . import rings
 from .errors import UnsupportedRingError
-from .modular import mod_inverse, symmetric_lift
+from .modular import symmetric_lift
 from .primes import factor_integer, next_prime
 from .unipoly import (
     PolyModContext,
     UniPoly,
-    _kara_int,
     _poly,
-    _school_int,
-    KARATSUBA_THRESHOLD,
     uni_add,
     uni_derivative,
+    uni_divrem,
     uni_exact_div,
     uni_extended_gcd,
     uni_gcd,
@@ -190,9 +188,8 @@ def _factor_primitive_squarefree_z(f: UniPoly):
     modular = [g for g, _ in parts]
     if len(modular) == 1:
         return [f]
-    ell = _mignotte_exponent(f, p)
-    lifted = _hensel_lift(p, ell, f, modular)
-    return _recombine(f, lifted, p**ell)
+    lifted = _hensel_lift(p, _mignotte_exponent(f, p), f, modular)
+    return _recombine(f, lifted)
 
 
 def _good_prime(f: UniPoly) -> int:
@@ -220,58 +217,6 @@ def _mignotte_exponent(f: UniPoly, p: int) -> int:
     return ell
 
 
-# polynomial helpers over Z/m for composite m = p^ell: plain int lists
-
-
-def _pm_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _pm_mul(a, b, m):
-    if not a or not b:
-        return []
-    raw = (
-        _school_int(a, b)
-        if min(len(a), len(b)) <= KARATSUBA_THRESHOLD
-        else _kara_int(a, b)
-    )
-    return _pm_trim([c % m for c in raw])
-
-
-def _pm_add(a, b, m):
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _pm_trim(out)
-
-
-def _pm_sub(a, b, m):
-    out = a[:] + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _pm_trim(out)
-
-
-def _pm_divrem_monic(a, b, m):
-    """Division by monic b over Z/m."""
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], a[:]
-    r = a[:]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = r[i + db] % m
-        if c:
-            q[i] = c
-            for j in range(db + 1):
-                r[i + j] = (r[i + j] - c * b[j]) % m
-    return _pm_trim(q), _pm_trim(r[:db])
-
-
 class _HenselNode:
     """One split f = g*h with Bezout data s*g + t*h = 1 (mod p^current)."""
 
@@ -286,61 +231,50 @@ class _HenselNode:
         self.right = right
 
 
-def _build_tree(zp, factors):
-    """Balanced product tree over monic Zp factor polys (as int lists)."""
+def _build_tree(factors):
+    """Balanced product tree over monic Zp factors; returns (root, product)."""
     if len(factors) == 1:
         return None, factors[0]
     mid = len(factors) // 2
-    left, g = _build_tree(zp, factors[:mid])
-    right, h = _build_tree(zp, factors[mid:])
-    gp = _poly(zp, g[:])
-    hp = _poly(zp, h[:])
-    one, s, t = uni_extended_gcd(gp, hp)
+    left, g = _build_tree(factors[:mid])
+    right, h = _build_tree(factors[mid:])
+    one, s, t = uni_extended_gcd(g, h)
     assert one.degree == 0
-    prod = uni_mul(gp, hp)
-    return (
-        _HenselNode(g, h, s.coeffs[:], t.coeffs[:], left, right),
-        prod.coeffs[:],
-    )
+    return _HenselNode(g, h, s, t, left, right), uni_mul(g, h)
 
 
-def _lift_node(node, f, m_new):
-    """One quadratic step: from valid data mod m to mod m_new | m^2."""
-    g, h, s, t = node.g, node.h, node.s, node.t
-    e = _pm_sub(f, _pm_mul(g, h, m_new), m_new)
-    q, r = _pm_divrem_monic(_pm_mul(s, e, m_new), h, m_new)
-    g_new = _pm_add(g, _pm_add(_pm_mul(t, e, m_new), _pm_mul(q, g, m_new), m_new), m_new)
-    h_new = _pm_add(h, r, m_new)
-    b = _pm_sub(
-        _pm_add(_pm_mul(s, g_new, m_new), _pm_mul(t, h_new, m_new), m_new),
-        [1],
-        m_new,
-    )
-    c, d = _pm_divrem_monic(_pm_mul(s, b, m_new), h_new, m_new)
-    s_new = _pm_sub(s, d, m_new)
-    t_new = _pm_sub(t, _pm_add(_pm_mul(t, b, m_new), _pm_mul(c, g_new, m_new), m_new), m_new)
+def _lift_node(node, f):
+    """One quadratic step from valid data mod m to f's modulus m_new | m^2.
+
+    The node's data are residues mod m, so they are already canonical
+    residues mod m_new and only change ring.
+    """
+    K = f.ring
+    g, h, s, t = (UniPoly(K, x.coeffs) for x in (node.g, node.h, node.s, node.t))
+    e = uni_sub(f, uni_mul(g, h))
+    q, r = uni_divrem(uni_mul(s, e), h)
+    g_new = uni_add(g, uni_add(uni_mul(t, e), uni_mul(q, g)))
+    h_new = uni_add(h, r)
+    b = uni_sub(uni_add(uni_mul(s, g_new), uni_mul(t, h_new)), _poly(K, [K.one]))
+    c, d = uni_divrem(uni_mul(s, b), h_new)
+    s_new = uni_sub(s, d)
+    t_new = uni_sub(t, uni_add(uni_mul(t, b), uni_mul(c, g_new)))
     node.g, node.h, node.s, node.t = g_new, h_new, s_new, t_new
     if node.left is not None:
-        _lift_node(node.left, g_new, m_new)
+        _lift_node(node.left, g_new)
     if node.right is not None:
-        _lift_node(node.right, h_new, m_new)
+        _lift_node(node.right, h_new)
 
 
 def _hensel_lift(p, ell, f, modular_factors):
-    """Monic factor lists mod p^ell whose product is f/lc(f) mod p^ell."""
-    zp = rings.ZpRing(p)
-    factors = [g.coeffs[:] for g in modular_factors]
-    if len(factors) == 1:
-        return factors
-    root, _ = _build_tree(zp, factors)
+    """Monic factors over Z/p^ell whose product is f/lc(f) mod p^ell."""
+    root, _ = _build_tree(modular_factors)
     cur = 1
     while cur < ell:
         # long gaps jump quadratically, short ones step linearly
         nxt = min(2 * cur, ell) if ell - cur > 4 else cur + 1
-        m_new = p**nxt
-        lc_inv = mod_inverse(f.coeffs[-1], m_new)
-        f_monic = [c * lc_inv % m_new for c in f.coeffs]
-        _lift_node(root, f_monic, m_new)
+        K = rings.ZmRing(p**nxt)
+        _lift_node(root, uni_monic(_poly(K, [K.of(c) for c in f.coeffs])))
         cur = nxt
     out = []
 
@@ -358,19 +292,22 @@ def _hensel_lift(p, ell, f, modular_factors):
     return out
 
 
-def _recombine(f: UniPoly, lifted, modulus):
+def _recombine(f: UniPoly, lifted):
     """Naive subset recombination with exact trial division over Z."""
     Z = f.ring
+    K = lifted[0].ring
+    modulus = K.coeff_modulus
+    lc = _poly(K, [K.of(f.lc())])
     remaining = list(range(len(lifted)))
     found = []
     k = 1
     while 2 * k <= len(remaining):
         hit = None
         for subset in combinations(remaining, k):
-            prod = [f.lc() % modulus]
+            prod = lc
             for i in subset:
-                prod = _pm_mul(prod, lifted[i], modulus)
-            cand = _poly(Z, [symmetric_lift(c, modulus) for c in prod])
+                prod = uni_mul(prod, lifted[i])
+            cand = _poly(Z, [symmetric_lift(c, modulus) for c in prod.coeffs])
             _, cand = uni_primitive(cand)
             if cand.degree >= 1:
                 try:

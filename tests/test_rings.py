@@ -8,6 +8,7 @@ from ringkit.rings import (
     FractionField,
     IntegerRing,
     Rational,
+    ZmRing,
     ZpRing,
     ZZ,
     QQ,
@@ -56,7 +57,16 @@ def _sample(R, rng, n=6):
 
 @pytest.mark.parametrize(
     "R",
-    [ZZ, QQ, ZpRing(2), ZpRing(17), ZpRing(524287), ZpRing(2**61 - 1)],
+    [
+        ZZ,
+        QQ,
+        ZpRing(2),
+        ZpRing(17),
+        ZpRing(524287),
+        ZpRing(2**61 - 1),
+        ZmRing(17**5),
+        ZmRing((2**31 - 1) ** 3),
+    ],
     ids=lambda R: R.spec_string(),
 )
 def test_ring_axioms(R):

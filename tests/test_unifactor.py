@@ -146,6 +146,16 @@ def test_swinnerton_dyer_style_recombination():
     assert [g for g, _ in parts] == [P(ZZ, -6, 0, 1), P(ZZ, -3, 0, 1), P(ZZ, -2, 0, 1)]
 
 
+def test_hensel_lift_of_long_factors():
+    # the lift runs mod p^3 with p = 1073741827 and its tree products are
+    # longer than PACKED_MUL_THRESHOLD, so the packed Z/p^k product serves it
+    a = up.uni_sub(up.uni_shift(P(ZZ, 1), 41), P(ZZ, 2))
+    b = up.uni_add(up.uni_shift(P(ZZ, 1), 37), P(ZZ, -3, 1))
+    unit, parts = factor_over_z(up.uni_mul(a, b))
+    assert unit == P(ZZ, 1)
+    assert parts == [(b, 1), (a, 1)]
+
+
 def test_random_multiply_back_over_z():
     rng = random.Random(11)
     for trial in range(20):

@@ -4,7 +4,8 @@ import pytest
 
 from ringkit import rings
 from ringkit import unipoly as up
-from ringkit.rings import ZZ, QQ, ZpRing
+from ringkit.errors import NonInvertibleError
+from ringkit.rings import ZZ, QQ, ZmRing, ZpRing
 from ringkit.unipoly import (
     NewtonInterpolator,
     PolyModContext,
@@ -30,6 +31,7 @@ from ringkit.unipoly import (
 
 Z17 = ZpRing(17)
 ZBIG = ZpRing(1000003)
+Z17_5 = ZmRing(17**5)
 
 
 def P(K, *cs):
@@ -58,11 +60,17 @@ def test_dunder_arithmetic_matches_functions():
     assert f**3 == uni_mul(uni_mul(f, f), f)
 
 
-@pytest.mark.parametrize("K", [Z17, ZBIG, ZZ], ids=["Z17", "Zbig", "Z"])
+@pytest.mark.parametrize(
+    "K",
+    [Z17, ZBIG, ZZ, ZmRing((2**31 - 1) ** 3)],
+    ids=["Z17", "Zbig", "Z", "Zp^3"],
+)
 def test_mul_strategies_agree(K):
     # schoolbook is the oracle; karatsuba and the dispatcher must match it
     rng = random.Random(42)
-    for da, db in [(0, 0), (1, 5), (31, 31), (33, 40), (64, 100), (257, 300)]:
+    t = up.PACKED_MUL_THRESHOLD  # residue rings: lengths t - 1 and t straddle it
+    sizes = [(0, 0), (1, 5), (t - 2, t - 2), (t - 1, t - 1), (33, 40), (64, 100), (257, 300)]
+    for da, db in sizes:
         a = uni_random(K, da, rng)
         b = uni_random(K, db, rng)
         expect = uni_mul_schoolbook(a, b)
@@ -82,15 +90,19 @@ def test_packed_mul_path_matches():
 
 def test_divrem_identity_and_errors():
     rng = random.Random(3)
-    for K in (Z17, ZBIG):
+    for K in (Z17, ZBIG, Z17_5):
         for _ in range(60):
             a = uni_random(K, rng.randrange(0, 25), rng)
-            b = uni_random(K, rng.randrange(0, 12), rng)
+            # over Z/p^k only divisors with a unit lc divide; take monic ones
+            b = uni_random(K, rng.randrange(0, 12), rng, monic=not K.is_field)
             q, r = uni_divrem(a, b)
             assert uni_mul(q, b) + r == a
             assert r.degree < b.degree or r.is_zero()
     with pytest.raises(ZeroDivisionError):
         uni_divrem(P(Z17, 1, 1), P(Z17))
+    with pytest.raises(NonInvertibleError) as err:
+        uni_divrem(P(Z17_5, 1, 2, 3), P(Z17_5, 5, 17))
+    assert err.value.gcd == 17
 
 
 def test_newton_division_matches_classical():
