@@ -4,9 +4,13 @@ The engine packs exponent vectors into guard-bit integers so monomial
 divisibility is two int ops, and carries each monomial's order key as a
 second integer (order keys are additive, so products need no repacking).
 Pair bookkeeping follows the Gebauer-Moller update; selection is normal
-(smallest lcm) for graded orders and sugar-degree for LEX.  Rational
-coefficients run fraction-free on primitive integer polynomials with
-content stripping; other fields go through their descriptor operations.
+(smallest lcm) for graded orders and sugar-degree for LEX.
+
+Normal forms run in one of two kernels.  The integer kernel serves Zp and
+rational coefficients: Zp reducers are monic residues, while Q runs
+fraction-free on primitive integer polynomials with content stripping.
+The field kernel serves every other field, GF(p^k) and the exact-Q
+reduction of `Ideal`, through the ring's descriptor operations.
 """
 
 import heapq
@@ -25,6 +29,10 @@ class _Engine:
 
     Entries are lists [lead_packed, lead_okey, tail, sugar, alive, index,
     lead_coeff]; tails hold (packed, okey, coeff) triples sorted descending.
+    `mode` picks the coefficients: "zp" (residues, monic reducers) and
+    "zz" (fraction-free Q, primitive integer reducers) share the integer
+    normal form `_nf_int`; "gen" (monic reducers over any other field)
+    uses the field normal form `_nf_gen`.
     """
 
     def __init__(self, ring, exact=False):
@@ -107,12 +115,7 @@ class _Engine:
             return self.ring.zero
         lead = triples[0][2]
         terms = {}
-        if self.mode == "zp":
-            pm = K.coeff_modulus
-            inv = pow(lead, -1, pm)
-            for p, _, c in triples:
-                terms[self.unpack(p)] = c * inv % pm
-        elif self.mode == "zz":
+        if self.mode == "zz":
             for p, _, c in triples:
                 terms[self.unpack(p)] = K.make(c, lead)
         else:
@@ -124,12 +127,7 @@ class _Engine:
     def add_entry(self, triples, sugar):
         """Insert a nonzero polynomial as a reducer, monic where possible."""
         lead_p, lead_o, lc = triples[0]
-        if self.mode == "zp":
-            pm = self.K.coeff_modulus
-            inv = pow(lc, -1, pm)
-            tail = [(tp, to, tc * inv % pm) for tp, to, tc in triples[1:]]
-            lc = 1
-        elif self.mode == "zz":
+        if self.mode == "zz":
             tail = list(triples[1:])
         else:
             inv = self.K.inv(lc)
@@ -147,33 +145,29 @@ class _Engine:
         The heap serves monomials largest-first, so the remainder comes out
         already sorted descending.
         """
-        if self.mode == "zp":
-            return self._nf_zp(terms, sugar)
-        if self.mode == "zz":
-            return self._nf_zz(terms, sugar)
-        return self._nf_gen(terms, sugar)
-
-    def _find_reducer(self, pk):
-        guard = self.guard
-        for ent in self.entries:
-            d = pk - ent[0]
-            if d >= 0 and not (d & guard):
-                return ent
-        return None
+        if self.mode == "gen":
+            return self._nf_gen(terms, sugar)
+        return self._nf_int(terms, sugar)
 
     def _bump_sugar(self, red, shift_p, sugar):
         s = red[3] + (self.tdeg(shift_p) if shift_p else 0)
         return s if s > sugar else sugar
 
-    def _nf_zp(self, terms, sugar):
+    def _nf_int(self, terms, sugar):
+        """Integer heap reduction, for Zp and for fraction-free Q.
+
+        Work coefficients stay unreduced; over Zp a coefficient is reduced
+        mod p only when its monomial is popped.  Zp reducers are monic, so
+        the fraction-free rescale runs only for a reducer lead other than 1.
+        """
         pm = self.K.coeff_modulus
         work = {}
         heap = []
         for p, o, c in terms:
             if p in work:
-                work[p] = (work[p] + c) % pm
+                work[p] += c
             else:
-                work[p] = c % pm
+                work[p] = c
                 heapq.heappush(heap, (-o, p))
         entries = self.entries
         guard = self.guard
@@ -183,88 +177,49 @@ class _Engine:
         while heap:
             no, pk = pop(heap)
             c = work.pop(pk, 0)
+            if pm is not None:
+                c %= pm
             if not c:
                 continue
-            red = None
-            for ent in entries:
-                d = pk - ent[0]
-                if d >= 0 and not (d & guard):
-                    red = ent
+            for red in entries:
+                shift_p = pk - red[0]
+                if shift_p >= 0 and not (shift_p & guard):
                     break
-            if red is None:
-                out.append((pk, -no, c))
-                continue
-            shift_p = pk - red[0]
-            shift_o = -no - red[1]
-            sugar = self._bump_sugar(red, shift_p, sugar)
-            for tp, to, tc in red[2]:
-                np_ = tp + shift_p
-                v = work.get(np_)
-                if v is None:
-                    nv = (-c * tc) % pm
-                    if nv:
-                        work[np_] = nv
-                        push(heap, (-(to + shift_o), np_))
-                else:
-                    nv = (v - c * tc) % pm
-                    if nv:
-                        work[np_] = nv
-                    else:
-                        del work[np_]
-        return out, sugar
-
-    def _nf_zz(self, terms, sugar):
-        work = {}
-        heap = []
-        for p, o, c in terms:
-            if p in work:
-                work[p] += c
             else:
-                work[p] = c
-                heapq.heappush(heap, (-o, p))
-        out = []
-        while heap:
-            no, pk = heapq.heappop(heap)
-            c = work.pop(pk, 0)
-            if not c:
-                continue
-            red = self._find_reducer(pk)
-            if red is None:
                 out.append((pk, -no, c))
                 continue
-            shift_p = pk - red[0]
             shift_o = -no - red[1]
             sugar = self._bump_sugar(red, shift_p, sugar)
-            # fraction-free step: scale the whole remainder so the reducer's
-            # integer lead cancels the current coefficient exactly
             b = red[6]
-            g = math.gcd(c, b)
-            mult = b // g
-            if mult != 1:
-                for k in work:
-                    work[k] *= mult
-                if out:
-                    out = [(p, o, v * mult) for p, o, v in out]
-            fac = c // g
+            if b != 1:
+                # fraction-free step: scale the whole remainder so the
+                # reducer's integer lead cancels the current coefficient
+                g = math.gcd(c, b)
+                mult = b // g
+                if mult != 1:
+                    for k in work:
+                        work[k] *= mult
+                    if out:
+                        out = [(p, o, v * mult) for p, o, v in out]
+                c //= g
             for tp, to, tc in red[2]:
                 np_ = tp + shift_p
                 v = work.get(np_)
                 if v is None:
-                    nv = -fac * tc
-                    if nv:
-                        work[np_] = nv
-                        heapq.heappush(heap, (-(to + shift_o), np_))
+                    work[np_] = -c * tc
+                    push(heap, (-(to + shift_o), np_))
                 else:
-                    nv = v - fac * tc
+                    nv = v - c * tc
                     if nv:
                         work[np_] = nv
                     else:
                         del work[np_]
-        cont = 0
-        for _, _, v in out:
-            cont = math.gcd(cont, v)
-        if cont > 1:
-            out = [(p, o, v // cont) for p, o, v in out]
+        if pm is None:
+            cont = 0
+            for _, _, v in out:
+                cont = math.gcd(cont, v)
+            if cont > 1:
+                out = [(p, o, v // cont) for p, o, v in out]
         return out, sugar
 
     def _nf_gen(self, terms, sugar):
@@ -277,17 +232,20 @@ class _Engine:
             else:
                 work[p] = c
                 heapq.heappush(heap, (-o, p))
+        guard = self.guard
         out = []
         while heap:
             no, pk = heapq.heappop(heap)
             c = work.pop(pk, None)
             if c is None or K.is_zero(c):
                 continue
-            red = self._find_reducer(pk)
-            if red is None:
+            for red in self.entries:
+                shift_p = pk - red[0]
+                if shift_p >= 0 and not (shift_p & guard):
+                    break
+            else:
                 out.append((pk, -no, c))
                 continue
-            shift_p = pk - red[0]
             shift_o = -no - red[1]
             sugar = self._bump_sugar(red, shift_p, sugar)
             for tp, to, tc in red[2]:
@@ -312,20 +270,16 @@ class _Engine:
         sj_p = lcm_p - ej[0]
         si_o = self.okey(self.unpack(si_p))
         sj_o = self.okey(self.unpack(sj_p))
-        if self.mode == "zp":
+        if self.mode == "gen":
+            K = self.K
             terms = [(tp + si_p, to + si_o, tc) for tp, to, tc in ei[2]]
-            terms += [(tp + sj_p, to + sj_o, -tc) for tp, to, tc in ej[2]]
+            terms += [(tp + sj_p, to + sj_o, K.neg(tc)) for tp, to, tc in ej[2]]
             return terms
-        if self.mode == "zz":
-            bi, bj = ei[6], ej[6]
-            g = math.gcd(bi, bj)
-            ci, cj = bj // g, bi // g
-            terms = [(tp + si_p, to + si_o, tc * ci) for tp, to, tc in ei[2]]
-            terms += [(tp + sj_p, to + sj_o, -tc * cj) for tp, to, tc in ej[2]]
-            return terms
-        K = self.K
-        terms = [(tp + si_p, to + si_o, tc) for tp, to, tc in ei[2]]
-        terms += [(tp + sj_p, to + sj_o, K.neg(tc)) for tp, to, tc in ej[2]]
+        bi, bj = ei[6], ej[6]
+        g = math.gcd(bi, bj)
+        ci, cj = bj // g, bi // g
+        terms = [(tp + si_p, to + si_o, tc * ci) for tp, to, tc in ei[2]]
+        terms += [(tp + sj_p, to + sj_o, -tc * cj) for tp, to, tc in ej[2]]
         return terms
 
 
@@ -475,26 +429,19 @@ def _finalize(eng):
         else:
             minimal.append(e)
     # leads are pairwise indivisible and never change below, so one pass
-    # leaves every tail irreducible; loop anyway to hold the invariant
-    changed = True
-    while changed:
-        changed = False
-        for pos, e in enumerate(minimal):
-            eng.entries = [f for f in minimal if f is not e]
-            head = (e[0], e[1], e[6])
-            triples, _ = eng.nf([head] + list(e[2]), 0)
-            new = [
-                triples[0][0],
-                triples[0][1],
-                triples[1:],
-                e[3],
-                True,
-                e[5],
-                triples[0][2],
-            ]
-            if new[0] != e[0] or new[2] != e[2] or new[6] != e[6]:
-                changed = True
-            minimal[pos] = new
+    # leaves every tail irreducible
+    for pos, e in enumerate(minimal):
+        eng.entries = [f for f in minimal if f is not e]
+        triples, _ = eng.nf([(e[0], e[1], e[6])] + e[2], 0)
+        minimal[pos] = [
+            triples[0][0],
+            triples[0][1],
+            triples[1:],
+            e[3],
+            True,
+            e[5],
+            triples[0][2],
+        ]
     eng.entries = minimal
     return [eng.to_poly([(e[0], e[1], e[6])] + list(e[2])) for e in minimal]
 

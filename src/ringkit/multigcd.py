@@ -34,18 +34,12 @@ from .multipoly import (
     multi_scale,
     multi_subs,
     multi_value,
+    slot_sums,
     term_values,
     to_unipoly,
     univariate_image,
 )
-from .unipoly import (
-    _poly,
-    _synthetic_div,
-    uni_eval,
-    uni_gcd,
-    uni_mul,
-    uni_scale,
-)
+from .unipoly import uni_gcd, uni_lagrange_basis, uni_scale
 
 _RETRIES = 16
 _MAX_PRIMES = 64
@@ -160,21 +154,28 @@ def gcd_degree_bounds(a: MultiPoly, b: MultiPoly, seed: int = 0):
 
 def _field_entry(a, b, rng, method):
     if method == "dense":
-        attempts = ((_dense_gcd, 4),)
+        interps = (_dense_interp,)
     else:
-        attempts = ((_zippel_gcd, 4), (_dense_gcd, 4))
-    for fn, budget in attempts:
-        for _ in range(budget):
+        interps = (_sparse_interp, _dense_interp)
+    for interp in interps:
+        for _ in range(4):
             try:
-                return fn(a, b, rng)
+                return _field_gcd(a, b, rng, interp)
             except (_Unlucky, _Restart):
                 continue
     raise ArithmeticError("gcd interpolation failed to stabilize")
 
 
-def _zippel_gcd(a, b, rng):
+def _field_gcd(a, b, rng, interp):
+    """Gcd over a field; `interp` rebuilds the x_m-primitive part.
+
+    The frame handles the trivial, monomial and univariate cases, drops
+    variables whose degree bound is 0, splits off the contents in the
+    main variable x_m and imposes gamma, the gcd of the leading
+    coefficients, before `interp(A, B, m, others, bounds, gamma, rng)`
+    returns H, the gcd of the primitive parts scaled to lead gamma.
+    """
     ring = a.ring
-    K = ring.cring
     triv = _field_trivial(a, b)
     if triv is not None:
         return triv
@@ -190,15 +191,23 @@ def _zippel_gcd(a, b, rng):
     drop = [i for i in act if bounds[i] == 0]
     if drop:
         for i in drop:
-            a = _content_of(a, i, rng, _zippel_gcd)
-            b = _content_of(b, i, rng, _zippel_gcd)
-        return _zippel_gcd(a, b, rng)
+            a = _content_of(a, i, rng, interp)
+            b = _content_of(b, i, rng, interp)
+        return _field_gcd(a, b, rng, interp)
     m = max(act, key=lambda i: (bounds[i], -i))
     others = [i for i in act if i != m]
-    ca, A = _content_split(a, m, rng, _zippel_gcd)
-    cb, B = _content_split(b, m, rng, _zippel_gcd)
-    cg = _zippel_gcd(ca, cb, rng)
-    gamma = _zippel_gcd(lc_in(A, m), lc_in(B, m), rng)
+    ca, A = _content_split(a, m, rng, interp)
+    cb, B = _content_split(b, m, rng, interp)
+    cg = _field_gcd(ca, cb, rng, interp)
+    gamma = _field_gcd(lc_in(A, m), lc_in(B, m), rng, interp)
+    H = interp(A, B, m, others, bounds, gamma, rng)
+    return _certify(a, b, H, m, cg, gamma, rng, interp)
+
+
+def _sparse_interp(A, B, m, others, bounds, gamma, rng):
+    """Zippel: a univariate seed image, then one variable at a time."""
+    ring = A.ring
+    K = ring.cring
     degm = bounds[m]
     dv = {v: bounds[v] + gamma.degree(v) for v in others}
 
@@ -227,7 +236,7 @@ def _zippel_gcd(a, b, rng):
     for v in others:
         H = _lift_var(A, B, H, m, processed, v, alpha, gamma, dv[v], degm, rng)
         processed.append(v)
-    return _certify(a, b, H, m, cg, gamma, rng, _zippel_gcd)
+    return H
 
 
 def _lift_var(A, B, H, m, processed, v, alpha, gamma, dv, degm, rng):
@@ -363,17 +372,7 @@ class _LevelEval:
 
     def image(self, cur):
         """UniPoly in x_m from the current term values."""
-        K = self.K
-        p = self.mod
-        if p is not None:
-            coeffs = [0] * (self.deg + 1)
-            for em, val in zip(self.ems, cur):
-                coeffs[em] = (coeffs[em] + val) % p
-        else:
-            coeffs = [K.zero] * (self.deg + 1)
-            for em, val in zip(self.ems, cur):
-                coeffs[em] = K.add(coeffs[em], val)
-        return _poly(K, coeffs)
+        return slot_sums(self.K, self.ems, cur, self.deg)
 
 
 def _group_nodes(groups, rho, K):
@@ -393,50 +392,23 @@ def _vand_solve(K, nodes, ws):
 
     The v_t are distinct and nonzero; with z_t = y_t * v_t this is a
     plain transposed Vandermonde system, inverted through the Lagrange
-    basis of the node polynomial.
+    basis over the nodes.
     """
-    master = _poly(K, [K.one])
-    for v in nodes:
-        master = uni_mul(master, _poly(K, [K.neg(v), K.one]))
     out = []
-    for t, v in enumerate(nodes):
-        q = _synthetic_div(master, v)
+    for ell, v in zip(uni_lagrange_basis(K, nodes), nodes):
         acc = K.zero
-        for r, qc in enumerate(q.coeffs):
-            acc = K.add(acc, K.mul(qc, ws[r]))
-        out.append(K.div(acc, K.mul(uni_eval(q, v), v)))
+        for r, lc in enumerate(ell.coeffs):
+            acc = K.add(acc, K.mul(lc, ws[r]))
+        out.append(K.div(acc, v))
     return out
 
 
-def _dense_gcd(a, b, rng):
-    """Brown-style dense interpolation; correct but exponential in vars."""
-    ring = a.ring
+def _dense_interp(A, B, m, others, bounds, gamma, rng):
+    """Brown-style dense interpolation in the last variable, recursing
+    through the frame for the images; correct but exponential in vars."""
+    ring = A.ring
     K = ring.cring
-    triv = _field_trivial(a, b)
-    if triv is not None:
-        return triv
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return _mono_gcd(a, b)
-    act = _active_vars(a, b)
-    if len(act) == 1:
-        i = act[0]
-        return from_unipoly(ring, uni_gcd(to_unipoly(a, i), to_unipoly(b, i)), i)
-    bounds = _degree_bounds(a, b, act, rng)
-    if all(bounds[i] == 0 for i in act):
-        return ring.one
-    drop = [i for i in act if bounds[i] == 0]
-    if drop:
-        for i in drop:
-            a = _content_of(a, i, rng, _dense_gcd)
-            b = _content_of(b, i, rng, _dense_gcd)
-        return _dense_gcd(a, b, rng)
-    m = max(act, key=lambda i: (bounds[i], -i))
-    others = [i for i in act if i != m]
     v = others[-1]
-    ca, A = _content_split(a, m, rng, _dense_gcd)
-    cb, B = _content_split(b, m, rng, _dense_gcd)
-    cg = _dense_gcd(ca, cb, rng)
-    gamma = _dense_gcd(lc_in(A, m), lc_in(B, m), rng)
     degm = bounds[m]
     degA = A.degree(m)
     degB = B.degree(m)
@@ -455,7 +427,7 @@ def _dense_gcd(a, b, rng):
         if Ab.degree(m) != degA or Bb.degree(m) != degB:
             fails += 1
             continue
-        gb = _dense_gcd(Ab, Bb, rng)
+        gb = _field_gcd(Ab, Bb, rng, _dense_interp)
         if gb.degree(m) > degm:
             fails += 1
             continue
@@ -473,11 +445,10 @@ def _dense_gcd(a, b, rng):
             continue
         pts.append(beta)
         imgs.append(multi_mul(q, gb))
-    H = _interp_terms(ring, v, pts, imgs)
-    return _certify(a, b, H, m, cg, gamma, rng, _dense_gcd)
+    return _interp_terms(ring, v, pts, imgs)
 
 
-def _certify(a, b, H, m, cg, gamma, rng, gcd_fn):
+def _certify(a, b, H, m, cg, gamma, rng, interp):
     """Primitive part, monic normalization, and the trial-division gate."""
     ring = a.ring
     K = ring.cring
@@ -485,7 +456,7 @@ def _certify(a, b, H, m, cg, gamma, rng, gcd_fn):
         if gamma.is_constant():
             G = H
         else:
-            G = multi_exact_div(H, _content_of(H, m, rng, gcd_fn))
+            G = multi_exact_div(H, _content_of(H, m, rng, interp))
         cand = multi_mul(cg, _monic(G))
     except (ArithmeticError, ZeroDivisionError):
         raise _Restart
@@ -505,13 +476,7 @@ def _interp_terms(ring, v, pts, imgs):
     """
     K = ring.cring
     k = len(pts)
-    master = _poly(K, [K.one])
-    for x in pts:
-        master = uni_mul(master, _poly(K, [K.neg(x), K.one]))
-    basis = []
-    for x in pts:
-        q = _synthetic_div(master, x)
-        basis.append(uni_scale(q, K.inv(uni_eval(q, x))).coeffs)
+    basis = [ell.coeffs for ell in uni_lagrange_basis(K, pts)]
     support = set()
     for img in imgs:
         support |= set(img.terms)
@@ -727,8 +692,9 @@ def _mono_gcd(a, b):
     return MultiPoly(ring, {tuple(e): ring.cring.one})
 
 
-def _content_split(f, m, rng, gcd_fn):
-    """(content, primitive part) of f in (K[rest])[x_m] via gcd_fn.
+def _content_split(f, m, rng, interp):
+    """(content, primitive part) of f in (K[rest])[x_m], by field gcds
+    through `interp`.
 
     The monomial part of the content comes straight off the support,
     which keeps the recursive gcd work to the non-monomial residue.
@@ -762,7 +728,7 @@ def _content_split(f, m, rng, gcd_fn):
     elif any(cc.is_constant() for cc in coeffs):
         c = ring.one
     else:
-        c = _fold_gcd(coeffs, rng, gcd_fn)
+        c = _fold_gcd(coeffs, rng, interp)
     if mono is not None:
         c = multi_mul(mono, c)
     if ring.is_unit(c):
@@ -770,16 +736,16 @@ def _content_split(f, m, rng, gcd_fn):
     return c, multi_exact_div(f, c)
 
 
-def _content_of(f, m, rng, gcd_fn):
-    return _content_split(f, m, rng, gcd_fn)[0]
+def _content_of(f, m, rng, interp):
+    return _content_split(f, m, rng, interp)[0]
 
 
-def _fold_gcd(polys, rng, gcd_fn):
+def _fold_gcd(polys, rng, interp):
     ring = polys[0].ring
     rest = polys[1]
     for p in polys[2:]:
         rest = multi_add(rest, p)
-    g = gcd_fn(polys[0], rest, rng)
+    g = _field_gcd(polys[0], rest, rng, interp)
     if g.is_constant() and not g.is_zero():
         # the gcd of all coefficients divides this one
         return ring.one
@@ -787,7 +753,7 @@ def _fold_gcd(polys, rng, gcd_fn):
         return g
     g = polys[0]
     for p in polys[1:]:
-        g = gcd_fn(g, p, rng)
+        g = _field_gcd(g, p, rng, interp)
         if g.is_constant():
             return ring.one
     return g

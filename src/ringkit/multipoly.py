@@ -558,9 +558,25 @@ def multi_subs(f: MultiPoly, values) -> MultiPoly:
 def univariate_image(f: MultiPoly, m, values) -> UniPoly:
     """UniPoly in x_m after substituting values[i] for the other variables."""
     K = f.ring.cring
-    coeffs = [K.zero] * (f.degree(m) + 1)
-    for e, v in zip(f.terms, term_values(K, f.terms, values, f.terms.values())):
-        coeffs[e[m]] = K.add(coeffs[e[m]], v)
+    vals = term_values(K, f.terms, values, f.terms.values())
+    return slot_sums(K, [e[m] for e in f.terms], vals, f.degree(m))
+
+
+def slot_sums(K, slots, vals, deg) -> UniPoly:
+    """UniPoly of degree <= deg whose x^k coefficient is the sum of the
+    vals whose slot is k; slots and vals run in parallel.
+
+    This is the one place term values are summed into a univariate image.
+    """
+    mod = K.coeff_modulus
+    if mod is not None:
+        coeffs = [0] * (deg + 1)
+        for k, v in zip(slots, vals):
+            coeffs[k] += v
+        return _poly(K, [c % mod for c in coeffs])
+    coeffs = [K.zero] * (deg + 1)
+    for k, v in zip(slots, vals):
+        coeffs[k] = K.add(coeffs[k], v)
     return _poly(K, coeffs)
 
 

@@ -263,7 +263,7 @@ def format_element(a, ring):
 
 def parse_ring(text):
     """Ring-spec grammar:
-    Z | Q | Zp[p] | GF[p,k,name] | Frac(<ring>) | Poly(<ring>; vars; order)
+    Z | Q | Zp[p] | Zm[m] | GF[p,k,name] | Frac(<ring>) | Poly(<ring>; vars; order)
     """
     cur = _Cursor(text)
     ring = _ring(cur)
@@ -281,11 +281,11 @@ def _ring(cur):
         return rings.ZZ
     if name == "Q":
         return rings.QQ
-    if name == "Zp":
+    if name in ("Zp", "Zm"):
         cur.expect_op("[")
-        p = _int(cur)
+        m = _int(cur)
         cur.expect_op("]")
-        return rings.ZpRing(p)
+        return rings.ZpRing(m) if name == "Zp" else rings.ZmRing(m)
     if name == "GF":
         cur.expect_op("[")
         p = _int(cur)

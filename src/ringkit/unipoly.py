@@ -753,24 +753,29 @@ def uni_eval(a: UniPoly, x):
     return acc
 
 
+def uni_lagrange_basis(K, xs):
+    """Lagrange basis over distinct nodes xs of a field: the i-th UniPoly
+    has degree len(xs) - 1, is 1 at xs[i] and 0 at every other node."""
+    # full node product, then per-node synthetic division
+    full = _poly(K, [K.one])
+    for x in xs:
+        full = uni_mul(full, _poly(K, [K.neg(x), K.one]))
+    out = []
+    for x in xs:
+        num = _synthetic_div(full, x)
+        out.append(uni_scale(num, K.inv(uni_eval(num, x))))
+    return out
+
+
 def uni_interpolate(K, xs, ys) -> UniPoly:
     """Unique degree < n interpolant through (xs[i], ys[i]) over a field."""
     if len(xs) != len(ys):
         raise ValueError("point/value count mismatch")
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    n = len(xs)
-    if n == 0:
-        return UniPoly(K, [])
-    # full node product, then per-node synthetic division
-    full = _poly(K, [K.one])
-    for x in xs:
-        full = uni_mul(full, _poly(K, [K.neg(x), K.one]))
     out = UniPoly(K, [])
-    for i in range(n):
-        num = _synthetic_div(full, xs[i])
-        den = uni_eval(num, xs[i])
-        out = uni_add(out, uni_scale(num, K.div(ys[i], den)))
+    for ell, y in zip(uni_lagrange_basis(K, xs), ys):
+        out = uni_add(out, uni_scale(ell, y))
     return out
 
 

@@ -169,6 +169,21 @@ def test_named_systems_generators_reduce_to_zero():
         assert is_groebner_basis(ideal.basis)
 
 
+def test_rational_basis_maps_onto_the_prime_field_basis():
+    # Zp and fraction-free Q share one normal form; moduli past 60 bits
+    # also exercise the residues it leaves unreduced between pops
+    for p in (2**61 - 1, 2**89 - 1):
+        K = rings.ZpRing(p)
+        for build, n in ((katsura, 4), (cyclic, 4)):
+            _, q_eqs = build(n, rings.QQ)
+            R, p_eqs = build(n, K)
+            mapped = [
+                MultiPoly(R, {e: K.div(K.of(c.num), K.of(c.den)) for e, c in f.terms.items()})
+                for f in groebner_basis(q_eqs)
+            ]
+            assert mapped == groebner_basis(p_eqs), (build.__name__, n, p)
+
+
 def test_criteria_free_buchberger_agrees_with_gebauer_moller():
     rng = random.Random(20240817)
     for trial in range(25):

@@ -74,19 +74,21 @@ def test_edge_cases(rp):
 
 
 def test_zippel_matches_dense():
-    ring = MultiRing(ZpRing(524287), ("x", "y", "z"))
-    rng = random.Random(42)
-    for t in range(30):
-        f1 = multi_random(ring, rng, terms=rng.randrange(2, 6), max_exp=3)
-        f2 = multi_random(ring, rng, terms=rng.randrange(2, 6), max_exp=3)
-        g = multi_random(ring, rng, terms=rng.randrange(2, 6), max_exp=3)
-        if f1.is_zero() or f2.is_zero() or g.is_zero():
-            continue
-        a, b = multi_mul(f1, g), multi_mul(f2, g)
-        gz = multi_gcd(a, b, seed=t)
-        gd = multi_gcd(a, b, seed=t, method="dense")
-        assert gz == gd
-        assert multi_divides(gz, a) and multi_divides(gz, b)
+    # GF(17^2) has no coeff_modulus, so it runs the generic field paths
+    for K, trials, max_exp in ((ZpRing(524287), 30, 3), (GFRing(17, 2), 10, 2)):
+        ring = MultiRing(K, ("x", "y", "z"))
+        rng = random.Random(42)
+        for t in range(trials):
+            f1 = multi_random(ring, rng, terms=rng.randrange(2, 6), max_exp=max_exp)
+            f2 = multi_random(ring, rng, terms=rng.randrange(2, 6), max_exp=max_exp)
+            g = multi_random(ring, rng, terms=rng.randrange(2, 6), max_exp=max_exp)
+            if f1.is_zero() or f2.is_zero() or g.is_zero():
+                continue
+            a, b = multi_mul(f1, g), multi_mul(f2, g)
+            gz = multi_gcd(a, b, seed=t)
+            gd = multi_gcd(a, b, seed=t, method="dense")
+            assert gz == gd, (K, t)
+            assert multi_divides(gz, a) and multi_divides(gz, b)
 
 
 def test_zippel_matches_dense_over_z():

@@ -34,11 +34,13 @@ def M(order="GREVLEX"):
         "Q",
         "Zp[17]",
         "Zp[1000003]",
+        "Zm[9]",
         "GF[17,3,t]",
         "GF[2,8,w]",
         "Frac(Poly(Zp[17]; x))",
         "Poly(Z; x)",
         "Poly(Zp[17]; x,y; GREVLEX)",
+        "Poly(Zm[625]; x,y; GREVLEX)",
         "Poly(Q; a,b,c; LEX)",
         "Poly(GF[5,2,t]; u,v; GRLEX)",
         "Frac(Poly(Z; u,v; GRLEX))",
@@ -204,6 +206,7 @@ def test_format_wraps_composite_coefficients():
         "Q",
         "Zp[17]",
         "Zp[1000003]",
+        "Zm[9]",
         "GF[2,3,t]",
         "Poly(Z; x)",
         "Poly(Q; x)",
