@@ -97,7 +97,7 @@ def factor_multipoly(ring, f, seed=0):
         acc = _Acc(ring)
         _factor_into(acc, f, 1, rng)
         return acc.result()
-    if isinstance(K, rings.FractionField) and isinstance(K.inner, rings.IntegerRing):
+    if K == rings.QQ:
         return _factor_over_q(ring, f, seed)
     raise UnsupportedRingError(
         "multivariate factorization supports Zp, Z, and Q coefficients; not %s" % (K,)
@@ -175,9 +175,10 @@ def _factor_into(acc, f, mult, rng):
         if cont != ring.one:
             _factor_into(acc, cont, mult, rng)
             f = prim
-        if f.is_constant():
-            _constant_into(acc, f.constant(), mult)
-            return
+    # a monomial or a product of contents leaves a constant
+    if f.is_constant():
+        _constant_into(acc, f.constant(), mult)
+        return
     act = [i for i in range(n) if f.degree(i) > 0]
     if len(act) == 1:
         _single_var_into(acc, f, act[0], mult, rng)
@@ -830,23 +831,17 @@ def _subset_split(target, Gs, order, ctx):
 
 
 def _factor_over_q(ring, f, seed):
-    """Clear denominators, factor over Z, then fold units back into Q."""
+    """Monic factors over Q from the factors over Z; the unit is lc(f),
+    since a product of monic polynomials is monic under a monomial order."""
     K = ring.cring
     zring = MultiRing(rings.ZZ, ring.vars, ring.order)
-    den, nums = K.clear_denominators(f.terms.values())
-    fz = MultiPoly(zring, dict(zip(f.terms, nums)))
-    unit_z, parts = factor_multipoly(zring, fz, seed)
-    unit = K.div(K.of(unit_z.constant()), K.of(den))
+    _, nums = K.clear_denominators(f.terms.values())
+    _, parts = factor_multipoly(zring, MultiPoly(zring, dict(zip(f.terms, nums))), seed)
     out = []
     for g, e in parts:
         if g.is_constant():
-            unit = K.mul(unit, K.pow(K.of(g.constant()), e))
-            continue
+            continue  # constant over Q, already part of the unit
         gq = MultiPoly(ring, {ee: K.of(c) for ee, c in g.terms.items()})
-        lc = gq.lc()
-        if not K.is_one(lc):
-            unit = K.mul(unit, K.pow(lc, e))
-            gq = multi_scale(gq, K.inv(lc))
-        out.append((gq, e))
+        out.append((multi_scale(gq, K.inv(gq.lc())), e))
     out.sort(key=lambda fm: (_sort_key(fm[0]), fm[1]))
-    return ring.from_coeff(unit), out
+    return ring.from_coeff(f.lc()), out

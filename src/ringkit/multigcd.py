@@ -6,9 +6,15 @@ extraction, and the rest is variable-by-variable sparse interpolation
 (Zippel) with the gcd of the two leading coefficients imposed on every
 image so that images taken at different points agree.  A dense
 Brown-style interpolation covers the rare runs where the sparse
-skeleton assumption fails.  Integer coefficients run the field
-algorithm modulo 62-bit primes and assemble the answer by CRT;
-rational coefficients clear denominators first.
+skeleton assumption fails.
+
+Integer coefficients: the integer contents are split off, a gcd in one
+active variable goes to `uni_gcd`, and otherwise the field algorithm runs
+modulo primes above 2^62 inside `modular.modular_gcd`, which scales each
+image by the gcd of the leading coefficients, drops images from unlucky
+primes, combines the rest by CRT and trial-divides after every prime; it
+gives up only once the modulus passes twice a coefficient bound of the
+scaled gcd.  Rational coefficients clear denominators first.
 
 Every candidate is certified by trial division before it is returned,
 so unlucky evaluation points can cost retries but never correctness.
@@ -19,7 +25,7 @@ import random
 
 from . import rings
 from .errors import UnsupportedRingError
-from .modular import crt_pair, symmetric_lift
+from .modular import PRIME_FLOOR, gcd_coeff_bound, modular_gcd
 from .primes import next_prime
 from .multipoly import (
     MultiPoly,
@@ -42,8 +48,6 @@ from .multipoly import (
 from .unipoly import uni_gcd, uni_lagrange_basis, uni_scale
 
 _RETRIES = 16
-_MAX_PRIMES = 64
-_PRIME_FLOOR = 1 << 62
 
 
 class _Unlucky(Exception):
@@ -77,9 +81,7 @@ def multi_gcd(a: MultiPoly, b: MultiPoly, seed: int = 0, method: str = "zippel")
     if K.is_field:
         if K.is_finite:
             return _field_entry(a, b, rng, method)
-        if isinstance(K, rings.FractionField) and isinstance(
-            K.inner, rings.IntegerRing
-        ):
+        if K == rings.QQ:
             return _gcd_q(a, b, rng, method)
         raise UnsupportedRingError("gcd over %s is not supported" % (K,))
     if isinstance(K, rings.IntegerRing):
@@ -132,12 +134,12 @@ def gcd_degree_bounds(a: MultiPoly, b: MultiPoly, seed: int = 0):
         return [max(f.degree(i), 0) for i in range(n)]
     K = ring.cring
     rng = random.Random((seed << 32) ^ 0x9E3779B9)
-    if isinstance(K, rings.FractionField) and isinstance(K.inner, rings.IntegerRing):
+    if K == rings.QQ:
         a, zring = _q_to_z(a)
         b, _ = _q_to_z(b)
         ring, K = zring, zring.cring
     if isinstance(K, rings.IntegerRing):
-        p = next_prime(_PRIME_FLOOR)
+        p = next_prime(PRIME_FLOOR)
         while a.lc() % p == 0 or b.lc() % p == 0:
             p = next_prime(p)
         rp = MultiRing(rings.ZpRing(p), ring.vars, ring.order)
@@ -261,15 +263,15 @@ def _lift_var(A, B, H, m, processed, v, alpha, gamma, dv, degm, rng):
     def redraw():
         for _ in range(_RETRIES):
             rho = {i: _nonzero(K, rng) for i in processed}
-            nodes = _group_nodes(groups, rho, K)
-            if nodes is not None:
+            rows = _group_nodes(groups, rho, K)
+            if rows is not None:
                 levA.set_rho(rho)
                 levB.set_rho(rho)
                 levG.set_rho(rho)
-                return nodes
+                return rows
         raise _Restart
 
-    nodes = redraw()
+    rows = redraw()
     pts = [alpha[v]]
     imgs = [H]
     used = {alpha[v]}
@@ -278,19 +280,19 @@ def _lift_var(A, B, H, m, processed, v, alpha, gamma, dv, degm, rng):
         beta = _fresh_point(K, rng, used)
         used.add(beta)
         try:
-            img = _point_image(levA, levB, levG, groups, nodes, beta, degm, count)
+            img = _point_image(levA, levB, levG, groups, rows, beta, degm, count)
         except _Unlucky:
             fails += 1
             if fails > _RETRIES:
                 raise _Restart
-            nodes = redraw()
+            rows = redraw()
             continue
         pts.append(beta)
         imgs.append(img)
     return _interp_terms(ring, v, pts, imgs)
 
 
-def _point_image(levA, levB, levG, groups, nodes, beta, degm, count):
+def _point_image(levA, levB, levG, groups, rows, beta, degm, count):
     """One image of the scaled gcd at x_v = beta, on the support of H."""
     K = levA.K
     ring = levA.ring
@@ -317,12 +319,14 @@ def _point_image(levA, levB, levG, groups, nodes, beta, degm, count):
         images.append(uni_scale(u, ug.coeffs[0]))
     terms = {}
     for d, mons in groups.items():
-        k = len(mons)
         ws = [
             img.coeffs[d] if d < len(img.coeffs) else K.zero
-            for img in images[:k]
+            for img in images[: len(mons)]
         ]
-        for e, y in zip(mons, _vand_solve(K, nodes[d], ws)):
+        for e, row in zip(mons, rows[d]):
+            y = K.zero
+            for c, w in zip(row, ws):
+                y = K.add(y, K.mul(c, w))
             if not K.is_zero(y):
                 terms[e] = y
     return MultiPoly(ring, terms)
@@ -376,31 +380,23 @@ class _LevelEval:
 
 
 def _group_nodes(groups, rho, K):
-    """Monomial values per group; None when a group has a collision."""
+    """Per x_m-degree group, the rows l_t / v_t that solve its transposed
+    Vandermonde system over the monomial values v_t at rho; None when a
+    group has a collision.
+
+    With 0 added to the nodes, the Lagrange basis polynomial of v_t is
+    X * l_t(X) / v_t, so its coefficients from degree 1 up are the row,
+    at one inverse per node.
+    """
     flat = iter(term_values(K, [e for mons in groups.values() for e in mons], rho))
-    nodes = {}
+    rows = {}
     for d, mons in groups.items():
         vals = [next(flat) for _ in mons]
         if len(set(vals)) != len(vals):
             return None
-        nodes[d] = vals
-    return nodes
-
-
-def _vand_solve(K, nodes, ws):
-    """Solve sum_t y_t * v_t**s = ws[s-1] for s = 1..k.
-
-    The v_t are distinct and nonzero; with z_t = y_t * v_t this is a
-    plain transposed Vandermonde system, inverted through the Lagrange
-    basis over the nodes.
-    """
-    out = []
-    for ell, v in zip(uni_lagrange_basis(K, nodes), nodes):
-        acc = K.zero
-        for r, lc in enumerate(ell.coeffs):
-            acc = K.add(acc, K.mul(lc, ws[r]))
-        out.append(K.div(acc, v))
-    return out
+        basis = uni_lagrange_basis(K, [K.zero] + vals)
+        rows[d] = [ell.coeffs[1:] for ell in basis[1:]]
+    return rows
 
 
 def _dense_interp(A, B, m, others, bounds, gamma, rng):
@@ -522,38 +518,25 @@ def _gcd_z(a, b, rng, method):
         g = uni_gcd(to_unipoly(A, i), to_unipoly(B, i))
         return multi_scale(from_unipoly(ring, g, i), c)
 
-    # scaling the monic mod-p image by Gamma makes images CRT-compatible,
-    # since the lead coefficient of the true gcd divides Gamma
     gamma = math.gcd(A.lc(), B.lc())
-    okey = ring.order.key
-    acc = None
-    mod = 1
-    lead = None
-    p = next_prime(_PRIME_FLOOR)
-    for _ in range(_MAX_PRIMES):
-        while gamma % p == 0 or A.lc() % p == 0 or B.lc() % p == 0:
-            p = next_prime(p)
+
+    def image(p):
         rp = MultiRing(rings.ZpRing(p), ring.vars, ring.order)
         gp = _field_entry(_map_mod(A, rp), _map_mod(B, rp), rng, method)
-        if gp.is_constant():
-            # the mod-p gcd can only be too big, so a unit image settles it
-            return ring.from_coeff(c)
-        le = gp.leading_exponent()
-        img = {e: cc * gamma % p for e, cc in gp.terms.items()}
-        if lead is None or okey(le) < okey(lead):
-            acc, mod, lead = img, p, le
-        elif okey(le) > okey(lead):
-            p = next_prime(p)
-            continue
-        else:
-            acc = _crt_merge(acc, mod, img, p)
-            mod *= p
-        cand = _sym_candidate(ring, acc, mod)
-        if cand is not None:
-            if multi_divides(cand, A) and multi_divides(cand, B):
-                return multi_scale(cand, c)
-        p = next_prime(p)
-    raise ArithmeticError("integer gcd did not stabilize")
+        return None if gp.is_constant() else gp.terms
+
+    def divides(terms):
+        g = MultiPoly(ring, terms)
+        return multi_divides(g, A) and multi_divides(g, B)
+
+    n = len(ring.vars)
+    sizes = [(f.terms.values(), sum(f.degree(i) for i in range(n))) for f in (A, B)]
+    bound = gcd_coeff_bound(gamma, *sizes)
+    key = ring.order.key
+    terms = modular_gcd(image, key, divides, gamma, (A.lc(), B.lc()), bound)
+    if not terms:
+        return ring.from_coeff(c)
+    return multi_scale(MultiPoly(ring, terms), c)
 
 
 def _gcd_q(a, b, rng, method):
@@ -588,34 +571,6 @@ def _map_mod(f, rp):
         if r:
             terms[e] = r
     return MultiPoly(rp, terms)
-
-
-def _crt_merge(acc, m1, img, p):
-    out = {}
-    for e in set(acc) | set(img):
-        out[e], _ = crt_pair(acc.get(e, 0), m1, img.get(e, 0), p)
-    return out
-
-
-def _sym_candidate(ring, acc, mod):
-    """Symmetric lift, sign and content normalized; None when degenerate."""
-    terms = {}
-    for e, r in acc.items():
-        v = symmetric_lift(r, mod)
-        if v:
-            terms[e] = v
-    if not terms:
-        return None
-    if terms[max(terms, key=ring.order.key)] < 0:
-        terms = {e: -v for e, v in terms.items()}
-    ct = 0
-    for v in terms.values():
-        ct = math.gcd(ct, v)
-        if ct == 1:
-            break
-    if ct > 1:
-        terms = {e: v // ct for e, v in terms.items()}
-    return MultiPoly(ring, terms)
 
 
 def _q_to_z(f):

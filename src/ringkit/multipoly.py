@@ -284,15 +284,6 @@ def _pack(terms, widths):
     return packed
 
 
-def _unpack_exp(key, widths, n):
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        w = widths[i]
-        out[i] = key & ((1 << w) - 1)
-        key >>= w
-    return tuple(out)
-
-
 def multi_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.ring != b.ring:
         raise ValueError("polynomial rings differ")
@@ -311,54 +302,44 @@ def multi_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def _mul_packed(a: MultiPoly, b: MultiPoly, widths) -> MultiPoly:
+    """Product on packed exponent keys; Z and the residue rings share one
+    int loop (reduced once per output term when there is a modulus)."""
     K = a.ring.cring
     A = _pack(a.terms, widths)
     B = _pack(b.terms, widths)
     acc = {}
     mod = K.coeff_modulus
-    if mod is not None:
+    ints = mod is not None or isinstance(K, rings.IntegerRing)
+    if ints:
         for ka, ca in A.items():
             for kb, cb in B.items():
                 k = ka + kb
                 acc[k] = acc.get(k, 0) + ca * cb
-        n = len(a.ring.vars)
-        out = {}
-        rev = list(range(n - 1, -1, -1))
-        masks = [(widths[i], (1 << widths[i]) - 1) for i in range(n)]
-        for k, c in acc.items():
-            v = c % mod
-            if not v:
-                continue
-            e = [0] * n
-            for i in rev:
-                w, msk = masks[i]
-                e[i] = k & msk
-                k >>= w
-            out[tuple(e)] = v
-        return MultiPoly(a.ring, out)
-    if isinstance(K, rings.IntegerRing):
+    else:
+        zero = K.zero
         for ka, ca in A.items():
             for kb, cb in B.items():
                 k = ka + kb
-                acc[k] = acc.get(k, 0) + ca * cb
-        n = len(a.ring.vars)
-        return MultiPoly(
-            a.ring, {_unpack_exp(k, widths, n): c for k, c in acc.items() if c}
-        )
-    zero = K.zero
-    for ka, ca in A.items():
-        for kb, cb in B.items():
-            k = ka + kb
-            acc[k] = K.add(acc.get(k, zero), K.mul(ca, cb))
+                acc[k] = K.add(acc.get(k, zero), K.mul(ca, cb))
     n = len(a.ring.vars)
-    return MultiPoly(
-        a.ring,
-        {
-            _unpack_exp(k, widths, n): c
-            for k, c in acc.items()
-            if not K.is_zero(c)
-        },
-    )
+    out = {}
+    rev = list(range(n - 1, -1, -1))
+    masks = [(widths[i], (1 << widths[i]) - 1) for i in range(n)]
+    for k, c in acc.items():
+        if ints:
+            if mod is not None:
+                c %= mod
+            if not c:
+                continue
+        elif K.is_zero(c):
+            continue
+        e = [0] * n
+        for i in rev:
+            w, msk = masks[i]
+            e[i] = k & msk
+            k >>= w
+        out[tuple(e)] = c
+    return MultiPoly(a.ring, out)
 
 
 def multi_mul_naive(a: MultiPoly, b: MultiPoly) -> MultiPoly:

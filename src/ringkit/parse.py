@@ -185,7 +185,7 @@ def _neg_split(K, c):
     """(is_negative, |c|) where the coefficient ring has usable signs."""
     if isinstance(K, rings.IntegerRing):
         return (c < 0, -c) if c < 0 else (False, c)
-    if isinstance(K, rings.FractionField) and isinstance(K.inner, rings.IntegerRing):
+    if K == rings.QQ:
         if c.num < 0:
             return True, rings.Rational(-c.num, c.den)
         return False, c

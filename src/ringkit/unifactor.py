@@ -53,7 +53,7 @@ def factor_unipoly(R, f: UniPoly):
         return factor_finite(f)
     if isinstance(K, rings.IntegerRing):
         return factor_over_z(f)
-    if isinstance(K, rings.FractionField) and isinstance(K.inner, rings.IntegerRing):
+    if K == rings.QQ:
         return _factor_over_q(K, f)
     raise UnsupportedRingError(
         "univariate factorization supports finite fields, Z, and Q; not %s" % (K,)

@@ -8,8 +8,7 @@ through the generic ring operations.
 
 from . import rings
 from .errors import UnsupportedRingError
-from .modular import crt_pair, mod_inverse, symmetric_lift
-from .primes import next_prime
+from .modular import gcd_coeff_bound, mod_inverse, modular_gcd
 
 KARATSUBA_THRESHOLD = 32  # generic rings: schoolbook up to this length
 # residue rings: schoolbook below this length, one packed big-int product at
@@ -331,35 +330,6 @@ def _divrem_classical(a: UniPoly, b: UniPoly):
     return _poly(K, q), _poly(K, r[:db])
 
 
-class InverseModMonomial:
-    """Cached Newton-iteration power series inverse of f modulo x^n.
-
-    The cache only grows; reusing one instance across repeated divisions by
-    the same divider amortizes the iteration.
-    """
-
-    def __init__(self, f: UniPoly):
-        K = f.ring
-        if f.is_zero() or K.is_zero(f.constant()):
-            raise ValueError("constant term must be invertible")
-        self.f = f
-        self.ring = K
-        self._g = _poly(K, [K.inv(f.constant())])
-        self._prec = 1
-
-    def inverse(self, n: int) -> UniPoly:
-        """g with f*g = 1 mod x^n."""
-        K = self.ring
-        while self._prec < n:
-            m = self._prec * 2
-            g = self._g
-            fg = _trunc(uni_mul(_trunc(self.f, m), g), m)
-            two_minus = uni_sub(_poly(K, [K.add(K.one, K.one)]), fg)
-            self._g = _trunc(uni_mul(g, two_minus), m)
-            self._prec = m
-        return _trunc(self._g, n)
-
-
 def _trunc(a: UniPoly, n: int) -> UniPoly:
     if len(a.coeffs) <= n:
         return a
@@ -376,7 +346,11 @@ def _reverse(a: UniPoly, n: int) -> UniPoly:
 
 
 class FastDivision:
-    """Division with remainder by a fixed divider via Newton iteration."""
+    """Division with remainder by a fixed divider via Newton iteration.
+
+    The power series inverse of the reversed monic divider is cached and
+    only grows, so repeated divisions by one divider amortize it.
+    """
 
     def __init__(self, divider: UniPoly):
         K = divider.ring
@@ -385,7 +359,21 @@ class FastDivision:
         self.divider = divider
         self.monic_divider = uni_monic(divider)
         self.lc_inv = K.inv(divider.lc())
-        self._rev_inv = InverseModMonomial(_reverse(self.monic_divider, divider.degree))
+        self._rev = _reverse(self.monic_divider, divider.degree)
+        self._inv = _poly(K, [K.one])  # the reversal has constant term 1
+        self._prec = 1
+
+    def _rev_inverse(self, n: int) -> UniPoly:
+        """g with rev * g = 1 mod x^n."""
+        K = self._rev.ring
+        while self._prec < n:
+            m = self._prec * 2
+            g = self._inv
+            fg = _trunc(uni_mul(_trunc(self._rev, m), g), m)
+            two_minus = uni_sub(_poly(K, [K.add(K.one, K.one)]), fg)
+            self._inv = _trunc(uni_mul(g, two_minus), m)
+            self._prec = m
+        return _trunc(self._inv, n)
 
     def divrem(self, a: UniPoly):
         K = a.ring
@@ -397,7 +385,7 @@ class FastDivision:
             return uni_scale(a, self.lc_inv), UniPoly(K, [])
         n = da - db + 1
         ra = _reverse(a, da)
-        q = _reverse(_trunc(uni_mul(_trunc(ra, n), self._rev_inv.inverse(n)), n), n - 1)
+        q = _reverse(_trunc(uni_mul(_trunc(ra, n), self._rev_inverse(n)), n), n - 1)
         r = uni_sub(_trunc(a, db), _trunc(uni_mul(_trunc(q, db), _trunc(b, db)), db))
         return uni_scale(q, self.lc_inv), r
 
@@ -603,58 +591,35 @@ def uni_gcd_subresultant(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def uni_gcd_z_brown(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Gcd over Z: images modulo machine primes, CRT, symmetric lift.
-
-    The candidate must stabilize across two consecutive primes and is then
-    verified by exact trial division.
-    """
+    """Gcd over Z: the contents' gcd times the gcd of the primitive parts,
+    which `modular.modular_gcd` builds from gcds modulo primes."""
+    if a.is_zero() or b.is_zero():
+        return uni_gcd(a, b)
     K = a.ring
     ca, a = uni_primitive(a)
     cb, b = uni_primitive(b)
     cont = K.gcd(ca, cb)
-    if a.degree < b.degree:
-        a, b = b, a
     gamma = K.gcd(a.lc(), b.lc())
-    p = (1 << 62) + 1
-    best = None  # (degree, modulus, coeff lists as symmetric ints)
-    stable = 0
-    while True:
-        p = next_prime(p)
-        if a.lc() % p == 0 or b.lc() % p == 0:
-            continue
+
+    def image(p):
         Zp = rings.ZpRing(p)
         ap = _poly(Zp, [c % p for c in a.coeffs])
-        bp = _poly(Zp, [c % p for c in b.coeffs])
-        gp = uni_gcd(ap, bp)
-        if gp.degree == 0:
-            return _poly(K, [cont])
-        gp = uni_scale(gp, gamma % p)
-        if best is not None and gp.degree > best[0]:
-            continue  # unlucky prime
-        if best is None or gp.degree < best[0]:
-            lifted = [symmetric_lift(c, p) for c in gp.coeffs]
-            best = (gp.degree, p, lifted)
-            stable = 1
-        else:
-            deg, mod, cur = best
-            combined = []
-            changed = False
-            for x, y in zip(cur, gp.coeffs):
-                v, m = crt_pair(x % mod, mod, y, p)
-                v = symmetric_lift(v, m)
-                combined.append(v)
-                if v != x:
-                    changed = True
-            best = (deg, mod * p, combined)
-            stable = 1 if changed else stable + 1
-        if stable >= 2:
-            cand = _poly(K, best[2][:])
-            _, cand = uni_primitive(cand)
-            if _divides(cand, a) and _divides(cand, b):
-                if not K.is_one(cont):
-                    cand = uni_scale(cand, cont)
-                return cand
-            stable = 1  # keep accumulating primes
+        gp = uni_gcd(ap, _poly(Zp, [c % p for c in b.coeffs]))
+        return dict(enumerate(gp.coeffs)) if gp.degree else None
+
+    def as_poly(terms):
+        return _poly(K, [terms.get(i, 0) for i in range(max(terms) + 1)])
+
+    def divides(terms):
+        g = as_poly(terms)
+        return _divides(g, a) and _divides(g, b)
+
+    bound = gcd_coeff_bound(gamma, (a.coeffs, a.degree), (b.coeffs, b.degree))
+    terms = modular_gcd(image, lambda d: d, divides, gamma, (a.lc(), b.lc()), bound)
+    if not terms:
+        return _poly(K, [cont])
+    g = as_poly(terms)
+    return g if K.is_one(cont) else uni_scale(g, cont)
 
 
 def _divides(d: UniPoly, a: UniPoly) -> bool:
@@ -671,15 +636,17 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Canonical gcd: monic over fields, positive primitive-content over Z.
 
     Strategy: Euclid below HALF_GCD_THRESHOLD and Half-GCD above it over
-    fields; Brown's small-primes algorithm over Z; Frac(Z) clears
-    denominators; anything else takes the subresultant sequence.
+    fields; over Z, Brown's algorithm: gcds modulo primes above 2^62
+    combined by `modular.modular_gcd` until a candidate passes trial
+    division; Q clears denominators and takes the Z gcd; anything else
+    takes the subresultant sequence.
     """
     K = a.ring
     if a.is_zero():
         return _canonical_gcd_result(b)
     if b.is_zero():
         return _canonical_gcd_result(a)
-    if isinstance(K, rings.FractionField) and isinstance(K.inner, rings.IntegerRing):
+    if K == rings.QQ:
         _, az = K.clear_denominators(a.coeffs)
         _, bz = K.clear_denominators(b.coeffs)
         g = uni_gcd_z_brown(_poly(K.inner, az), _poly(K.inner, bz))
@@ -788,31 +755,6 @@ def _synthetic_div(a: UniPoly, x):
         acc = K.add(a.coeffs[i], K.mul(acc, x))
         out[i - 1] = acc
     return _poly(K, out)
-
-
-class NewtonInterpolator:
-    """Incremental divided-difference interpolation over a field."""
-
-    def __init__(self, K):
-        self.K = K
-        self.xs = []
-        self._coeffs = []  # newton-basis coefficients
-        self._basis = _poly(K, [K.one])  # prod (X - x_i)
-        self._poly = UniPoly(K, [])
-
-    def add_point(self, x, y):
-        K = self.K
-        val = uni_eval(self._poly, x)
-        denom = uni_eval(self._basis, x)
-        c = K.div(K.sub(y, val), denom)
-        self._coeffs.append(c)
-        self._poly = uni_add(self._poly, uni_scale(self._basis, c))
-        self._basis = uni_mul(self._basis, _poly(K, [K.neg(x), K.one]))
-        self.xs.append(x)
-
-    @property
-    def poly(self) -> UniPoly:
-        return self._poly
 
 
 def uni_squarefree(a: UniPoly):

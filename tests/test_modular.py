@@ -2,10 +2,26 @@ import random
 
 import pytest
 
-from ringkit.modular import crt_pair, mod_inverse, symmetric_lift
+from ringkit.modular import (
+    PRIME_FLOOR,
+    crt_pair,
+    mod_inverse,
+    modular_gcd,
+    symmetric_lift,
+)
 from ringkit.errors import NonInvertibleError
-from ringkit.rings import ZpRing
-from ringkit.unipoly import PACKED_MUL_THRESHOLD, _packed_int
+from ringkit.multigcd import multi_gcd
+from ringkit.multipoly import MultiPoly, MultiRing, multi_mul
+from ringkit.primes import next_prime
+from ringkit.rings import ZZ, ZpRing
+from ringkit.unipoly import (
+    PACKED_MUL_THRESHOLD,
+    UniRing,
+    _packed_int,
+    uni_gcd,
+    uni_gcd_subresultant,
+    uni_mul,
+)
 
 SMALL_MODULI = [2, 3, 4, 5, 7, 8, 16, 251, 256, 65536, 65537, 524287]
 BIG_MODULI = [2**31 - 1, 2**62 + 135, 2**64 - 59, 2**64 - 1, 10**18 + 9]
@@ -129,3 +145,135 @@ def test_symmetric_lift():
         for x in range(m):
             s = symmetric_lift(x, m)
             assert s % m == x and -m // 2 <= s <= m // 2
+
+
+# ------------------------------------------------------------ modular_gcd
+
+
+def _primes(k):
+    out, p = [], PRIME_FLOOR
+    for _ in range(k):
+        p = next_prime(p)
+        out.append(p)
+    return out
+
+
+class _Frame:
+    """Synthetic driver for modular_gcd: images of a target polynomial T
+    (exponent -> int), with chosen primes answering other dicts, and a
+    trial division that accepts exactly T."""
+
+    def __init__(self, target, others=None):
+        self.target = target
+        self.others = others or {}
+        self.asked = []
+        self.candidates = []
+
+    def image(self, p):
+        self.asked.append(p)
+        if p in self.others:
+            return self.others[p]
+        t = self.target
+        inv = pow(t[max(t)], -1, p)
+        return {e: c * inv % p for e, c in t.items()}
+
+    def divides(self, terms):
+        self.candidates.append(terms)
+        return terms == self.target
+
+    def run(self, gamma=None, lcs=(), bound=None):
+        lc = self.target[max(self.target)]
+        gamma = lc if gamma is None else gamma
+        bound = 10**400 if bound is None else bound
+        return modular_gcd(self.image, lambda e: e, self.divides, gamma, lcs, bound)
+
+
+def test_modular_gcd_drops_image_with_larger_lead():
+    # needs two primes; the second prime answers a degree-2 image, which
+    # must be dropped rather than combined
+    target = {1: 1, 0: 3 * 2**90 + 1}
+    p1, p2, p3 = _primes(3)
+    frame = _Frame(target, {p2: {2: 1, 0: 5}})
+    assert frame.run() == target
+    assert frame.asked == [p1, p2, p3]
+    assert len(frame.candidates) == 2
+
+
+def test_modular_gcd_restarts_on_smaller_lead():
+    # the first prime answers a degree-3 image; the true degree-1 images
+    # that follow restart the accumulation without it
+    target = {1: 1, 0: -(5 * 2**90 + 7)}
+    p1, p2, p3 = _primes(3)
+    frame = _Frame(target, {p1: {3: 1, 1: 7}})
+    assert frame.run() == target
+    assert frame.asked == [p1, p2, p3]
+    assert frame.candidates[0] == {3: 1, 1: 7}
+    assert frame.candidates[1] == {1: 1, 0: symmetric_lift(target[0], p2)}
+
+
+def test_modular_gcd_unit_image_gives_empty():
+    frame = _Frame({1: 1, 0: 2}, {p: None for p in _primes(1)})
+    assert frame.run() == {}
+    assert frame.candidates == []
+
+
+def test_modular_gcd_combines_three_primes():
+    # coefficients of 150 bits need three primes above 2^62; the images are
+    # monic, so gamma = 6 over lc 3 scales them to 2 * target before the
+    # primitive part is taken; the first prime divides an lc and is skipped
+    target = {2: 3, 1: -(2**150 + 5), 0: 2**149 + 2}
+    p0, p1, p2, p3 = _primes(4)
+    frame = _Frame(target)
+    assert frame.run(gamma=6, lcs=(6, p0 * 5)) == target
+    assert frame.asked == [p1, p2, p3]
+    assert len(frame.candidates) == 3
+    assert frame.candidates[1] != target
+
+
+def test_modular_gcd_stops_at_the_bound():
+    # a trial division that never accepts ends once the modulus passes
+    # twice the bound: here after the second prime
+    frame = _Frame({1: 1, 0: 2**90})
+    frame.divides = lambda terms: False
+    with pytest.raises(ArithmeticError):
+        frame.run(bound=2**62)
+    assert len(frame.asked) == 2
+
+
+def _big(rng, bits):
+    return rng.randrange(-(1 << bits), 1 << bits) or 1
+
+
+def test_uni_gcd_over_z_with_4200_bit_coefficients():
+    rng = random.Random(42)
+    U = UniRing(ZZ, "x")
+    # primitive (constant term 1) with a positive lead
+    g = U.of_coeffs(
+        [1] + [_big(rng, 4200) for _ in range(4)] + [1 + abs(_big(rng, 4200))]
+    )
+    a = U.of_coeffs([_big(rng, 4200) for _ in range(4)])
+    b = U.of_coeffs([_big(rng, 4200) for _ in range(3)])
+    assert uni_gcd_subresultant(a, b).degree == 0
+    fa, fb = uni_mul(a, g), uni_mul(b, g)
+    h = uni_gcd(fa, fb)
+    assert h == g
+    assert h == uni_gcd_subresultant(fa, fb)
+
+
+def test_multi_gcd_over_z_with_4200_bit_coefficients():
+    rng = random.Random(43)
+    R = MultiRing(ZZ, ("x", "y"))
+    x, y = R.gens()
+    # primitive (constant term 1) with a positive lead
+    g = MultiPoly(
+        R,
+        {
+            (2, 1): 1 + abs(_big(rng, 4200)),
+            (1, 1): _big(rng, 4200),
+            (0, 2): _big(rng, 4200),
+            (0, 0): 1,
+        },
+    )
+    a = x * y + R.one  # distinct irreducible cofactors: coprime
+    b = x + y + 2 * R.one
+    assert multi_gcd(multi_mul(a, g), multi_mul(b, g)) == g

@@ -61,6 +61,21 @@ def test_monomial_content_and_integer_content():
     got = {(g, e) for g, e in parts}
     assert got == {(R.of(2), 1), (R.of(3), 1), (x, 2), (y, 1), (x + y, 1)}
     assert _rebuild(R, unit, parts) == f
+    # bare monomials: stripping the monomial leaves only a constant
+    for K in (ZZ, QQ, ZpRing(101)):
+        R = MultiRing(K, ("x", "y"))
+        x, y = R.gens()
+        # the integer content 3 is a factor over Z and part of the unit over a field
+        content = {(R.of(3), 1)} if K == ZZ else set()
+        for f, want in [
+            (x, {(x, 1)}),
+            (-3 * x, {(x, 1)} | content),
+            (x * x * y, {(x, 2), (y, 1)}),
+        ]:
+            unit, parts = factor_multipoly(R, f)
+            assert set(parts) == want
+            assert unit.is_constant()
+            assert _rebuild(R, unit, parts) == f
 
 
 def test_multiplicity_from_squarefree_split():

@@ -7,7 +7,6 @@ from ringkit import unipoly as up
 from ringkit.errors import NonInvertibleError
 from ringkit.rings import ZZ, QQ, ZmRing, ZpRing
 from ringkit.unipoly import (
-    NewtonInterpolator,
     PolyModContext,
     UniPoly,
     UniRing,
@@ -186,6 +185,9 @@ def test_brown_modular_gcd_over_z():
         assert uni_gcd_z_brown(a, b) == uni_gcd_subresultant(a, b)
     # coprime inputs collapse to 1
     assert uni_gcd(P(ZZ, 1, 1), P(ZZ, 2, 1)) == P(ZZ, 1)
+    # a zero operand gives the other one's content and primitive part
+    assert uni_gcd_z_brown(UniPoly(ZZ, []), P(ZZ, -2, -4)) == P(ZZ, 2, 4)
+    assert uni_gcd_z_brown(P(ZZ, -3), UniPoly(ZZ, [])) == P(ZZ, 3)
 
 
 def test_gcd_over_q_clears_denominators():
@@ -232,15 +234,6 @@ def test_interpolation_roundtrip():
                     xs.append(x)
             ys = [uni_eval(f, x) for x in xs]
             assert uni_interpolate(K, xs, ys) == f
-
-
-def test_newton_interpolator_incremental():
-    rng = random.Random(12)
-    f = uni_random(ZBIG, 9, rng)
-    it = NewtonInterpolator(ZBIG)
-    for x in range(10):
-        it.add_point(ZBIG.of(x), uni_eval(f, ZBIG.of(x)))
-    assert it.poly == f
 
 
 def test_squarefree_yun_over_z():
