@@ -8,6 +8,7 @@ katsura/cyclic systems, and univariate factorization of 1 + sum(i*x^i).
 
 import csv
 import random
+import signal
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -198,7 +199,10 @@ class BenchSpec:
     dist: tuple = ("uniform", 0, 30)
     trials: int = 1
     seed: int = 0
-    timeout: float = 0.0  # seconds per trial; 0 disables the check
+    # seconds per timed call; 0 lets every call run to the end.  A call
+    # that overruns is interrupted by a SIGALRM interval timer and gives a
+    # "timeout" row, so a nonzero limit needs the main thread.
+    timeout: float = 0.0
     variant: str = "katsura"  # groebner family: katsura | cyclic
 
     def validate(self):
@@ -214,14 +218,16 @@ class BenchSpec:
             raise ValueError("unknown groebner variant %r" % (self.variant,))
 
 
-class _Deadline:
-    """Cooperative per-trial timeout, consulted between algorithm phases."""
+class _TimeLimit(BaseException):
+    """Raised by the interval timer; a BaseException so that no handler in
+    the library can swallow it."""
 
-    def __init__(self, seconds):
-        self.at = time.monotonic() + seconds if seconds else None
 
-    def expired(self):
-        return self.at is not None and time.monotonic() > self.at
+def _on_alarm(signum, frame):
+    raise _TimeLimit()
+
+
+_TIMEOUT = object()  # what _timed returns for a call that hit its limit
 
 
 def _row(spec, trial, elapsed_s, kind, verified):
@@ -237,9 +243,23 @@ def _row(spec, trial, elapsed_s, kind, verified):
     }
 
 
-def _timed(fn):
+def _timed(fn, limit):
+    """(fn(), seconds), or (_TIMEOUT, seconds) when the call ran past
+    `limit` seconds and was interrupted; a limit of 0 sets no timer."""
     t0 = time.perf_counter()
-    out = fn()
+    if not limit:
+        return fn(), time.perf_counter() - t0
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, limit)
+            out = fn()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except _TimeLimit:
+        out = _TIMEOUT
+    finally:
+        signal.signal(signal.SIGALRM, previous)
     return out, time.perf_counter() - t0
 
 
@@ -306,10 +326,10 @@ def _irreducible_over(K, g):
     return _proved_irreducible_z(uni_primitive(_poly(K.inner, nums))[1])
 
 
-def _gcd_rows(spec, trial, ag, bg, g, seed, deadline):
+def _gcd_rows(spec, trial, ag, bg, g, seed):
     rows = []
-    res, el = _timed(lambda: multi_gcd(ag, bg, seed=seed))
-    if deadline.expired():
+    res, el = _timed(lambda: multi_gcd(ag, bg, seed=seed), spec.timeout)
+    if res is _TIMEOUT:
         rows.append(_row(spec, trial, el, "timeout", False))
     else:
         ok = (
@@ -319,19 +339,20 @@ def _gcd_rows(spec, trial, ag, bg, g, seed, deadline):
         )
         rows.append(_row(spec, trial, el, "nontrivial", ok))
     R = ag.ring
-    res2, el2 = _timed(lambda: multi_gcd(ag + R.one, bg, seed=seed + 1))
-    if deadline.expired():
+    res2, el2 = _timed(lambda: multi_gcd(ag + R.one, bg, seed=seed + 1),
+                       spec.timeout)
+    if res2 is _TIMEOUT:
         rows.append(_row(spec, trial, el2, "timeout", False))
     else:
         rows.append(_row(spec, trial, el2, "trivial", res2.degree() == 0))
     return rows
 
 
-def _factor_rows(spec, trial, prod, need_parts, seed, deadline):
+def _factor_rows(spec, trial, prod, need_parts, seed):
     rows = []
     R = prod.ring
-    parts, el = _timed(lambda: factor_multipoly(R, prod, seed=seed))
-    if deadline.expired():
+    parts, el = _timed(lambda: factor_multipoly(R, prod, seed=seed), spec.timeout)
+    if parts is _TIMEOUT:
         rows.append(_row(spec, trial, el, "timeout", False))
     else:
         unit, facs = parts
@@ -341,8 +362,10 @@ def _factor_rows(spec, trial, prod, need_parts, seed, deadline):
     if spec.family == "factor-dense":
         return rows
     shifted = prod + R.one
-    parts2, el2 = _timed(lambda: factor_multipoly(R, shifted, seed=seed + 1))
-    if deadline.expired():
+    parts2, el2 = _timed(
+        lambda: factor_multipoly(R, shifted, seed=seed + 1), spec.timeout
+    )
+    if parts2 is _TIMEOUT:
         rows.append(_row(spec, trial, el2, "timeout", False))
     else:
         unit2, facs2 = parts2
@@ -354,7 +377,6 @@ def _factor_rows(spec, trial, prod, need_parts, seed, deadline):
 
 
 def _run_trial(spec, trial, rng):
-    deadline = _Deadline(spec.timeout)
     seed = rng.randrange(1 << 32)
 
     if spec.family == "gcd-sparse":
@@ -362,13 +384,11 @@ def _run_trial(spec, trial, rng):
         a = random_poly(R, rng, spec.size, spec.dist)
         b = random_poly(R, rng, spec.size, spec.dist)
         g = random_poly(R, rng, spec.size, spec.dist)
-        return _gcd_rows(spec, trial, multi_mul(a, g), multi_mul(b, g), g,
-                         seed, deadline)
+        return _gcd_rows(spec, trial, multi_mul(a, g), multi_mul(b, g), g, seed)
 
     if spec.family == "gcd-dense":
         _, a, b, g = dense_gcd_triple(spec.ring, spec.size)
-        return _gcd_rows(spec, trial, multi_mul(a, g), multi_mul(b, g), g,
-                         seed, deadline)
+        return _gcd_rows(spec, trial, multi_mul(a, g), multi_mul(b, g), g, seed)
 
     if spec.family == "factor-sparse":
         R = MultiRing(spec.ring, tuple("x%d" % i for i in range(1, spec.n_vars + 1)))
@@ -379,17 +399,17 @@ def _run_trial(spec, trial, rng):
             if a.degree() > 0 and b.degree() > 0 and c.degree() > 0:
                 break
         prod = multi_mul(multi_mul(a, b), c)
-        return _factor_rows(spec, trial, prod, 3, seed, deadline)
+        return _factor_rows(spec, trial, prod, 3, seed)
 
     if spec.family == "factor-dense":
         _, p = dense_factor_poly(spec.ring, spec.size)
-        return _factor_rows(spec, trial, p, 2, seed, deadline)
+        return _factor_rows(spec, trial, p, 2, seed)
 
     if spec.family == "uni-factor":
         K = spec.ring
         R, f = pdeg_poly(K, spec.size)
-        parts, el = _timed(lambda: factor_unipoly(R, f))
-        if deadline.expired():
+        parts, el = _timed(lambda: factor_unipoly(R, f), spec.timeout)
+        if parts is _TIMEOUT:
             return [_row(spec, trial, el, "timeout", False)]
         unit, facs = parts
         ok = _rebuild_uni(K, unit, facs) == f and all(
@@ -400,8 +420,8 @@ def _run_trial(spec, trial, rng):
     # groebner: the named system, verified structurally plus by membership
     build = katsura if spec.variant == "katsura" else cyclic
     _, eqs = build(spec.size, spec.ring)
-    ideal, el = _timed(lambda: Ideal(eqs))
-    if deadline.expired():
+    ideal, el = _timed(lambda: Ideal(eqs), spec.timeout)
+    if ideal is _TIMEOUT:
         return [_row(spec, trial, el, "timeout", False)]
     ok = all(ideal.contains(f) for f in eqs) and all(
         g.ring.cring.is_one(g.lc()) for g in ideal.basis

@@ -3,7 +3,6 @@
 import random
 
 from . import rings, unifactor
-from .errors import UnsupportedRingError
 from .unipoly import (
     PolyModContext,
     UniPoly,
@@ -29,8 +28,6 @@ class GFRing(rings.Ring):
     def __init__(self, p: int, k: int, var: str = "t", seed: int = 0, min_poly=None):
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p >= 2**64:
-            raise UnsupportedRingError("GF characteristic must fit a machine word")
         if not var.isidentifier():
             raise ValueError("bad generator name: %r" % (var,))
         self.zp = rings.ZpRing(p)  # validates primality

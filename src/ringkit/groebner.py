@@ -494,14 +494,6 @@ class Ideal:
         )
 
 
-def ideal_reduce(f, ideal):
-    return ideal.reduce(f)
-
-
-def ideal_membership(f, ideal):
-    return ideal.contains(f)
-
-
 def is_groebner_basis(basis, order=None):
     """Buchberger criterion: every S-polynomial reduces to zero."""
     polys = list(basis)

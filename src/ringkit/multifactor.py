@@ -28,10 +28,13 @@ from .multigcd import multi_gcd
 from .multipoly import (
     MultiPoly,
     MultiRing,
+    change_ring,
+    clear_to_z,
     coefficients_in,
     content_primitive,
     from_unipoly,
     lc_in,
+    min_exponents,
     multi_add,
     multi_derivative,
     multi_divides,
@@ -39,7 +42,6 @@ from .multipoly import (
     multi_mono_mul,
     multi_mul,
     multi_pow,
-    multi_scale,
     multi_sub,
     multi_subs,
     multi_value,
@@ -75,8 +77,8 @@ class _BadPoint(Exception):
 def factor_multipoly(ring, f, seed=0):
     """(unit, [(factor, exponent), ...]) with canonical, sorted factors.
 
-    Coefficients may come from Z, from Q, or from a machine-word prime field
-    whose modulus exceeds the total degree of f.
+    Coefficients may come from Z, from Q, or from a prime field whose
+    modulus exceeds the total degree of f.
     """
     f = ring.of(f)
     if f.is_zero():
@@ -84,8 +86,6 @@ def factor_multipoly(ring, f, seed=0):
     K = ring.cring
     rng = random.Random((seed * 0x9E3779B1) ^ 0x5F0E1D2C)
     if isinstance(K, rings.ZpRing):
-        if K.p.bit_length() > 63:
-            raise UnsupportedRingError("prime modulus too large for factorization")
         if K.p <= f.degree():
             raise UnsupportedRingError(
                 "modulus %d does not exceed the total degree %d" % (K.p, f.degree())
@@ -158,7 +158,7 @@ def _factor_into(acc, f, mult, rng):
         return
     n = len(ring.vars)
     # common monomial first: bare variable powers are factors of their own
-    mins = [min(e[i] for e in f.terms) for i in range(n)]
+    mins = min_exponents(f)
     if any(mins):
         for i, k in enumerate(mins):
             if k:
@@ -331,8 +331,8 @@ def _attempt(F, m, rng, attempt):
     rest = {i: alpha[i] for i in order[1:]}
     F1 = multi_subs(F, rest)
     L1 = multi_subs(L, rest)
-    F1w = _map_into(work, F1)
-    L1w = _map_into(work, L1)
+    F1w = change_ring(F1, work)
+    L1w = change_ring(L1, work)
     Fs1 = multi_mul(F1w, multi_pow(L1w, r - 1))
     ctx1 = _run_levels(Fs1, L1w, m, [v1], alpha_w, La_w, uhat, tinv, rng)
     split1 = _subset_split(F1, ctx1.snapshots[-1], [v1], ctx1)
@@ -357,8 +357,8 @@ def _attempt(F, m, rng, attempt):
         tinv = _bezout_rows(uhat, La_w, p)
 
     Fstar = multi_mul(F, multi_pow(L, r - 1))
-    Fw = _map_into(work, Fstar)
-    Lw = _map_into(work, L)
+    Fw = change_ring(Fstar, work)
+    Lw = change_ring(L, work)
     ctx = _run_levels(Fw, Lw, m, order, alpha_w, La_w, uhat, tinv, rng)
     split = _subset_split(F, ctx.snapshots[-1], order, ctx)
     return [g for _, g in split]
@@ -387,19 +387,6 @@ def _precision(F, L, r, dF, p):
         pe *= p
         ell += 1
     return ell
-
-
-def _map_into(work, f):
-    """f over the lifting ring; a no-op when f already lives there."""
-    if f.ring == work:
-        return f
-    K = work.cring
-    out = {}
-    for e, c in f.terms.items():
-        v = K.of(c)
-        if v:
-            out[e] = v
-    return MultiPoly(work, out)
 
 
 # --------------------------------------------------------------- the lifting
@@ -833,15 +820,12 @@ def _subset_split(target, Gs, order, ctx):
 def _factor_over_q(ring, f, seed):
     """Monic factors over Q from the factors over Z; the unit is lc(f),
     since a product of monic polynomials is monic under a monomial order."""
-    K = ring.cring
-    zring = MultiRing(rings.ZZ, ring.vars, ring.order)
-    _, nums = K.clear_denominators(f.terms.values())
-    _, parts = factor_multipoly(zring, MultiPoly(zring, dict(zip(f.terms, nums))), seed)
+    fz = clear_to_z(f)
+    _, parts = factor_multipoly(fz.ring, fz, seed)
     out = []
     for g, e in parts:
         if g.is_constant():
             continue  # constant over Q, already part of the unit
-        gq = MultiPoly(ring, {ee: K.of(c) for ee, c in g.terms.items()})
-        out.append((multi_scale(gq, K.inv(gq.lc())), e))
+        out.append((ring.normalize_unit(change_ring(g, ring))[1], e))
     out.sort(key=lambda fm: (_sort_key(fm[0]), fm[1]))
     return ring.from_coeff(f.lc()), out

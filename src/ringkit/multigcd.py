@@ -4,9 +4,11 @@ Field coefficients: per-variable degree bounds come from univariate
 images, variables the gcd does not use are removed by content
 extraction, and the rest is variable-by-variable sparse interpolation
 (Zippel) with the gcd of the two leading coefficients imposed on every
-image so that images taken at different points agree.  A dense
-Brown-style interpolation covers the rare runs where the sparse
-skeleton assumption fails.
+image so that images taken at different points agree.  The frame falls
+back on its own to Brown-style dense interpolation when the sparse
+skeleton assumption keeps failing; there is no knob to pick one.  Every
+content comes through `multipoly.content_primitive`, whose gcds fold in
+`gcd_many` and run through `multi_gcd` with their own seeded draws.
 
 Integer coefficients: the integer contents are split off, a gcd in one
 active variable goes to `uni_gcd`, and otherwise the field algorithm runs
@@ -25,14 +27,16 @@ import random
 
 from . import rings
 from .errors import UnsupportedRingError
-from .modular import PRIME_FLOOR, gcd_coeff_bound, modular_gcd
-from .primes import next_prime
+from .modular import gcd_coeff_bound, modular_gcd
 from .multipoly import (
     MultiPoly,
     MultiRing,
-    coefficients_in,
+    change_ring,
+    clear_to_z,
+    content_primitive,
     from_unipoly,
     lc_in,
+    min_exponents,
     multi_add,
     multi_divides,
     multi_exact_div,
@@ -58,17 +62,10 @@ class _Restart(Exception):
     """The evaluation frame is compromised (degree estimate shrank)."""
 
 
-def multi_gcd(a: MultiPoly, b: MultiPoly, seed: int = 0, method: str = "zippel"):
-    """Canonical gcd: monic over a field, positive leading coeff over Z.
-
-    `method` picks the field-level interpolation ("zippel" or "dense");
-    the zippel path falls back to dense on its own when sparse
-    interpolation keeps failing, so the knob mostly exists for tests.
-    """
+def multi_gcd(a: MultiPoly, b: MultiPoly, seed: int = 0):
+    """Canonical gcd: monic over a field, positive leading coeff over Z."""
     if a.ring != b.ring:
         raise ValueError("gcd operands live in different rings")
-    if method not in ("zippel", "dense"):
-        raise ValueError("unknown gcd method %r" % method)
     ring = a.ring
     if a.is_zero() and b.is_zero():
         return ring.zero
@@ -80,17 +77,21 @@ def multi_gcd(a: MultiPoly, b: MultiPoly, seed: int = 0, method: str = "zippel")
     rng = random.Random((seed << 32) ^ 0x5BD1E995)
     if K.is_field:
         if K.is_finite:
-            return _field_entry(a, b, rng, method)
+            return _field_entry(a, b, rng)
         if K == rings.QQ:
-            return _gcd_q(a, b, rng, method)
+            return _gcd_q(a, b, rng)
         raise UnsupportedRingError("gcd over %s is not supported" % (K,))
     if isinstance(K, rings.IntegerRing):
-        return _gcd_z(a, b, rng, method)
+        return _gcd_z(a, b, rng)
     raise UnsupportedRingError("gcd over %s is not supported" % (K,))
 
 
 def gcd_many(polys, seed: int = 0):
-    """Gcd of a list, trying gcd(first, sum of rest) before a pairwise fold."""
+    """Gcd of a list, trying gcd(first, sum of rest) before a pairwise fold.
+
+    This is the one fold: `content_primitive` takes its contents here.  A
+    unit gcd(first, sum) ends it at once, since the gcd of all divides it.
+    """
     polys = list(polys)
     if not polys:
         raise ValueError("gcd_many needs at least one polynomial")
@@ -106,60 +107,25 @@ def gcd_many(polys, seed: int = 0):
     g = multi_gcd(live[0], rest, seed=seed)
     # d | every p forces d | first and d | sum, so gcd(all) divides g;
     # if g also divides each p it is the gcd
-    if not g.is_zero() and all(multi_divides(g, p) for p in live[1:]):
+    if ring.is_unit(g):
+        return ring.one
+    if all(multi_divides(g, p) for p in live[1:]):
         return g
     g = live[0]
     for p in live[1:]:
         g = multi_gcd(g, p, seed=seed)
         if ring.is_unit(g):
-            break
-    return ring.normalize_unit(g)[1]
-
-
-def gcd_degree_bounds(a: MultiPoly, b: MultiPoly, seed: int = 0):
-    """Probable per-variable degrees of gcd(a, b), one entry per variable.
-
-    Computed from univariate images at random points, so each entry can
-    overshoot with small probability but never undershoots the truth
-    when the images preserve degrees.
-    """
-    if a.ring != b.ring:
-        raise ValueError("gcd operands live in different rings")
-    ring = a.ring
-    n = len(ring.vars)
-    if a.is_zero() or b.is_zero():
-        f = b if a.is_zero() else a
-        if f.is_zero():
-            return [0] * n
-        return [max(f.degree(i), 0) for i in range(n)]
-    K = ring.cring
-    rng = random.Random((seed << 32) ^ 0x9E3779B9)
-    if K == rings.QQ:
-        a, zring = _q_to_z(a)
-        b, _ = _q_to_z(b)
-        ring, K = zring, zring.cring
-    if isinstance(K, rings.IntegerRing):
-        p = next_prime(PRIME_FLOOR)
-        while a.lc() % p == 0 or b.lc() % p == 0:
-            p = next_prime(p)
-        rp = MultiRing(rings.ZpRing(p), ring.vars, ring.order)
-        a, b = _map_mod(a, rp), _map_mod(b, rp)
-    elif not (K.is_field and K.is_finite):
-        raise UnsupportedRingError("gcd over %s is not supported" % (K,))
-    act = _active_vars(a, b)
-    bounds = _degree_bounds(a, b, act, rng)
-    return [bounds.get(i, 0) for i in range(n)]
+            return ring.one
+    return g
 
 
 # ---------------------------------------------------------------- field path
 
 
-def _field_entry(a, b, rng, method):
-    if method == "dense":
-        interps = (_dense_interp,)
-    else:
-        interps = (_sparse_interp, _dense_interp)
-    for interp in interps:
+def _field_entry(a, b, rng):
+    """Zippel first; Brown's dense interpolation if the sparse skeleton
+    keeps failing."""
+    for interp in (_sparse_interp, _dense_interp):
         for _ in range(4):
             try:
                 return _field_gcd(a, b, rng, interp)
@@ -173,8 +139,8 @@ def _field_gcd(a, b, rng, interp):
 
     The frame handles the trivial, monomial and univariate cases, drops
     variables whose degree bound is 0, splits off the contents in the
-    main variable x_m and imposes gamma, the gcd of the leading
-    coefficients, before `interp(A, B, m, others, bounds, gamma, rng)`
+    main variable x_m through `content_primitive` and imposes gamma, the
+    gcd of the leading coefficients, before `interp(A, B, m, others, bounds, gamma, rng)`
     returns H, the gcd of the primitive parts scaled to lead gamma.
     """
     ring = a.ring
@@ -193,17 +159,17 @@ def _field_gcd(a, b, rng, interp):
     drop = [i for i in act if bounds[i] == 0]
     if drop:
         for i in drop:
-            a = _content_of(a, i, rng, interp)
-            b = _content_of(b, i, rng, interp)
+            a = content_primitive(a, i)[0]
+            b = content_primitive(b, i)[0]
         return _field_gcd(a, b, rng, interp)
     m = max(act, key=lambda i: (bounds[i], -i))
     others = [i for i in act if i != m]
-    ca, A = _content_split(a, m, rng, interp)
-    cb, B = _content_split(b, m, rng, interp)
+    ca, A = content_primitive(a, m)
+    cb, B = content_primitive(b, m)
     cg = _field_gcd(ca, cb, rng, interp)
     gamma = _field_gcd(lc_in(A, m), lc_in(B, m), rng, interp)
     H = interp(A, B, m, others, bounds, gamma, rng)
-    return _certify(a, b, H, m, cg, gamma, rng, interp)
+    return _certify(a, b, H, m, cg, gamma)
 
 
 def _sparse_interp(A, B, m, others, bounds, gamma, rng):
@@ -444,19 +410,13 @@ def _dense_interp(A, B, m, others, bounds, gamma, rng):
     return _interp_terms(ring, v, pts, imgs)
 
 
-def _certify(a, b, H, m, cg, gamma, rng, interp):
+def _certify(a, b, H, m, cg, gamma):
     """Primitive part, monic normalization, and the trial-division gate."""
-    ring = a.ring
-    K = ring.cring
     try:
-        if gamma.is_constant():
-            G = H
-        else:
-            G = multi_exact_div(H, _content_of(H, m, rng, interp))
-        cand = multi_mul(cg, _monic(G))
+        G = H if gamma.is_constant() else content_primitive(H, m)[1]
+        cand = a.ring.normalize_unit(multi_mul(cg, G))[1]
     except (ArithmeticError, ZeroDivisionError):
         raise _Restart
-    cand = _monic(cand)
     if cand.is_zero():
         raise _Restart
     if multi_divides(cand, a) and multi_divides(cand, b):
@@ -504,7 +464,7 @@ def _interp_terms(ring, v, pts, imgs):
 # ------------------------------------------------------------ Z and Q paths
 
 
-def _gcd_z(a, b, rng, method):
+def _gcd_z(a, b, rng):
     ring = a.ring
     ca, cb = _int_content(a), _int_content(b)
     c = math.gcd(ca, cb)
@@ -522,7 +482,7 @@ def _gcd_z(a, b, rng, method):
 
     def image(p):
         rp = MultiRing(rings.ZpRing(p), ring.vars, ring.order)
-        gp = _field_entry(_map_mod(A, rp), _map_mod(B, rp), rng, method)
+        gp = _field_entry(change_ring(A, rp), change_ring(B, rp), rng)
         return None if gp.is_constant() else gp.terms
 
     def divides(terms):
@@ -539,13 +499,9 @@ def _gcd_z(a, b, rng, method):
     return multi_scale(MultiPoly(ring, terms), c)
 
 
-def _gcd_q(a, b, rng, method):
-    ring = a.ring
-    az, zring = _q_to_z(a)
-    bz, _ = _q_to_z(b)
-    g = _gcd_z(az, bz, rng, method)
-    K = ring.cring
-    return _monic(MultiPoly(ring, {e: K.of(cc) for e, cc in g.terms.items()}))
+def _gcd_q(a, b, rng):
+    g = change_ring(_gcd_z(clear_to_z(a), clear_to_z(b), rng), a.ring)
+    return a.ring.normalize_unit(g)[1]
 
 
 def _int_content(f):
@@ -563,22 +519,6 @@ def _int_div(f, n):
     return MultiPoly(f.ring, {e: cc // n for e, cc in f.terms.items()})
 
 
-def _map_mod(f, rp):
-    p = rp.cring.p
-    terms = {}
-    for e, cc in f.terms.items():
-        r = cc % p
-        if r:
-            terms[e] = r
-    return MultiPoly(rp, terms)
-
-
-def _q_to_z(f):
-    zring = MultiRing(rings.ZZ, f.ring.vars, f.ring.order)
-    _, nums = f.ring.cring.clear_denominators(f.terms.values())
-    return MultiPoly(zring, dict(zip(f.terms, nums))), zring
-
-
 # ------------------------------------------------------------------ helpers
 
 
@@ -587,22 +527,12 @@ def _field_trivial(a, b):
     if a.is_zero() and b.is_zero():
         return ring.zero
     if a.is_zero():
-        return _monic(b)
+        return ring.normalize_unit(b)[1]
     if b.is_zero():
-        return _monic(a)
+        return ring.normalize_unit(a)[1]
     if a.is_constant() or b.is_constant():
         return ring.one
     return None
-
-
-def _monic(f):
-    if f.is_zero():
-        return f
-    K = f.ring.cring
-    lc = f.lc()
-    if K.is_one(lc):
-        return f
-    return multi_scale(f, K.inv(lc))
 
 
 def _active_vars(a, b):
@@ -636,82 +566,8 @@ def _mono_gcd(a, b):
     Divisors of a monomial are unit multiples of monomials, so the gcd
     is the largest monomial dividing both supports.
     """
-    ring = a.ring
-    n = len(ring.vars)
-    e = [None] * n
-    for f in (a, b):
-        for t in f.terms:
-            for i in range(n):
-                if e[i] is None or t[i] < e[i]:
-                    e[i] = t[i]
-    return MultiPoly(ring, {tuple(e): ring.cring.one})
-
-
-def _content_split(f, m, rng, interp):
-    """(content, primitive part) of f in (K[rest])[x_m], by field gcds
-    through `interp`.
-
-    The monomial part of the content comes straight off the support,
-    which keeps the recursive gcd work to the non-monomial residue.
-    """
-    ring = f.ring
-    n = len(ring.vars)
-    mins = None
-    for e in f.terms:
-        if mins is None:
-            mins = list(e)
-        else:
-            for i in range(n):
-                if e[i] < mins[i]:
-                    mins[i] = e[i]
-    mins[m] = 0
-    if any(mins):
-        mono = MultiPoly(ring, {tuple(mins): ring.cring.one})
-        f0 = MultiPoly(
-            ring,
-            {
-                tuple(x - d for x, d in zip(e, mins)): cc
-                for e, cc in f.terms.items()
-            },
-        )
-    else:
-        mono = None
-        f0 = f
-    coeffs = list(coefficients_in(f0, m).values())
-    if len(coeffs) == 1:
-        c = _monic(coeffs[0])
-    elif any(cc.is_constant() for cc in coeffs):
-        c = ring.one
-    else:
-        c = _fold_gcd(coeffs, rng, interp)
-    if mono is not None:
-        c = multi_mul(mono, c)
-    if ring.is_unit(c):
-        return ring.one, f
-    return c, multi_exact_div(f, c)
-
-
-def _content_of(f, m, rng, interp):
-    return _content_split(f, m, rng, interp)[0]
-
-
-def _fold_gcd(polys, rng, interp):
-    ring = polys[0].ring
-    rest = polys[1]
-    for p in polys[2:]:
-        rest = multi_add(rest, p)
-    g = _field_gcd(polys[0], rest, rng, interp)
-    if g.is_constant() and not g.is_zero():
-        # the gcd of all coefficients divides this one
-        return ring.one
-    if not g.is_zero() and all(multi_divides(g, p) for p in polys[1:]):
-        return g
-    g = polys[0]
-    for p in polys[1:]:
-        g = _field_gcd(g, p, rng, interp)
-        if g.is_constant():
-            return ring.one
-    return g
+    e = tuple(map(min, min_exponents(a), min_exponents(b)))
+    return MultiPoly(a.ring, {e: a.ring.cring.one})
 
 
 def _nonzero(K, rng):

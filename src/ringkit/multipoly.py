@@ -9,7 +9,8 @@ the standard multi-divisor reduction driven by a lazy max-heap.
 This module owns evaluation: `term_values` substitutes a point into every
 term from one power cache, and the full value, the partial substitution and
 the univariate image in one variable are built on it.  The conversions
-between a MultiPoly in one variable and a UniPoly live here too.
+between a MultiPoly in one variable and a UniPoly live here too, as do the
+one content (`content_primitive`) and the one change of coefficient ring.
 """
 
 import heapq
@@ -628,22 +629,64 @@ def coefficients_in(f: MultiPoly, var) -> dict:
     return {k: MultiPoly(ring, sub) for k, sub in groups.items()}
 
 
+def min_exponents(f: MultiPoly):
+    """Exponent of the largest monomial dividing f (f nonzero)."""
+    return tuple(map(min, zip(*f.terms)))
+
+
 def content_primitive(f: MultiPoly, var):
     """(content, primitive part) of f viewed in R[other vars][var].
 
-    The content is the gcd of the var-coefficients, computed with the
-    first-vs-sum-of-rest shortcut and verified by divisibility before
-    falling back to a pairwise fold.
+    This is the one content computation of the library: the gcd frame and
+    the factorizer both take their contents here.  The monomial part comes
+    straight off the support; the rest is 1 when some var-coefficient is a
+    unit and otherwise `gcd_many` of the coefficients.  The content is
+    canonical (monic over a field, positive lead over Z); a unit content
+    gives (one, f) without a division.
     """
     from .multigcd import gcd_many
 
     ring = f.ring
     if f.is_zero():
-        return MultiPoly(ring, {}), MultiPoly(ring, {})
-    coeffs = list(coefficients_in(f, var).values())
-    content = gcd_many(coeffs)
-    primitive = multi_exact_div(f, content)
-    return content, primitive
+        return ring.zero, ring.zero
+    i = var if isinstance(var, int) else ring.vars.index(var)
+    mono = list(min_exponents(f))
+    mono[i] = 0
+    f0 = f
+    if any(mono):
+        f0 = MultiPoly(
+            ring, {tuple(map(operator.sub, e, mono)): c for e, c in f.terms.items()}
+        )
+    coeffs = list(coefficients_in(f0, i).values())
+    if any(map(ring.is_unit, coeffs)):
+        content = ring.one
+    else:
+        content = gcd_many(coeffs)
+    if any(mono):
+        content = multi_mono_mul(content, mono, ring.cring.one)
+    if ring.is_unit(content):
+        return ring.one, f
+    return content, multi_exact_div(f, content)
+
+
+def change_ring(f: MultiPoly, ring) -> MultiPoly:
+    """f with every coefficient mapped through ring.cring.of; zeros drop."""
+    if f.ring == ring:
+        return f
+    K = ring.cring
+    out = {}
+    for e, c in f.terms.items():
+        v = K.of(c)
+        if not K.is_zero(v):
+            out[e] = v
+    return MultiPoly(ring, out)
+
+
+def clear_to_z(f: MultiPoly) -> MultiPoly:
+    """f over Q times the lcm of its denominators, as a polynomial over Z."""
+    zring = MultiRing(rings.ZZ, f.ring.vars, f.ring.order)
+    _, nums = f.ring.cring.clear_denominators(f.terms.values())
+    return MultiPoly(zring, dict(zip(f.terms, nums)))
 
 
 def multi_derivative(f: MultiPoly, var) -> MultiPoly:

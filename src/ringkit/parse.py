@@ -254,10 +254,6 @@ def format_fraction(field, a):
     return "%s/%s" % (_wrap(inner.format(a.num)), _wrap(inner.format(a.den)))
 
 
-def format_element(a, ring):
-    return ring.format(a)
-
-
 # --------------------------------------------------------------- ring specs
 
 

@@ -149,13 +149,6 @@ def uni_scale(a: UniPoly, c) -> UniPoly:
     return _poly(K, [K.mul(x, c) for x in a.coeffs])
 
 
-def uni_shift(a: UniPoly, k: int) -> UniPoly:
-    """Multiply by x^k."""
-    if a.is_zero() or k == 0:
-        return a
-    return UniPoly(a.ring, [a.ring.zero] * k + a.coeffs)
-
-
 def uni_monic(a: UniPoly) -> UniPoly:
     K = a.ring
     if a.is_zero() or K.is_one(a.lc()):

@@ -1,3 +1,6 @@
+import signal
+import time
+
 import pytest
 
 from ringkit import rings
@@ -29,3 +32,18 @@ def test_irreducibility_certificate_over_z_and_q():
     assert _irreducible_over(rings.QQ, Q.of_coeffs([half, 0, 1]))
     assert not _irreducible_over(rings.QQ, Q.of_coeffs([1, 0, 2]))  # not monic
     assert not _irreducible_over(rings.QQ, Q.of_coeffs([-1, 0, 1]))
+
+
+def test_timeout_interrupts_the_call():
+    # katsura-7 over Zp runs for seconds; the interval timer stops it
+    previous = signal.getsignal(signal.SIGALRM)
+    t0 = time.perf_counter()
+    rows, _ = bench_run(
+        BenchSpec("groebner", rings.ZpRing(1000003), size=7, timeout=0.2)
+    )
+    assert time.perf_counter() - t0 < 1.5
+    assert [(r["result_kind"], r["verified"]) for r in rows] == [("timeout", False)]
+    assert signal.getsignal(signal.SIGALRM) is previous
+    # a limit the call stays within changes nothing
+    rows, _ = bench_run(BenchSpec("uni-factor", rings.ZpRing(17), size=10, timeout=30))
+    assert [(r["result_kind"], r["verified"]) for r in rows] == [("nontrivial", True)]

@@ -189,6 +189,16 @@ def test_random_products_multiply_back_z(seed):
     assert _rebuild(R, unit, parts) == f
 
 
+def test_prime_field_past_the_machine_word():
+    # p = 2^89 - 1: residues are plain Python ints, so no word-size limit
+    rng = random.Random(89)
+    R = MultiRing(ZpRing(2**89 - 1), ("x", "y", "z"))
+    f = multi_mul(multi_mul(_sparse(R, rng, 4, 2), _sparse(R, rng, 4, 2)), _sparse(R, rng, 3, 2))
+    unit, parts = factor_multipoly(R, f, seed=1)
+    assert sum(e for g, e in parts if not g.is_constant()) >= 3
+    assert _rebuild(R, unit, parts) == f
+
+
 def test_four_variables_small():
     rng = random.Random(11)
     R = MultiRing(ZpRing(524287), ("x", "y", "z", "w"))

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from ringkit import multigcd
 from ringkit.errors import UnsupportedRingError
 from ringkit.galois import GFRing
-from ringkit.multigcd import gcd_degree_bounds, gcd_many, multi_gcd
+from ringkit.multigcd import gcd_many, multi_gcd
 from ringkit.multipoly import (
     MultiPoly,
     MultiRing,
@@ -69,11 +70,16 @@ def test_edge_cases(rp):
     assert multi_gcd(rp.of(5), a) == rp.one
     with pytest.raises(ValueError):
         multi_gcd(a, MultiRing(ZpRing(17), ("x", "y", "z")).one)
-    with pytest.raises(ValueError):
-        multi_gcd(a, a, method="fast")
 
 
-def test_zippel_matches_dense():
+def _dense_gcd(monkeypatch, a, b, seed):
+    """multi_gcd with Brown's dense interpolation in place of Zippel's."""
+    with monkeypatch.context() as mp:
+        mp.setattr(multigcd, "_sparse_interp", multigcd._dense_interp)
+        return multi_gcd(a, b, seed=seed)
+
+
+def test_zippel_matches_dense(monkeypatch):
     # GF(17^2) has no coeff_modulus, so it runs the generic field paths
     for K, trials, max_exp in ((ZpRing(524287), 30, 3), (GFRing(17, 2), 10, 2)):
         ring = MultiRing(K, ("x", "y", "z"))
@@ -86,12 +92,12 @@ def test_zippel_matches_dense():
                 continue
             a, b = multi_mul(f1, g), multi_mul(f2, g)
             gz = multi_gcd(a, b, seed=t)
-            gd = multi_gcd(a, b, seed=t, method="dense")
+            gd = _dense_gcd(monkeypatch, a, b, t)
             assert gz == gd, (K, t)
             assert multi_divides(gz, a) and multi_divides(gz, b)
 
 
-def test_zippel_matches_dense_over_z():
+def test_zippel_matches_dense_over_z(monkeypatch):
     ring = MultiRing(ZZ, ("x", "y"))
     rng = random.Random(9)
     for t in range(10):
@@ -101,7 +107,7 @@ def test_zippel_matches_dense_over_z():
         if f1.is_zero() or f2.is_zero() or g.is_zero():
             continue
         a, b = multi_mul(f1, g), multi_mul(f2, g)
-        assert multi_gcd(a, b, seed=t) == multi_gcd(a, b, seed=t, method="dense")
+        assert multi_gcd(a, b, seed=t) == _dense_gcd(monkeypatch, a, b, t)
 
 
 def test_planted_divisor_is_recovered():
@@ -166,17 +172,6 @@ def test_gcd_many():
     assert gcd_many([x, y, z]) == ring.one
     with pytest.raises(ValueError):
         gcd_many([])
-
-
-def test_gcd_degree_bounds():
-    ring = MultiRing(ZZ, ("x", "y", "z"))
-    x, y, z = ring.gens()
-    g = 6 * x * y - 4 * x + 2
-    a = multi_mul(3 * x + y, g)
-    b = multi_mul(y * z - 5, g)
-    assert gcd_degree_bounds(a, b) == [1, 1, 0]
-    assert gcd_degree_bounds(ring.zero, a) == [2, 2, 0]
-    assert gcd_degree_bounds(a, b, seed=1) == gcd_degree_bounds(a, b, seed=1)
 
 
 def test_five_var_sparse_product():

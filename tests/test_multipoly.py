@@ -250,6 +250,33 @@ def test_content_primitive(rq):
     assert cont == y + 2
     assert prim == x * x + 5
     assert multi_mul(cont, prim) == f
+    for K in (ZZ, QQ, ZpRing(101)):
+        R = MultiRing(K, ("x", "y"))
+        x, y = R.gens()
+        cases = [
+            # a monomial content in the other variable
+            (x * y * y + y * y * y, y * y, x + y),
+            # a monomial times a polynomial content
+            ((y * y + y) * (x + y), y * y + y, x + y),
+            ((y + 1) * (x * x + 3 * y), y + 1, x * x + 3 * y),
+        ]
+        for f, cont, prim in cases:
+            got = content_primitive(f, "x")
+            assert got == (cont, prim), (K, f)
+            assert multi_mul(*got) == f
+        # a unit var-coefficient: the content is one and f comes back undivided
+        for f in (x * y + 1, x * y - 1):
+            cont, prim = content_primitive(f, 0)
+            assert cont == R.one and prim is f
+        assert content_primitive(R.zero, "x") == (R.zero, R.zero)
+        # an integer content over Z; over a field 2 is a unit
+        f = 2 * x + 2 * y
+        if K == ZZ:
+            assert content_primitive(f, "x") == (R.of(2), x + y)
+            # the content has a positive lead, the sign stays with the part
+            assert content_primitive(-6 * x * y - 4 * y, "x") == (2 * y, -3 * x - 2)
+        else:
+            assert content_primitive(f, "x") == (R.one, f)
 
 
 def test_derivative(rq):

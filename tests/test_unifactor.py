@@ -149,8 +149,8 @@ def test_swinnerton_dyer_style_recombination():
 def test_hensel_lift_of_long_factors():
     # the lift runs mod p^3 with p = 1073741827 and its tree products are
     # longer than PACKED_MUL_THRESHOLD, so the packed Z/p^k product serves it
-    a = up.uni_sub(up.uni_shift(P(ZZ, 1), 41), P(ZZ, 2))
-    b = up.uni_add(up.uni_shift(P(ZZ, 1), 37), P(ZZ, -3, 1))
+    a = P(ZZ, -2, *[0] * 40, 1)  # x^41 - 2
+    b = P(ZZ, -3, 1, *[0] * 35, 1)  # x^37 + x - 3
     unit, parts = factor_over_z(up.uni_mul(a, b))
     assert unit == P(ZZ, 1)
     assert parts == [(b, 1), (a, 1)]
