@@ -10,11 +10,28 @@ rest and stops at the first candidate that divides both inputs.
 """
 
 import math
+import threading
 
 from .errors import NonInvertibleError
 from .primes import next_prime
 
 PRIME_FLOOR = 1 << 62  # modular gcds take the primes above this
+_CRT_PRIMES = []  # the primes above PRIME_FLOOR found so far, ascending
+_CRT_GROW = threading.Lock()  # a prime appended twice would break the CRT
+
+
+def _crt_primes():
+    """The primes above PRIME_FLOOR in increasing order; each is searched
+    once per process and then read from the shared list."""
+    i = 0
+    while True:
+        if i == len(_CRT_PRIMES):
+            with _CRT_GROW:
+                if i == len(_CRT_PRIMES):
+                    last = _CRT_PRIMES[-1] if i else PRIME_FLOOR
+                    _CRT_PRIMES.append(next_prime(last))
+        yield _CRT_PRIMES[i]
+        i += 1
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -72,9 +89,7 @@ def modular_gcd(image, key, divides, gamma, lcs, bound):
     the coefficients of the scaled gcd, without a candidate accepted.
     """
     acc, mod, lead = None, 1, None
-    p = PRIME_FLOOR
-    while True:
-        p = next_prime(p)
+    for p in _crt_primes():
         if any(c % p == 0 for c in lcs):
             continue
         img = image(p)

@@ -2,8 +2,12 @@
 
 Finite fields: squarefree split, distinct-degree split, then Cantor-
 Zassenhaus equal-degree splitting ((q^d-1)/2 powers for odd q, trace maps
-in characteristic 2).  Over Z: factor an image modulo a 31-bit prime,
-Hensel-lift to the Mignotte bound, recombine subsets by trial division.
+in characteristic 2).  Every q-th power in these steps and in Rabin's test
+is an image of one FrobeniusMap (von zur Gathen and Shoup 1992), built
+once per squarefree part, not a fresh power: only x^q mod f and the short
+power r^((q-1)/2) are computed by repeated squaring.  Over Z: factor an
+image modulo a 31-bit prime, Hensel-lift to the Mignotte bound, recombine
+subsets by trial division.
 """
 
 import math
@@ -15,6 +19,7 @@ from .errors import UnsupportedRingError
 from .modular import symmetric_lift
 from .primes import factor_integer, next_prime
 from .unipoly import (
+    FrobeniusMap,
     PolyModContext,
     UniPoly,
     _poly,
@@ -64,7 +69,12 @@ def factor_unipoly(R, f: UniPoly):
 
 
 def uni_is_irreducible(f: UniPoly) -> bool:
-    """Rabin's test over a finite coefficient field."""
+    """Rabin's test over a finite coefficient field.
+
+    f of degree n is irreducible iff x^(q^n) = x mod f and, for each prime
+    t dividing n, gcd(x^(q^(n/t)) - x, f) = 1.  The powers x^(q^j) are
+    successive images of one FrobeniusMap of f.
+    """
     K = f.ring
     if not (K.is_field and K.is_finite):
         raise UnsupportedRingError("irreducibility test needs a finite field")
@@ -73,17 +83,17 @@ def uni_is_irreducible(f: UniPoly) -> bool:
         return False
     if n == 1:
         return True
-    q = K.cardinality
-    ctx = PolyModContext(uni_monic(f))
+    f = uni_monic(f)
+    frobenius = FrobeniusMap(f)
     x = _poly(K, [K.zero, K.one])
     frob = [x]  # frob[j] = x^(q^j) mod f
     for _ in range(n):
-        frob.append(ctx.powmod(frob[-1], q))
-    if frob[n] != ctx.rem(x):
+        frob.append(frobenius(frob[-1]))
+    if frob[n] != x:
         return False
     for t in factor_integer(n):
         h = uni_sub(frob[n // t], x)
-        if uni_gcd(uni_monic(f), h).degree != 0:
+        if uni_gcd(f, h).degree != 0:
             return False
     return True
 
@@ -96,18 +106,18 @@ def factor_finite(f: UniPoly, seed: int = 0):
     rng = random.Random(seed)
     out = []
     for g, mult in parts:
-        for prod, d in _distinct_degree(g):
-            for h in _equal_degree(prod, d, rng):
+        frob = FrobeniusMap(g)
+        for prod, d in _distinct_degree(g, frob):
+            for h in _equal_degree(prod, d, rng, frob):
                 out.append((h, mult))
     out.sort(key=lambda fm: (_sort_key(fm[0]), fm[1]))
     return unit, out
 
 
-def _distinct_degree(f: UniPoly):
-    """[(product of irreducible factors of degree d, d)] for monic squarefree f."""
+def _distinct_degree(f: UniPoly, frob):
+    """[(product of irreducible factors of degree d, d)] for monic squarefree
+    f, with `frob` the FrobeniusMap of f."""
     K = f.ring
-    q = K.cardinality
-    ctx = PolyModContext(f)
     x = _poly(K, [K.zero, K.one])
     out = []
     h = x
@@ -118,7 +128,7 @@ def _distinct_degree(f: UniPoly):
         if cur.degree < 2 * d:
             out.append((cur, cur.degree))
             break
-        h = ctx.powmod(h, q)
+        h = frob(h)  # x^(q^d) mod f
         g = uni_gcd(uni_sub(h, x), cur)
         if g.degree > 0:
             out.append((g, d))
@@ -126,8 +136,12 @@ def _distinct_degree(f: UniPoly):
     return out
 
 
-def _equal_degree(f: UniPoly, d: int, rng):
-    """Split a monic product of degree-d irreducibles into its factors."""
+def _equal_degree(f: UniPoly, d: int, rng, frob):
+    """Split a monic product of degree-d irreducibles into its factors.
+
+    `frob` is the FrobeniusMap of a multiple of f, so the recursive splits
+    share it: an image mod f is its image reduced mod f.
+    """
     K = f.ring
     n = f.degree
     if n == d:
@@ -140,21 +154,27 @@ def _equal_degree(f: UniPoly, d: int, rng):
         if r.degree < 1:
             continue
         if K.characteristic == 2:
-            # trace to F_2: u = r + r^2 + r^4 + ... + r^(2^(d*k - 1)) mod f
-            k = q.bit_length() - 1
-            t = ctx.rem(r)
-            u = t
-            for _ in range(d * k - 1):
+            # T = r + r^2 + ... + r^(2^(k-1)) mod f for q = 2^k, then the
+            # trace to F_2 is s = T + T^q + ... + T^(q^(d-1))
+            t = u = ctx.rem(r)
+            for _ in range(q.bit_length() - 2):
                 t = ctx.mulmod(t, t)
                 u = uni_add(u, t)
-            g = uni_gcd(u, f)
+            s = u
+            for _ in range(d - 1):
+                u = ctx.rem(frob(u))
+                s = uni_add(s, u)
+            g = uni_gcd(s, f)
         else:
-            e = (q**d - 1) // 2
-            s = ctx.powmod(r, e)
+            # s = r^((q^d-1)/2) = t * t^q * ... * t^(q^(d-1)), t = r^((q-1)/2)
+            t = s = ctx.powmod(r, (q - 1) // 2)
+            for _ in range(d - 1):
+                t = ctx.rem(frob(t))
+                s = ctx.mulmod(s, t)
             g = uni_gcd(uni_sub(s, one), f)
         if 0 < g.degree < n:
-            return _equal_degree(g, d, rng) + _equal_degree(
-                uni_exact_div(f, g), d, rng
+            return _equal_degree(g, d, rng, frob) + _equal_degree(
+                uni_exact_div(f, g), d, rng, frob
             )
 
 

@@ -165,17 +165,26 @@ def _school_int(x, y):
     return out
 
 
+def _slot_bytes(p, terms):
+    """Bytes per slot holding a sum of `terms` products of residues mod p."""
+    return (2 * (p - 1).bit_length() + terms.bit_length() + 8) // 8
+
+
+def _pack(x, s):
+    """Nonnegative ints, each below 2^(8s), as the slots of one big integer."""
+    return int.from_bytes(b"".join(c.to_bytes(s, "little") for c in x), "little")
+
+
+def _unpack(v, s, count):
+    """The first `count` slots of s bytes of a packed integer."""
+    raw = v.to_bytes(s * count, "little")
+    return [int.from_bytes(raw[k * s : (k + 1) * s], "little") for k in range(count)]
+
+
 def _packed_int(x, y, p):
     """Convolution by packing coefficient slots into one big integer."""
-    slot_bits = 2 * (p - 1).bit_length() + max(len(x), len(y)).bit_length() + 1
-    s = (slot_bits + 7) // 8
-    a = int.from_bytes(b"".join(c.to_bytes(s, "little") for c in x), "little")
-    b = int.from_bytes(b"".join(c.to_bytes(s, "little") for c in y), "little")
-    raw = (a * b).to_bytes(s * (len(x) + len(y)), "little")
-    return [
-        int.from_bytes(raw[k * s : (k + 1) * s], "little")
-        for k in range(len(x) + len(y) - 1)
-    ]
+    s = _slot_bytes(p, max(len(x), len(y)))
+    return _unpack(_pack(x, s) * _pack(y, s), s, len(x) + len(y) - 1)
 
 
 def _school_generic(K, x, y):
@@ -878,6 +887,54 @@ class PolyModContext:
             a = self.mulmod(a, a)
             e >>= 1
         return result
+
+
+class FrobeniusMap:
+    """h -> h^q mod f over a finite field of q elements, as a linear map.
+
+    The map is linear over the field, so it stores the rows x^(i*q) mod f
+    for i < deg f (one `powmod(x, q)`, then deg f - 2 products by x^q) and
+    takes an image as sum(h_i * row_i).  Over a residue ring the rows are
+    packed once into big integers, so an image is one pass of int-by-bigint
+    products, one unpack and one reduction per slot; over other fields the
+    sum runs through the ring operations.  `h` must be reduced mod f.
+    """
+
+    def __init__(self, f: UniPoly):
+        K = f.ring
+        self.ring = K
+        n = f.degree
+        rows = [_poly(K, [K.one])]
+        if n > 1:
+            ctx = PolyModContext(f)
+            xq = ctx.powmod(UniPoly(K, [K.zero, K.one]), K.cardinality)
+            rows.append(xq)
+            while len(rows) < n:
+                rows.append(ctx.mulmod(rows[-1], xq))
+        m = K.coeff_modulus
+        if m is not None:
+            self._slot = s = _slot_bytes(m, n)
+            self._rows = [_pack(r.coeffs, s) for r in rows]
+        else:
+            self._rows = [r.coeffs for r in rows]
+
+    def __call__(self, h: UniPoly) -> UniPoly:
+        K = self.ring
+        m = K.coeff_modulus
+        if m is not None:
+            acc = 0
+            for c, row in zip(h.coeffs, self._rows):
+                if c:
+                    acc += c * row
+            n = len(self._rows)
+            return _poly(K, [c % m for c in _unpack(acc, self._slot, n)])
+        add, mul = K.add, K.mul
+        out = [K.zero] * len(self._rows)
+        for c, row in zip(h.coeffs, self._rows):
+            if not K.is_zero(c):
+                for j, r in enumerate(row):
+                    out[j] = add(out[j], mul(c, r))
+        return _poly(K, out)
 
 
 # ------------------------------------------------------------ ring descriptor

@@ -9,6 +9,7 @@ from ringkit.modular import (
     modular_gcd,
     symmetric_lift,
 )
+from ringkit import modular, primes
 from ringkit.errors import NonInvertibleError
 from ringkit.multigcd import multi_gcd
 from ringkit.multipoly import MultiPoly, MultiRing, multi_mul
@@ -258,6 +259,37 @@ def test_uni_gcd_over_z_with_4200_bit_coefficients():
     h = uni_gcd(fa, fb)
     assert h == g
     assert h == uni_gcd_subresultant(fa, fb)
+
+
+def _planted_uni_gcd(seed, bits):
+    rng = random.Random(seed)
+    U = UniRing(ZZ, "x")
+    g = U.of_coeffs([1] + [_big(rng, bits) for _ in range(3)] + [1 + abs(_big(rng, bits))])
+    a = U.of_coeffs([_big(rng, bits) for _ in range(4)])
+    b = U.of_coeffs([_big(rng, bits) for _ in range(3)])
+    assert uni_gcd(uni_mul(a, g), uni_mul(b, g)) == g
+
+
+def test_z_gcds_share_one_prime_search(monkeypatch):
+    # every Z gcd reads the primes above PRIME_FLOOR from one list: a later
+    # gcd tests no candidate at or below the largest prime already found
+    calls = []
+    real = primes.is_prime
+    monkeypatch.setattr(primes, "is_prime", lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(modular, "_CRT_PRIMES", [])
+    _planted_uni_gcd(44, 1000)
+    found = list(modular._CRT_PRIMES)
+    assert calls and found == _primes(len(found))
+    del calls[:]
+    _planted_uni_gcd(45, 1000)
+    _planted_uni_gcd(46, 600)
+    assert all(n > found[-1] for n in calls)
+    _planted_uni_gcd(47, 3000)
+    assert calls and all(n > found[-1] for n in calls)
+    assert modular._CRT_PRIMES == _primes(len(modular._CRT_PRIMES))
+    del calls[:]
+    _planted_uni_gcd(44, 1000)
+    assert calls == []
 
 
 def test_multi_gcd_over_z_with_4200_bit_coefficients():

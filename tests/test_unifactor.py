@@ -6,6 +6,7 @@ from ringkit import unipoly as up
 from ringkit.errors import UnsupportedRingError
 from ringkit.galois import GFRing
 from ringkit.rings import ZZ, QQ, ZpRing
+from ringkit.primes import factor_integer
 from ringkit.unifactor import (
     factor_finite,
     factor_over_z,
@@ -101,6 +102,116 @@ def test_irreducibility_counts_match_moebius():
 def test_deterministic_output():
     f = up.uni_random(Z17, 40, random.Random(123))
     assert factor_finite(f) == factor_finite(f)
+
+
+# ------------------------------------------------------- Frobenius map
+
+
+FROBENIUS_FIELDS = (
+    ZpRing(2),
+    Z17,
+    ZpRing(1000003),
+    ZpRing(2**61 - 1),
+    GFRing(3, 2),
+    GFRing(2, 3),
+)
+
+
+def _random_monic(K, n, rng):
+    return up._poly(K, [K.random_element(rng) for _ in range(n)] + [K.one])
+
+
+def test_frobenius_map_is_the_qth_power():
+    rng = random.Random(31)
+    for K in FROBENIUS_FIELDS:
+        for n in (1, 2, 5, 34):
+            f = _random_monic(K, n, rng)
+            frob = up.FrobeniusMap(f)
+            ctx = up.PolyModContext(f)
+            for _ in range(2):
+                h = up.uni_random(K, n - 1, rng)
+                assert frob(h) == ctx.powmod(h, K.cardinality), (K, n)
+            assert frob(up._poly(K, [])) == up._poly(K, [])
+
+
+def test_frobenius_image_mod_a_divisor():
+    # one map of f serves every divisor g: reduce its image mod g
+    rng = random.Random(32)
+    for K in FROBENIUS_FIELDS:
+        g = _random_monic(K, 6, rng)
+        f = up.uni_mul(g, _random_monic(K, 30, rng))
+        frob = up.FrobeniusMap(f)
+        ctx = up.PolyModContext(g)
+        for _ in range(3):
+            h = up.uni_random(K, 5, rng)
+            assert ctx.rem(frob(h)) == ctx.powmod(h, K.cardinality), K
+
+
+def _rabin_reference(f):
+    """Rabin's test with plain powers x^(q^k) mod f."""
+    K, n = f.ring, f.degree
+    ctx = up.PolyModContext(up.uni_monic(f))
+    x = P(K, 0, 1)
+    if n == 1:
+        return True
+    if ctx.powmod(x, K.cardinality**n) != x:
+        return False
+    for t in factor_integer(n):
+        h = up.uni_sub(ctx.powmod(x, K.cardinality ** (n // t)), x)
+        if up.uni_gcd(ctx.modulus, h).degree != 0:
+            return False
+    return True
+
+
+def test_irreducibility_agrees_with_plain_powers():
+    rng = random.Random(33)
+    for K in (Z17, ZpRing(1000003)):
+        seen = set()
+        for trial in range(40):
+            f = up.uni_random(K, rng.randrange(1, 9), rng)
+            if trial % 2:
+                # a factor of a random polynomial: irreducible by construction
+                parts = factor_finite(f)[1]
+                f = up.uni_scale(parts[-1][0], K.of(rng.randrange(1, 17)))
+            expected = _rabin_reference(f)
+            assert uni_is_irreducible(f) == expected, (K, f)
+            seen.add(expected)
+        assert seen == {True, False}
+
+
+def test_qth_powers_come_from_the_map(monkeypatch):
+    # the only powers left are x^q, once per map, and r^((q-1)/2) per split
+    rng = random.Random(34)
+    factors = [P(Z17, 2, 1), P(Z17, 5, 1), P(Z17, 9, 1)]
+    while len(factors) < 6:
+        g = _random_monic(Z17, 3, rng)
+        if g not in factors and uni_is_irreducible(g):
+            factors.append(g)
+    f = P(Z17, 1)
+    for g in factors:
+        f = up.uni_mul(f, g)
+    exps = []
+    powmod = up.PolyModContext.powmod
+    monkeypatch.setattr(
+        up.PolyModContext,
+        "powmod",
+        lambda self, a, e: exps.append(e) or powmod(self, a, e),
+    )
+    unit, parts = factor_finite(f)
+    assert [g.degree for g, _ in parts] == [1, 1, 1, 3, 3, 3]
+    assert exps.count(17) == 1 and set(exps) == {17, 8}
+    del exps[:]
+    assert all(uni_is_irreducible(g) for g, _ in parts)
+    assert exps == [17, 17, 17]
+
+
+def test_pdeg_100_over_word_prime():
+    K = ZpRing(1000003)
+    f = P(K, 1, *range(1, 101))
+    unit, parts = factor_finite(f)
+    assert [g.degree for g, _ in parts] == [1, 1, 6, 12, 16, 18, 46]
+    assert all(m == 1 for _, m in parts)
+    assert multiply_back(unit, parts) == f
 
 
 # ------------------------------------------------------------------- over Z
