@@ -9,8 +9,11 @@ time through powers of (x_v - alpha_v).  Leading coefficients are pinned by
 the classical multiply-through transform: with r image factors the lift runs
 on F* = lc^(r-1) * F and every factor keeps leading coefficient lc.
 
-Over Z the whole lift happens modulo a machine prime power chosen to cover
-the true coefficients, and candidates come back through symmetric lifting.
+The lift has one path on residue ints: over Zp, or over Z modulo a machine
+prime power chosen to cover the true coefficients, with candidates coming
+back through symmetric lifting.  As in the textbook lift (Wang 1978), each
+level always reduces its error terms modulo (x_v - alpha_v)^(D_v + 1) for
+the variables already lifted; an exact lift pays only a degree check.
 A subset-recombination pass repairs images that split more finely than the
 true factorization; every emitted factor is certified by exact division, so
 unlucky evaluation points cost retries, never wrong answers.
@@ -37,7 +40,6 @@ from .multipoly import (
     min_exponents,
     multi_add,
     multi_derivative,
-    multi_divides,
     multi_exact_div,
     multi_mono_mul,
     multi_mul,
@@ -49,7 +51,13 @@ from .multipoly import (
     univariate_image,
 )
 from .primes import factor_integer
-from .unifactor import _good_prime, factor_finite, factor_over_z
+from .unifactor import (
+    _coeff_key,
+    _exponent_above,
+    _good_prime,
+    factor_finite,
+    factor_over_z,
+)
 from .unipoly import (
     UniPoly,
     _poly,
@@ -135,12 +143,6 @@ class _Acc:
         return self.ring.from_coeff(self.unit), out
 
 
-def _coeff_key(c):
-    if isinstance(c, rings.Rational):
-        return (1, c.num, c.den)
-    return (0, c, 0)
-
-
 def _sort_key(f):
     items = sorted((e, _coeff_key(c)) for e, c in f.terms.items())
     return (f.degree(), len(items), items)
@@ -152,7 +154,6 @@ def _sort_key(f):
 def _factor_into(acc, f, mult, rng):
     """Feed the factors of f (with outer multiplicity) into the accumulator."""
     ring = f.ring
-    K = ring.cring
     if f.is_constant():
         _constant_into(acc, f.constant(), mult)
         return
@@ -246,12 +247,12 @@ def _yun(f, v, rng):
 
 
 def _prim_squarefree_into(acc, F, mult, rng):
-    """F squarefree and primitive in every variable; emit its irreducibles."""
+    """F squarefree and primitive in every variable; emit its irreducibles.
+
+    Each Yun part of _factor_into has all of its (two or more) active variables.
+    """
     ring = F.ring
     act = [i for i in range(len(ring.vars)) if F.degree(i) > 0]
-    if len(act) == 1:
-        _single_var_into(acc, F, act[0], mult, rng)
-        return
     # main variable: fewest (degree, occupied terms), ties to the left
     m = min(act, key=lambda i: (F.degree(i), sum(1 for e in F.terms if e[i] > 0), i))
     for attempt in range(_TRIES):
@@ -280,8 +281,10 @@ def _attempt(F, m, rng, attempt):
     A cheap bivariate scouting pass lifts the first variable only and
     regroups image factors that split more finely than the bivariate
     factorization; that keeps the lc transform exponent small and spots
-    irreducible inputs before the full lift.  Raises _BadPoint whenever
-    the point is unusable; every result is certified by exact division.
+    irreducible inputs before the full lift.  Both lifts run on residues
+    mod p (over Zp) or mod p^ell (over Z) and always truncate their error
+    terms.  Raises _BadPoint whenever the point is unusable; every result
+    is certified by exact division.
     """
     ring = F.ring
     K = ring.cring
@@ -334,7 +337,7 @@ def _attempt(F, m, rng, attempt):
     F1w = change_ring(F1, work)
     L1w = change_ring(L1, work)
     Fs1 = multi_mul(F1w, multi_pow(L1w, r - 1))
-    ctx1 = _run_levels(Fs1, L1w, m, [v1], alpha_w, La_w, uhat, tinv, rng)
+    ctx1 = _run_levels(Fs1, L1w, m, [v1], alpha_w, La_w, uhat, tinv)
     split1 = _subset_split(F1, ctx1.snapshots[-1], [v1], ctx1)
     if len(split1) == 1:
         return [F]
@@ -343,23 +346,15 @@ def _attempt(F, m, rng, attempt):
         return [g for _, g in split1]
     groups = [subset for subset, _ in split1]
     if len(groups) < r:
+        # p^ell was sized for r factors, so it covers the fewer groups too
         uhat = [reduce(uni_mul, [uhat[i] for i in subset]) for subset in groups]
         r = len(groups)
-        if not field:
-            # the scoped-down factor count usually shrinks the precision a lot
-            ell = _precision(F, L, r, dF, p) + 2 * min(attempt, 3)
-            if p**ell < Kw.m:
-                work = MultiRing(rings.ZmRing(p**ell), ring.vars, ring.order)
-                Kw = work.cring
-                alpha_w = {i: Kw.of(a) for i, a in alpha.items()}
-                La_w = Kw.of(La)
-                uhat = [_poly(Kw, [Kw.of(c) for c in g.coeffs]) for g in uhat]
         tinv = _bezout_rows(uhat, La_w, p)
 
     Fstar = multi_mul(F, multi_pow(L, r - 1))
     Fw = change_ring(Fstar, work)
     Lw = change_ring(L, work)
-    ctx = _run_levels(Fw, Lw, m, order, alpha_w, La_w, uhat, tinv, rng)
+    ctx = _run_levels(Fw, Lw, m, order, alpha_w, La_w, uhat, tinv)
     split = _subset_split(F, ctx.snapshots[-1], order, ctx)
     return [g for _, g in split]
 
@@ -380,13 +375,7 @@ def _precision(F, L, r, dF, p):
     """
     nf = math.isqrt(sum(int(c) * int(c) for c in F.terms.values())) + 1
     nl = sum(abs(int(c)) for c in L.terms.values())
-    bound = (1 << (dF + 8)) * nf * max(nl, 1) ** (r - 1)
-    ell = 1
-    pe = p
-    while pe <= 2 * bound:
-        pe *= p
-        ell += 1
-    return ell
+    return _exponent_above(p, (1 << (dF + 8)) * nf * max(nl, 1) ** (r - 1))
 
 
 # --------------------------------------------------------------- the lifting
@@ -407,7 +396,6 @@ class _LiftCtx:
         self.r = len(uhat)
         self.snapshots = []
         self.cof = {}
-        self.exact = True
 
     def cofrows(self, s):
         """Per factor: shifted Taylor rows of the level-s cofactor product."""
@@ -434,48 +422,39 @@ class _LiftCtx:
 
 
 def _shift_rows(rows, a, work, D=None):
-    """Taylor rows after v -> v + a; row j = sum_k C(k,j) a^(k-j) row_k."""
+    """Taylor rows after v -> v + a; row j = sum_k C(k,j) a^(k-j) row_k.
+
+    a and the coefficients are residue ints: the lift runs over Zp or Z/p^ell.
+    """
     if not rows:
         return {}
-    K = work.cring
-    if K.is_zero(a):
+    if a == 0:
         if D is None:
             return dict(rows)
         return {k: p for k, p in rows.items() if k <= D}
+    mod = work.cring.coeff_modulus
     top = max(rows)
-    apow = [K.one]
+    apow = [1]
     for _ in range(top):
-        apow.append(K.mul(apow[-1], a))
+        apow.append(apow[-1] * a % mod)
     acc = {}
-    mod = K.coeff_modulus
     for k, poly in rows.items():
-        for j in range(k + 1):
-            if D is not None and j > D:
-                continue
-            c = K.mul(K.of(math.comb(k, j)), apow[k - j])
-            if K.is_zero(c):
+        for j in range(k + 1 if D is None else min(k, D) + 1):
+            c = math.comb(k, j) * apow[k - j] % mod
+            if not c:
                 continue
             bucket = acc.setdefault(j, {})
-            if mod is not None:
-                for e, cc in poly.terms.items():
-                    v = (bucket.get(e, 0) + cc * c) % mod
-                    if v:
-                        bucket[e] = v
-                    else:
-                        bucket.pop(e, None)
-                continue
             for e, cc in poly.terms.items():
-                v = K.add(bucket.get(e, K.zero), K.mul(cc, c))
-                if K.is_zero(v):
-                    bucket.pop(e, None)
-                else:
+                v = (bucket.get(e, 0) + cc * c) % mod
+                if v:
                     bucket[e] = v
+                else:
+                    bucket.pop(e, None)
     return {j: MultiPoly(work, b) for j, b in acc.items() if b}
 
 
 def _rows_to_poly(rows, v, work):
     out = {}
-    K = work.cring
     for j, poly in rows.items():
         for e, c in poly.terms.items():
             out[e[:v] + (j,) + e[v + 1 :]] = c
@@ -487,7 +466,7 @@ def _shift_poly(f, v, a, work, D=None):
     return _rows_to_poly(rows, v, work)
 
 
-def _trunc(f, pairs, work):
+def _mod_lifted(f, pairs, work):
     """Reduce modulo (x_v - a_v)^(D_v + 1) for every lifted variable."""
     for v, a, D in pairs:
         if f.degree(v) <= D:
@@ -497,7 +476,7 @@ def _trunc(f, pairs, work):
     return f
 
 
-def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv, rng):
+def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv):
     """Variable-by-variable lift of the monic image factors against Fw."""
     work = Fw.ring
     K = work.cring
@@ -539,35 +518,8 @@ def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv, rng):
         for i in range(r):
             g = _rows_to_poly(grows[i], v, work)
             cur_polys.append(_shift_poly(g, v, K.neg(a), work))
-        if ctx.exact and not _probably_same(cur_polys, Es[s], rng):
-            ctx.exact = False
         ctx.snapshots.append(cur_polys)
     return ctx
-
-
-def _probably_same(facs, target, rng):
-    """Whether the product of facs equals target, tested at random points.
-
-    A miss here only flips the lift into truncating mode one level late,
-    which the final recombination divisions still catch; an exact compare
-    is kept for moduli too small for the evaluation test to mean much.
-    """
-    work = target.ring
-    K = work.cring
-    if K.cardinality < (1 << 16):
-        prod = facs[0]
-        for g in facs[1:]:
-            prod = multi_mul(prod, g)
-        return prod == target
-    n = len(work.vars)
-    for _ in range(2):
-        vals = {i: K.of(rng.randrange(2, 1 << 30)) for i in range(n)}
-        lhs = K.one
-        for g in facs:
-            lhs = K.mul(lhs, multi_value(g, vals))
-        if lhs != multi_value(target, vals):
-            return False
-    return True
 
 
 def _unit_exp(work, m, d):
@@ -582,9 +534,13 @@ def _drop_lc(f, m, d, work):
 
 
 def _level(ctx, s, v, D, rowsF, grows):
-    """One ideal-adic level: correct factor rows 1..D in the shifted frame."""
+    """One ideal-adic level: correct factor rows 1..D in the shifted frame.
+
+    Every error term is reduced modulo (x_u - alpha_u)^(D_u + 1) for the
+    variables u lifted at earlier levels before it is solved for; all
+    coefficients are residues of work's coefficient ring.
+    """
     work = ctx.work
-    K = work.cring
     r = ctx.r
     # lazy row convolution of the factor chain; memoized rows stay current
     # because each correction patches every cached product row in place
@@ -615,9 +571,7 @@ def _level(ctx, s, v, D, rowsF, grows):
     base0 = [grows[i].get(0, work.zero) for i in range(r)]
     cof0 = None
 
-    processed = [
-        (u, ctx.alpha[u], ctx.bounds[u]) for u in ctx.order[: s - 1]
-    ]
+    processed = [(u, ctx.alpha[u], ctx.bounds[u]) for u in ctx.order[: s - 1]]
     for j in range(1, D + 1):
         pj = prow(r, j)
         fj = rowsF.get(j)
@@ -629,8 +583,7 @@ def _level(ctx, s, v, D, rowsF, grows):
             ej = multi_sub(work.zero, pj)
         else:
             ej = multi_sub(fj, pj)
-        if not ctx.exact and processed:
-            ej = _trunc(ej, processed, work)
+        ej = _mod_lifted(ej, processed, work)
         if ej.is_zero():
             continue
         ds = _mdp(ej, s - 1, ctx)
@@ -762,7 +715,7 @@ def _subset_split(target, Gs, order, ctx):
         prod = Gs[idxs[0]]
         for i in idxs[1:]:
             prod = multi_mul(prod, Gs[i])
-            prod = _trunc(prod, pairs, work)
+            prod = _mod_lifted(prod, pairs, work)
         if work.cring.is_field:
             g = prod
         else:
@@ -792,13 +745,15 @@ def _subset_split(target, Gs, order, ctx):
             g = candidate(list(subset))
             if g is None or g.is_constant():
                 continue
-            if multi_divides(g, Fcur):
-                out.append((subset, g))
+            try:
                 Fcur = multi_exact_div(Fcur, g)
-                drop = set(subset)
-                remaining = [i for i in remaining if i not in drop]
-                hit = True
-                break
+            except ArithmeticError:
+                continue
+            out.append((subset, g))
+            drop = set(subset)
+            remaining = [i for i in remaining if i not in drop]
+            hit = True
+            break
         if not hit:
             k += 1
     if remaining:

@@ -103,11 +103,6 @@ class MultiPoly:
     def lc(self):
         return self.terms[self.leading_exponent()]
 
-    def sorted_terms(self):
-        """Terms in descending monomial order."""
-        key = self.ring.order.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
     def degrees(self):
         """Per-variable maximum exponents, cached."""
         if self._degs is None:

@@ -76,6 +76,10 @@ class Ring:
     def inv(self, a):
         raise UnsupportedRingError("%s has no inverses" % (self,))
 
+    def pth_root(self, a):
+        """Inverse of Frobenius: the unique b with b^p = a, p the characteristic."""
+        raise UnsupportedRingError("p-th roots need a finite field, not %s" % (self,))
+
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
@@ -328,6 +332,9 @@ class ZpRing(ZmRing):
 
     def div(self, a, b):
         return a * mod_inverse(b, self.p) % self.p
+
+    def pth_root(self, a):
+        return a  # Frobenius is the identity on the prime field
 
     def spec_string(self):
         return "Zp[%d]" % self.p

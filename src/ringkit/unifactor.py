@@ -228,7 +228,12 @@ def _good_prime(f: UniPoly) -> int:
 def _mignotte_exponent(f: UniPoly, p: int) -> int:
     # any factor's coefficients are below 2^deg * l2norm * |lc|
     norm = math.isqrt(sum(c * c for c in f.coeffs)) + 1
-    bound = (1 << f.degree) * norm * abs(f.lc())
+    return _exponent_above(p, (1 << f.degree) * norm * abs(f.lc()))
+
+
+def _exponent_above(p: int, bound: int) -> int:
+    """Least ell >= 1 with p^ell > 2 * bound: residues mod p^ell then
+    determine every integer of absolute value at most bound."""
     ell = 1
     pe = p
     while pe <= 2 * bound:
@@ -291,8 +296,7 @@ def _hensel_lift(p, ell, f, modular_factors):
     root, _ = _build_tree(modular_factors)
     cur = 1
     while cur < ell:
-        # long gaps jump quadratically, short ones step linearly
-        nxt = min(2 * cur, ell) if ell - cur > 4 else cur + 1
+        nxt = min(2 * cur, ell)
         K = rings.ZmRing(p**nxt)
         _lift_node(root, uni_monic(_poly(K, [K.of(c) for c in f.coeffs])))
         cur = nxt

@@ -834,17 +834,8 @@ def _pth_root_poly(f: UniPoly) -> UniPoly:
         for j in range(i + 1, min(i + p, f.degree + 1)):
             if not K.is_zero(f.coeffs[j]):
                 raise ArithmeticError("not a p-th power")
-        out.append(_coeff_pth_root(K, f.coeffs[i]))
+        out.append(K.pth_root(f.coeffs[i]))
     return _poly(K, out)
-
-
-def _coeff_pth_root(K, c):
-    if isinstance(K, rings.ZpRing):
-        return c  # Frobenius is the identity on the prime field
-    if K.is_finite and K.cardinality is not None:
-        # c^(q/p) inverts x -> x^p in GF(q)
-        return K.pow(c, K.cardinality // K.characteristic)
-    raise UnsupportedRingError("p-th roots need a finite field")
 
 
 def uni_random(K, degree: int, rng, monic=False) -> UniPoly:

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from ringkit import unipoly as up
+from ringkit.errors import UnsupportedRingError
 from ringkit.galois import GFRing
-from ringkit.rings import ZpRing
-from ringkit.unifactor import uni_is_irreducible
+from ringkit.rings import ZZ, ZpRing
+from ringkit.unifactor import factor_unipoly, uni_is_irreducible
 
 
 def test_construction_and_sizes():
@@ -137,3 +138,31 @@ def test_polynomials_over_gf():
     assert (up.uni_divrem(a, h)[1]).is_zero()
     assert (up.uni_divrem(b, h)[1]).is_zero()
     assert h.degree >= g.degree
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
+def test_squarefree_and_factor_take_pth_roots_outside_the_prime_field(p, k):
+    # g(x)^p has zero derivative; its p-th root has coefficients t, t + 1
+    # that only the field's own inverse Frobenius recovers
+    F = GFRing(p, k, seed=1)
+    t = F.generator()
+    g = up._poly(F, [t, F.add(t, F.one), F.one])
+    h = up._poly(F, [F.one, F.one])
+    f = up.uni_mul(up.uni_pow(g, p), h)
+    lead, parts = up.uni_squarefree(f)
+    rebuilt = lead
+    for part, m in parts:
+        rebuilt = up.uni_mul(rebuilt, up.uni_pow(part, m))
+    assert rebuilt == f
+    assert any(m % p == 0 for _, m in parts)
+    unit, facs = factor_unipoly(up.UniRing(F, "x"), f)
+    rebuilt = unit
+    for fac, m in facs:
+        rebuilt = up.uni_mul(rebuilt, up.uni_pow(fac, m))
+    assert rebuilt == f
+
+
+def test_pth_root_needs_a_finite_field():
+    assert ZpRing(7).pth_root(5) == 5
+    with pytest.raises(UnsupportedRingError):
+        ZZ.pth_root(4)

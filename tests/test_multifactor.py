@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ringkit import multifactor
 from ringkit.errors import UnsupportedRingError
 from ringkit.multifactor import factor_multipoly
 from ringkit.multipoly import MultiPoly, MultiRing, multi_mul, multi_pow
@@ -213,3 +214,58 @@ def test_ring_method_matches_function():
     x, y = R.gens()
     f = x * x - y * y
     assert R.factor(f) == factor_multipoly(R, f)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_scout_regroups_image_factors_over_z(seed, monkeypatch):
+    # at these seeds the image splits into 3 factors and the bivariate scout
+    # groups them into 2 before the full lift, which keeps the first p^ell
+    R = MultiRing(ZZ, ("x", "y", "z"))
+    x, y, z = R.gens()
+    a, b = x * x - y * z**3, x + y**3 + z**3
+    counts = []
+    run_levels = multifactor._run_levels
+
+    def counting(*args):
+        counts.append(len(args[6]))
+        return run_levels(*args)
+
+    monkeypatch.setattr(multifactor, "_run_levels", counting)
+    unit, parts = factor_multipoly(R, a * b, seed=seed)
+    assert counts == [3, 2]
+    assert [e for _, e in parts] == [1, 1]
+    assert {g for g, _ in parts} == {R.normalize_unit(a)[1], R.normalize_unit(b)[1]}
+    assert _rebuild(R, unit, parts) == a * b
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4, 5])
+def test_level_truncation_changes_error_terms_zp(seed, monkeypatch):
+    # y + x*w + 3 is the content in z; the irreducible quadratic splits in
+    # its image, so its three-level lift fails and truncation must act
+    R = MultiRing(ZpRing(1000003), ("x", "y", "z", "w"))
+    x, y, z, w = R.gens()
+    a, b = x * x - y * y * z**3 - w * w * y * y, x * w + y + R.of(3)
+    changed = []
+    in_level = []
+    level, mod_lifted = multifactor._level, multifactor._mod_lifted
+
+    def tracked_level(*args):
+        in_level.append(True)
+        try:
+            return level(*args)
+        finally:
+            in_level.pop()
+
+    def tracked_mod(f, pairs, work):
+        g = mod_lifted(f, pairs, work)
+        if in_level and g != f:
+            changed.append(seed)
+        return g
+
+    monkeypatch.setattr(multifactor, "_level", tracked_level)
+    monkeypatch.setattr(multifactor, "_mod_lifted", tracked_mod)
+    unit, parts = factor_multipoly(R, a * b, seed=seed)
+    assert changed
+    assert [e for _, e in parts] == [1, 1]
+    assert {g for g, _ in parts} == {R.normalize_unit(a)[1], R.normalize_unit(b)[1]}
+    assert _rebuild(R, unit, parts) == a * b
