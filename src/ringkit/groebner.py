@@ -1,10 +1,31 @@
-"""Groebner bases over fields via Buchberger's algorithm.
+"""Groebner bases over fields: signature-based Buchberger under GREVLEX,
+Buchberger with Gebauer-Moller pruning under LEX and GRLEX.
 
 The engine packs exponent vectors into guard-bit integers so monomial
 divisibility is two int ops, and carries each monomial's order key as a
 second integer (order keys are additive, so products need no repacking).
-Pair bookkeeping follows the Gebauer-Moller update; selection is normal
-(smallest lcm) for graded orders and sugar-degree for LEX.
+
+In the signature loop every basis element g carries a signature t*e_i: the
+leading term of a representation g = sum(a_j*f_j) over the input generators
+f_j.  Signatures are compared in the Schreyer order, first by the order key
+of t*lm(f_i), then by the generator index i.  Pairs are J-pairs: the
+larger-signature half u*g of an S-pair, processed in increasing signature
+order, one per signature.  A normal form is regular: a reducer r may
+rewrite a monomial of f only when the multiple shift*r has a smaller
+signature than f.  Two criteria discard a J-pair before it is reduced:
+
+- syzygy: its signature is a multiple of a known syzygy signature, either
+  the leading term of the Koszul syzygy lm(h)*sig(g) - lm(g)*sig(h) of two
+  elements or a signature whose regular normal form was zero;
+- rewrite: a basis element added later than the pair's own element has a
+  signature dividing the pair's.
+
+Under LEX and GRLEX the Schreyer order lets signatures climb far above the
+degrees of the basis (katsura-5 under LEX took minutes instead of half a
+second), so those orders keep the Gebauer-Moller loop.  Either loop leaves
+a Groebner basis that `_finalize` interreduces into the unique reduced
+basis.  `groebner_basis(..., criteria=False)` runs plain Buchberger over
+every pair and serves the tests as the oracle.
 
 Normal forms run in one of two kernels.  The integer kernel serves Zp and
 rational coefficients: Zp reducers are monic residues, while Q runs
@@ -28,7 +49,10 @@ class _Engine:
     """Packed-monomial arithmetic plus the reducer table.
 
     Entries are lists [lead_packed, lead_okey, tail, sugar, alive, index,
-    lead_coeff]; tails hold (packed, okey, coeff) triples sorted descending.
+    lead_coeff, sig_key, sig_index, sig_packed]; tails hold (packed, okey,
+    coeff) triples sorted descending.  A signature t*e_i is stored as i, the
+    packed monomial t and the order key of t*lm(f_i); entries built outside
+    the signature loop carry zeros there.
     `mode` picks the coefficients: "zp" (residues, monic reducers) and
     "zz" (fraction-free Q, primitive integer reducers) share the integer
     normal form `_nf_int`; "gen" (monic reducers over any other field)
@@ -45,6 +69,16 @@ class _Engine:
         self.guard = sum(1 << (s + _W - 1) for s in self.shifts)
         self.mask = (1 << _W) - 1
         self.order = ring.order.name
+        # okey(e) = sum(e[i] * weights[i]): LEX compares the packed fields,
+        # GRLEX puts the total degree above them, GREVLEX puts it above the
+        # reversed fields, negated
+        top = 1 << (_W * n)
+        if self.order == "LEX":
+            self.weights = [1 << s for s in self.shifts]
+        elif self.order == "GRLEX":
+            self.weights = [top + (1 << s) for s in self.shifts]
+        else:
+            self.weights = [top - (1 << (_W * i)) for i in range(n)]
         self.entries = []
         if not self.K.is_field:
             raise UnsupportedRingError(
@@ -70,26 +104,23 @@ class _Engine:
         return tuple((p >> s) & self.mask for s in self.shifts)
 
     def okey(self, e):
-        if self.order == "LEX":
-            return self.pack(e)
-        td = sum(e) << (_W * self.n)
-        if self.order == "GRLEX":
-            return td + self.pack(e)
-        acc = 0
-        for i, x in enumerate(e):
-            acc += x << (_W * i)
-        return td - acc
+        return sum(x * w for x, w in zip(e, self.weights))
 
     def tdeg(self, p):
         return sum((p >> s) & self.mask for s in self.shifts)
 
     def lcm(self, pa, pb):
-        out = 0
-        for s in self.shifts:
-            a = (pa >> s) & self.mask
-            b = (pb >> s) & self.mask
-            out += (a if a > b else b) << s
-        return out
+        """Packed lcm of two packed monomials, with its order key."""
+        mask = self.mask
+        out = key = 0
+        for s, w in zip(self.shifts, self.weights):
+            a = (pa >> s) & mask
+            b = (pb >> s) & mask
+            if b > a:
+                a = b
+            out += a << s
+            key += a * w
+        return out, key
 
     def to_triples(self, f):
         """MultiPoly -> descending [(packed, okey, coeff)] in engine coeffs."""
@@ -124,8 +155,23 @@ class _Engine:
                 terms[self.unpack(p)] = K.mul(c, inv)
         return MultiPoly(self.ring, terms)
 
-    def add_entry(self, triples, sugar):
-        """Insert a nonzero polynomial as a reducer, monic where possible."""
+    def check_budget(self, p):
+        """Return packed p, raising as `pack` does when a guard bit is set.
+
+        A sum of two in-budget monomials cannot carry between fields, so the
+        guard bit alone tells whether an exponent left the budget.
+        """
+        if p & self.guard:
+            raise ArithmeticError(
+                "exponent %d exceeds the packed budget" % max(self.unpack(p))
+            )
+        return p
+
+    def add_entry(self, triples, sugar, sig=(0, 0, 0)):
+        """Insert a nonzero polynomial as a reducer, monic where possible.
+
+        `sig` is (key, generator index, packed monomial) of its signature.
+        """
         lead_p, lead_o, lc = triples[0]
         if self.mode == "zz":
             tail = list(triples[1:])
@@ -133,33 +179,37 @@ class _Engine:
             inv = self.K.inv(lc)
             tail = [(tp, to, self.K.mul(tc, inv)) for tp, to, tc in triples[1:]]
             lc = self.K.one
-        ent = [lead_p, lead_o, tail, sugar, True, len(self.entries), lc]
+        ent = [lead_p, lead_o, tail, sugar, True, len(self.entries), lc, *sig]
         self.entries.append(ent)
         return ent
 
     # ---------------------------------------------------------- normal forms
 
-    def nf(self, terms, sugar=0):
+    def nf(self, terms, sugar=None, sig=None):
         """Full normal form against every entry; returns (triples, sugar).
 
         The heap serves monomials largest-first, so the remainder comes out
-        already sorted descending.
+        already sorted descending.  The sugar degree is tracked only when a
+        starting `sugar` is given.  With `sig` = (key, generator index) the
+        reduction is regular: a reducer rewrites a monomial only when its
+        shifted signature is smaller than `sig`.
         """
         if self.mode == "gen":
-            return self._nf_gen(terms, sugar)
-        return self._nf_int(terms, sugar)
+            return self._nf_gen(terms, sugar, sig)
+        return self._nf_int(terms, sugar, sig)
 
     def _bump_sugar(self, red, shift_p, sugar):
         s = red[3] + (self.tdeg(shift_p) if shift_p else 0)
         return s if s > sugar else sugar
 
-    def _nf_int(self, terms, sugar):
+    def _nf_int(self, terms, sugar, sig):
         """Integer heap reduction, for Zp and for fraction-free Q.
 
         Work coefficients stay unreduced; over Zp a coefficient is reduced
         mod p only when its monomial is popped.  Zp reducers are monic, so
         the fraction-free rescale runs only for a reducer lead other than 1.
         """
+        sk, si = sig or (None, None)
         pm = self.K.coeff_modulus
         work = {}
         heap = []
@@ -184,12 +234,17 @@ class _Engine:
             for red in entries:
                 shift_p = pk - red[0]
                 if shift_p >= 0 and not (shift_p & guard):
-                    break
+                    shift_o = -no - red[1]
+                    if sig is None:
+                        break
+                    k = red[7] + shift_o
+                    if k < sk or (k == sk and red[8] < si):
+                        break
             else:
                 out.append((pk, -no, c))
                 continue
-            shift_o = -no - red[1]
-            sugar = self._bump_sugar(red, shift_p, sugar)
+            if sugar is not None:
+                sugar = self._bump_sugar(red, shift_p, sugar)
             b = red[6]
             if b != 1:
                 # fraction-free step: scale the whole remainder so the
@@ -222,7 +277,8 @@ class _Engine:
                 out = [(p, o, v // cont) for p, o, v in out]
         return out, sugar
 
-    def _nf_gen(self, terms, sugar):
+    def _nf_gen(self, terms, sugar, sig):
+        sk, si = sig or (None, None)
         K = self.K
         work = {}
         heap = []
@@ -242,12 +298,17 @@ class _Engine:
             for red in self.entries:
                 shift_p = pk - red[0]
                 if shift_p >= 0 and not (shift_p & guard):
-                    break
+                    shift_o = -no - red[1]
+                    if sig is None:
+                        break
+                    k = red[7] + shift_o
+                    if k < sk or (k == sk and red[8] < si):
+                        break
             else:
                 out.append((pk, -no, c))
                 continue
-            shift_o = -no - red[1]
-            sugar = self._bump_sugar(red, shift_p, sugar)
+            if sugar is not None:
+                sugar = self._bump_sugar(red, shift_p, sugar)
             for tp, to, tc in red[2]:
                 np_ = tp + shift_p
                 v = work.get(np_)
@@ -264,12 +325,10 @@ class _Engine:
                         work[np_] = nv
         return out, sugar
 
-    def spoly_terms(self, ei, ej, lcm_p):
+    def spoly_terms(self, ei, ej, lcm_p, lcm_o):
         """Terms of the S-polynomial of two entries; leads cancel exactly."""
-        si_p = lcm_p - ei[0]
-        sj_p = lcm_p - ej[0]
-        si_o = self.okey(self.unpack(si_p))
-        sj_o = self.okey(self.unpack(sj_p))
+        si_p, si_o = lcm_p - ei[0], lcm_o - ei[1]
+        sj_p, sj_o = lcm_p - ej[0], lcm_o - ej[1]
         if self.mode == "gen":
             K = self.K
             terms = [(tp + si_p, to + si_o, tc) for tp, to, tc in ei[2]]
@@ -322,7 +381,7 @@ def _gm_new_pairs(eng, cand, ent):
     out = []
     n = len(cand)
     for idx in range(n):
-        L, e = cand[idx]
+        L, lo, e = cand[idx]
         dominated = False
         for idx2 in range(n):
             if idx2 == idx:
@@ -336,7 +395,7 @@ def _gm_new_pairs(eng, cand, ent):
         if dominated:
             continue
         if L != e[0] + ent[0]:
-            out.append((L, e))
+            out.append((L, lo, e))
     return out
 
 
@@ -344,10 +403,29 @@ def groebner_basis(generators, order=None, criteria=True):
     """Reduced Groebner basis of the generated ideal; elements come out
     monic and sorted by ascending leading monomial.
 
-    `criteria=False` turns off the Gebauer-Moller pair pruning.  The output
-    must not change, which the cross-check tests rely on.
+    Under GREVLEX the signature loop runs (`_signature_basis`): J-pairs in
+    increasing Schreyer-order signature, regular normal forms, and the
+    syzygy and rewrite criteria.  Under LEX and GRLEX signatures climb far
+    above the degrees of the basis, so those orders run Buchberger with
+    Gebauer-Moller pruning.  `criteria=False` runs plain Buchberger over
+    every pair, the oracle the cross-check tests compare against; the
+    reduced basis is unique, so every path returns the same list.
     """
     eng, gens = _as_engine_input(list(generators), order)
+    if criteria and eng.order == "GREVLEX":
+        if not _signature_basis(eng, gens):
+            return [eng.ring.one]
+    else:
+        _buchberger(eng, gens, criteria)
+    return _finalize(eng)
+
+
+def _buchberger(eng, gens, criteria):
+    """Buchberger's loop, with Gebauer-Moller pruning when `criteria`.
+
+    Selection is normal (smallest lcm) for graded orders and sugar-degree
+    for LEX.
+    """
     sugar_sel = eng.order == "LEX"
 
     pairset = {}
@@ -358,20 +436,19 @@ def groebner_basis(generators, order=None, criteria=True):
         b = ej[3] + eng.tdeg(lcm_p - ej[0])
         return a if a > b else b
 
-    def push_pair(i, j, lcm_p, sug):
+    def push_pair(i, j, lcm_p, lo, sug):
         key = (i, j)
-        lo = eng.okey(eng.unpack(lcm_p))
         pairset[key] = lcm_p
         sel = (sug, lo, i, j) if sugar_sel else (lo, i, j)
-        heapq.heappush(pairheap, (sel, key, lcm_p))
+        heapq.heappush(pairheap, (sel, key, lcm_p, lo))
 
     def update(ent):
         t = ent[5]
         alive = [e for e in eng.entries[:t] if e[4]]
-        cand = [(eng.lcm(e[0], ent[0]), e) for e in alive]
+        cand = [(*eng.lcm(e[0], ent[0]), e) for e in alive]
         kept = _gm_new_pairs(eng, cand, ent) if criteria else cand
-        for L, e in kept:
-            push_pair(e[5], t, L, pair_sugar(e, ent, L))
+        for L, lo, e in kept:
+            push_pair(e[5], t, L, lo, pair_sugar(e, ent, L))
         if criteria:
             # chain criterion: the new lead strictly inside an old pair's
             # lcm makes that pair redundant
@@ -383,8 +460,8 @@ def groebner_basis(generators, order=None, criteria=True):
                 d = L - ent[0]
                 if d >= 0 and not (d & eng.guard):
                     if (
-                        eng.lcm(eng.entries[i][0], ent[0]) != L
-                        and eng.lcm(eng.entries[j][0], ent[0]) != L
+                        eng.lcm(eng.entries[i][0], ent[0])[0] != L
+                        and eng.lcm(eng.entries[j][0], ent[0])[0] != L
                     ):
                         del pairset[key]
             for e in alive:
@@ -403,18 +480,107 @@ def groebner_basis(generators, order=None, criteria=True):
         update(eng.add_entry(triples, sug))
 
     while pairheap:
-        _, key, lcm_p = heapq.heappop(pairheap)
+        _, key, L, lo = heapq.heappop(pairheap)
         if pairset.pop(key, None) is None:
             continue
         i, j = key
         ei, ej = eng.entries[i], eng.entries[j]
-        triples, sug = eng.nf(
-            eng.spoly_terms(ei, ej, lcm_p), pair_sugar(ei, ej, lcm_p)
-        )
+        triples, sug = eng.nf(eng.spoly_terms(ei, ej, L, lo), pair_sugar(ei, ej, L))
         if triples:
             update(eng.add_entry(triples, sug))
 
-    return _finalize(eng)
+
+def _signature_basis(eng, gens):
+    """Fill `eng.entries` with a signature Groebner basis of `gens`.
+
+    Returns False, with the entries incomplete, as soon as an element with
+    a constant lead shows the ideal to be the whole ring.
+    """
+    guard = eng.guard
+    entries = eng.entries
+    check = eng.check_budget
+    syz = {}  # generator index -> minimal syzygy signature monomials
+    owned = {}  # generator index -> entries with that signature index
+    heap = []
+    starts = []
+    for i, f in enumerate(gens):
+        t = eng.to_triples(f)
+        starts.append(t)
+        # signature 1*e_i; -1 marks a generator
+        heap.append((t[0][1], i, 0, -1, 0, 0))
+    heapq.heapify(heap)
+
+    def divisible(mons, p):
+        for z in mons:
+            d = p - z
+            if d >= 0 and not (d & guard):
+                return True
+        return False
+
+    def add_syzygy(i, p):
+        if p & guard:
+            # a Koszul signature past the packed budget: dropping it loses a
+            # criterion, never a basis element
+            return
+        mons = syz.setdefault(i, [])
+        if not divisible(mons, p):
+            mons[:] = [z for z in mons if z - p < 0 or (z - p) & guard]
+            mons.append(p)
+
+    last = None
+    while heap:
+        key, i, sig_p, a, u_p, u_o = heapq.heappop(heap)
+        if (key, i) == last or divisible(syz.get(i, ()), sig_p):
+            continue
+        if a < 0:
+            terms = starts[i]
+        else:
+            # rewrite criterion: the newest entry whose signature divides
+            # this one must be the pair's own
+            for r in reversed(owned[i]):
+                d = sig_p - r[9]
+                if d >= 0 and not (d & guard):
+                    break
+            g = entries[a]
+            if r is not g:
+                continue
+            terms = [(g[0] + u_p, g[1] + u_o, g[6])]
+            terms += [(tp + u_p, to + u_o, tc) for tp, to, tc in g[2]]
+        last = (key, i)
+        triples, _ = eng.nf(terms, None, last)
+        if not triples:
+            add_syzygy(i, sig_p)
+            continue
+        if not triples[0][0]:
+            return False
+        # results that are only singularly top-reducible stay: the rewrite
+        # criterion counts on the newest element of each signature
+        h = eng.add_entry(triples, None, (key, i, sig_p))
+        owned.setdefault(i, []).append(h)
+        hp, ho, hk, hi, hs = h[0], h[1], h[7], h[8], h[9]
+        for g in entries[:-1]:
+            gp, go, gk, gi, gs = g[0], g[1], g[7], g[8], g[9]
+            # Koszul syzygy g*e_h - h*e_g: its signature is the larger half,
+            # unless the halves are equal and cancel
+            kh, kg = hk + go, gk + ho
+            if kh > kg or (kh == kg and hi > gi):
+                add_syzygy(hi, hs + gp)
+            elif kh < kg or hi != gi:
+                add_syzygy(gi, gs + hp)
+            L, lo = eng.lcm(gp, hp)
+            if L == gp + hp:
+                # coprime leads: the J-pair's signature is the Koszul one
+                continue
+            uh, ug = lo - ho, lo - go
+            kh, kg = hk + uh, gk + ug
+            if kh > kg or (kh == kg and hi > gi):
+                item = (kh, hi, check(hs + L - hp), h[5], L - hp, uh)
+            elif kh < kg or hi != gi:
+                item = (kg, gi, check(gs + L - gp), g[5], L - gp, ug)
+            else:
+                continue
+            heapq.heappush(heap, item)
+    return True
 
 
 def _finalize(eng):
@@ -432,15 +598,18 @@ def _finalize(eng):
     # leaves every tail irreducible
     for pos, e in enumerate(minimal):
         eng.entries = [f for f in minimal if f is not e]
-        triples, _ = eng.nf([(e[0], e[1], e[6])] + e[2], 0)
+        triples, _ = eng.nf([(e[0], e[1], e[6])] + e[2])
         minimal[pos] = [
             triples[0][0],
             triples[0][1],
             triples[1:],
             e[3],
-            True,
+            e[4],
             e[5],
             triples[0][2],
+            e[7],
+            e[8],
+            e[9],
         ]
     eng.entries = minimal
     return [eng.to_poly([(e[0], e[1], e[6])] + list(e[2])) for e in minimal]
@@ -480,7 +649,7 @@ class Ideal:
         if f.is_zero():
             return self.ring.zero
         eng = self._engine
-        triples, _ = eng.nf(eng.to_triples(f), 0)
+        triples, _ = eng.nf(eng.to_triples(f))
         return MultiPoly(self.ring, {eng.unpack(p): c for p, _, c in triples})
 
     def contains(self, f):
@@ -504,8 +673,7 @@ def is_groebner_basis(basis, order=None):
     for i in range(m):
         for j in range(i + 1, m):
             ei, ej = eng.entries[i], eng.entries[j]
-            L = eng.lcm(ei[0], ej[0])
-            triples, _ = eng.nf(eng.spoly_terms(ei, ej, L), 0)
+            triples, _ = eng.nf(eng.spoly_terms(ei, ej, *eng.lcm(ei[0], ej[0])))
             if triples:
                 return False
     return True

@@ -8,7 +8,7 @@ immutable.
 
 import math
 
-from .errors import NonInvertibleError, UnsupportedRingError
+from .errors import UnsupportedRingError
 from .modular import mod_inverse
 from .primes import factor_integer, is_prime
 

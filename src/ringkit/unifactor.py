@@ -102,7 +102,7 @@ def factor_finite(f: UniPoly, seed: int = 0):
     """Complete factorization over a finite field; factors monic, sorted."""
     K = f.ring
     unit = _poly(K, [f.lc()])
-    lead, parts = uni_squarefree(f)
+    _, parts = uni_squarefree(f)
     rng = random.Random(seed)
     out = []
     for g, mult in parts:

@@ -519,7 +519,6 @@ def _hgcd(a: UniPoly, b: UniPoly):
 
 def uni_gcd_half(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over a field; Half-GCD matrix steps above the threshold."""
-    K = a.ring
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero() and a.degree > HALF_GCD_THRESHOLD:

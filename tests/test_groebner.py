@@ -13,6 +13,7 @@ from ringkit import rings
 from ringkit.bench import cyclic, katsura
 from ringkit.errors import UnsupportedRingError
 from ringkit.galois import GFRing
+from ringkit import groebner
 from ringkit.groebner import (
     Ideal,
     groebner_basis,
@@ -190,6 +191,123 @@ def test_criteria_free_buchberger_agrees_with_gebauer_moller():
         fast = groebner_basis(gens)
         plain = groebner_basis(gens, criteria=False)
         assert fast == plain, "criteria changed the basis on trial %d" % trial
+
+
+def test_signature_loop_keeps_singular_results():
+    # Dropping results that are only singularly top-reducible loses basis
+    # elements under the add-order rewrite criterion.  The LEX system is
+    # trial 14 of the stream in test_criteria_free_buchberger_agrees_with_
+    # gebauer_moller; LEX runs the Gebauer-Moller loop, so the signature
+    # loop is also called directly.  Dropping them went wrong on the
+    # GREVLEX system over Q as well.
+    K = rings.ZpRing(101)
+    R = MultiRing(K, ("x", "y", "z"), "LEX")
+    x, y, z = R.gens()
+    gens = [
+        95 * y**2 * z + 48 * x * y * z**2 + 40 * z**3 + R.of(100),
+        27 * x * y * z**2 + 8 * x**3 * z + 7 * x * z + R.of(43),
+    ]
+    plain = groebner_basis(gens, criteria=False)
+    assert groebner_basis(gens) == plain
+    eng, moved = groebner._as_engine_input(gens, None)
+    assert groebner._signature_basis(eng, moved)
+    assert groebner._finalize(eng) == plain
+    q = rings.QQ.make
+    S = MultiRing(rings.QQ, ("x", "y", "z"), "GREVLEX")
+    gens = [
+        MultiPoly(S, {(3, 1, 1): q(-5, 1), (0, 2, 1): q(1, 2), (0, 1, 0): q(1, 1),
+                      (0, 0, 0): q(-1, 1)}),
+        MultiPoly(S, {(0, 2, 0): q(-5, 1), (0, 1, 0): q(-5, 2), (0, 2, 1): q(3, 1)}),
+        MultiPoly(S, {(2, 0, 0): q(5, 4), (0, 1, 1): q(3, 1), (1, 0, 1): q(1, 2)}),
+    ]
+    assert groebner_basis(gens) == groebner_basis(gens, criteria=False)
+
+
+def _rand_gens(K, order, rng):
+    n = rng.choice([2, 3, 4])
+    R = MultiRing(K, ("x", "y", "z", "w")[:n], order)
+    gens = []
+    while len(gens) < rng.randint(2, 3):
+        terms = {}
+        for _ in range(4):
+            e = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                e[rng.randrange(n)] += 1
+            c = K.random_element(rng, bound=6)
+            if not K.is_zero(c):
+                terms[tuple(e)] = c
+        if terms:
+            gens.append(MultiPoly(R, terms))
+    return gens
+
+
+@pytest.mark.parametrize("order", ["LEX", "GRLEX", "GREVLEX"])
+def test_criteria_agree_with_plain_buchberger_across_fields(order):
+    rng = random.Random(order)
+    fields = [rings.ZpRing(p) for p in (2, 3, 7, 101)]
+    fields += [rings.QQ, GFRing(3, 2, "t")]
+    for K in fields:
+        for trial in range(10):
+            gens = _rand_gens(K, order, rng)
+            assert groebner_basis(gens) == groebner_basis(gens, criteria=False), (
+                K, order, trial)
+
+
+@pytest.mark.parametrize("order", ["LEX", "GRLEX", "GREVLEX"])
+def test_named_systems_agree_with_plain_buchberger(order):
+    K = rings.ZpRing(1000003)
+    systems = [(katsura, 3), (katsura, 4), (katsura, 5), (cyclic, 4), (cyclic, 5)]
+    for build, n in systems:
+        _, eqs = build(n, K, order)
+        gb = groebner_basis(eqs)
+        if order == "LEX" and build is katsura and n == 5:
+            # plain Buchberger needs about half a minute here; check the
+            # basis directly instead
+            _assert_reduced(gb)
+            assert is_groebner_basis(gb)
+            assert all(multi_divrem(f, gb)[1].is_zero() for f in eqs)
+            continue
+        assert gb == groebner_basis(eqs, criteria=False), (build.__name__, n)
+
+
+def test_signature_loop_cuts_zero_reductions(monkeypatch):
+    # the Gebauer-Moller loop took 214 normal forms on katsura-6, 130 of
+    # them zero, and 127 on cyclic-5
+    results = []
+    nf = groebner._Engine.nf
+
+    def counting_nf(self, *args):
+        out = nf(self, *args)
+        results.append(bool(out[0]))
+        return out
+
+    monkeypatch.setattr(groebner._Engine, "nf", counting_nf)
+    K = rings.ZpRing(1000003)
+    groebner_basis(katsura(6, K)[1])
+    assert results.count(False) <= 26
+    results.clear()
+    groebner_basis(cyclic(5, K)[1])
+    assert len(results) <= 80
+
+
+def test_inconsistent_system_returns_unit_ideal():
+    for K in (rings.ZpRing(1000003), rings.ZpRing(101), rings.QQ):
+        R, eqs = katsura(4, K)
+        gens = eqs + [R.var("u0") - R.of(5)]
+        assert groebner_basis(gens) == [R.one], K
+        assert groebner_basis(gens, criteria=False) == [R.one], K
+
+
+def test_signature_past_packed_budget_raises():
+    # a sum of two in-budget monomials sets a guard bit instead of carrying
+    R = MultiRing(rings.ZpRing(101), ("x", "y"), "GREVLEX")
+    eng = groebner._Engine(R)
+    a, b = eng.pack((16000, 3)), eng.pack((20000, 3))
+    assert eng.unpack(eng.check_budget(a + a)) == (32000, 6)
+    with pytest.raises(ArithmeticError, match="packed budget"):
+        eng.check_budget(a + b)
+    with pytest.raises(ArithmeticError, match="packed budget"):
+        eng.pack((36000, 6))
 
 
 def test_normal_form_survives_generator_shuffle():
