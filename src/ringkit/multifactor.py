@@ -17,6 +17,15 @@ the variables already lifted; an exact lift pays only a degree check.
 A subset-recombination pass repairs images that split more finely than the
 true factorization; every emitted factor is certified by exact division, so
 unlucky evaluation points cost retries, never wrong answers.
+
+Inside the lift a polynomial is a plain dict {packed monomial key: residue}
+under one `_Layout` per `_run_levels` call: x_m in the low field, then the
+lifted variables, each with room for r * D_v.  F*, L and their partial
+evaluations are packed once on entry; rows in a variable are split off and
+joined back by shift and mask, and every product, Taylor shift and
+truncation runs the one packed-product loop, `multipoly.mul_keys_into`.
+The only way back to MultiPoly is the unpacking of each recombination
+candidate in `_subset_split`.
 """
 
 import itertools
@@ -33,20 +42,20 @@ from .multipoly import (
     MultiRing,
     change_ring,
     clear_to_z,
-    coefficients_in,
     content_primitive,
     from_unipoly,
     lc_in,
     min_exponents,
-    multi_add,
     multi_derivative,
     multi_exact_div,
-    multi_mono_mul,
     multi_mul,
+    mul_keys,
+    mul_keys_into,
     multi_pow,
     multi_sub,
     multi_subs,
     multi_value,
+    reduce_keys,
     to_unipoly,
     univariate_image,
 )
@@ -381,12 +390,87 @@ def _precision(F, L, r, dF, p):
 # --------------------------------------------------------------- the lifting
 
 
+class _Layout:
+    """Packed monomial keys for one lift, with the work modulus.
+
+    `degs` are the degrees of F* per variable.  x_m takes the low field, so
+    a key free of the lifted variables is its x_m degree; the field holds
+    deg_m F*, since every polynomial in the lift is a piece of a product of
+    the factors, whose x_m degrees add up to it.  Each lifted variable v
+    comes next, in lifting order, with room for r * D_v, the most a product
+    of r truncated factors reaches; the remaining variables take the fields
+    above.  Every field has one spare bit, so a product of two in-bound
+    operands never carries into its neighbour.
+    """
+
+    def __init__(self, work, m, order, degs, r):
+        self.mod = work.cring.coeff_modulus
+        n = len(work.vars)
+        lifted = set(order)
+        fields = [m] + list(order) + [i for i in range(n) if i != m and i not in lifted]
+        self.shift = [0] * n
+        self.width = [0] * n
+        sh = 0
+        for i in fields:
+            bound = degs[i] if i == m else r * degs[i]
+            self.shift[i] = sh
+            self.width[i] = bound.bit_length() + 1
+            sh += self.width[i]
+        self.mask = [(1 << w) - 1 for w in self.width]
+
+    def pack(self, f):
+        """The terms of a MultiPoly over work as {key: residue}."""
+        out = {}
+        fields = list(zip(self.shift, self.width))
+        for e, c in f.terms.items():
+            key = 0
+            for x, (sh, w) in zip(e, fields):
+                if x >> w:
+                    raise OverflowError("exponent %d does not fit a %d-bit field" % (x, w))
+                key |= x << sh
+            out[key] = c
+        return out
+
+    def exponents(self, key):
+        return tuple((key >> sh) & mk for sh, mk in zip(self.shift, self.mask))
+
+    def split(self, f, v):
+        """Rows of f in v: {j: coefficient of v^j, with the v field cleared}."""
+        sh, mk = self.shift[v], self.mask[v]
+        rows = {}
+        for k, c in f.items():
+            j = (k >> sh) & mk
+            rows.setdefault(j, {})[k - (j << sh)] = c
+        return rows
+
+    def join(self, rows, v):
+        sh = self.shift[v]
+        return {k + (j << sh): c for j, row in rows.items() for k, c in row.items()}
+
+    def degree(self, f, v):
+        sh, mk = self.shift[v], self.mask[v]
+        return max(((k >> sh) & mk for k in f), default=-1)
+
+
+def _add(a, b, mod, sign=1):
+    """a + sign * b on packed dicts of residues; zeros drop."""
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        s = (get(k, 0) + sign * c) % mod
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 class _LiftCtx:
     """Carries the lifted factor versions and the diophantine machinery."""
 
-    def __init__(self, work, m, order, alpha, bounds, uhat, tinv):
-        self.work = work
-        self.K = work.cring
+    def __init__(self, lay, K, m, order, alpha, bounds, uhat, tinv):
+        self.lay = lay
+        self.K = K
         self.m = m
         self.order = order
         self.alpha = alpha
@@ -401,30 +485,30 @@ class _LiftCtx:
         """Per factor: shifted Taylor rows of the level-s cofactor product."""
         if s in self.cof:
             return self.cof[s]
+        lay = self.lay
+        mod = lay.mod
         facs = self.snapshots[s]
         v = self.order[s - 1]
-        a = self.alpha[v]
-        D = self.bounds[v]
         n = len(facs)
-        pre = [self.work.one]
+        pre = [{0: 1}]
         for g in facs:
-            pre.append(multi_mul(pre[-1], g))
-        suf = [self.work.one]
+            pre.append(mul_keys(pre[-1], g, mod))
+        suf = [{0: 1}]
         for g in reversed(facs):
-            suf.append(multi_mul(suf[-1], g))
+            suf.append(mul_keys(suf[-1], g, mod))
         out = []
         for i in range(n):
-            cof = multi_mul(pre[i], suf[n - 1 - i])
-            rows = _shift_rows(coefficients_in(cof, v), a, self.work, D)
-            out.append(rows)
+            cof = mul_keys(pre[i], suf[n - 1 - i], mod)
+            out.append(_shift_rows(lay.split(cof, v), self.alpha[v], mod, self.bounds[v]))
         self.cof[s] = out
         return out
 
 
-def _shift_rows(rows, a, work, D=None):
+def _shift_rows(rows, a, mod, D=None):
     """Taylor rows after v -> v + a; row j = sum_k C(k,j) a^(k-j) row_k.
 
-    a and the coefficients are residue ints: the lift runs over Zp or Z/p^ell.
+    a and the coefficients are residues mod `mod`; each bucket sums its
+    products unreduced and is reduced once per output term.
     """
     if not rows:
         return {}
@@ -432,7 +516,6 @@ def _shift_rows(rows, a, work, D=None):
         if D is None:
             return dict(rows)
         return {k: p for k, p in rows.items() if k <= D}
-    mod = work.cring.coeff_modulus
     top = max(rows)
     apow = [1]
     for _ in range(top):
@@ -443,94 +526,87 @@ def _shift_rows(rows, a, work, D=None):
             c = math.comb(k, j) * apow[k - j] % mod
             if not c:
                 continue
-            bucket = acc.setdefault(j, {})
-            for e, cc in poly.terms.items():
-                v = (bucket.get(e, 0) + cc * c) % mod
-                if v:
-                    bucket[e] = v
-                else:
-                    bucket.pop(e, None)
-    return {j: MultiPoly(work, b) for j, b in acc.items() if b}
-
-
-def _rows_to_poly(rows, v, work):
+            mul_keys_into(acc.setdefault(j, {}), poly, {0: c})
     out = {}
-    for j, poly in rows.items():
-        for e, c in poly.terms.items():
-            out[e[:v] + (j,) + e[v + 1 :]] = c
-    return MultiPoly(work, out)
+    for j, b in acc.items():
+        b = reduce_keys(b, mod)
+        if b:
+            out[j] = b
+    return out
 
 
-def _shift_poly(f, v, a, work, D=None):
-    rows = _shift_rows(coefficients_in(f, v), a, work, D)
-    return _rows_to_poly(rows, v, work)
+def _mod_lifted(f, pairs, lay):
+    """Reduce modulo (x_v - a_v)^(D_v + 1) for every lifted variable.
 
-
-def _mod_lifted(f, pairs, work):
-    """Reduce modulo (x_v - a_v)^(D_v + 1) for every lifted variable."""
+    Division by the monic (v - a)^(D+1) = v^(D+1) + sum_i b_i v^i: the
+    top row q, at degree k, leaves -q * b_i at degree k - D - 1 + i.
+    """
+    mod = lay.mod
     for v, a, D in pairs:
-        if f.degree(v) <= D:
+        top = lay.degree(f, v)
+        if top <= D:
             continue
-        f = _shift_poly(f, v, a, work, D)
-        f = _shift_poly(f, v, work.cring.neg(a), work)
+        rows = lay.split(f, v)
+        if a:
+            n = D + 1
+            b = [math.comb(n, i) * pow(-a, n - i, mod) % mod for i in range(n)]
+            for k in range(top, D, -1):
+                q = reduce_keys(rows.pop(k, {}), mod)
+                if q:
+                    for i, bi in enumerate(b):
+                        if bi:
+                            mul_keys_into(rows.setdefault(k - n + i, {}), q, {0: -bi})
+            rows = {j: reduce_keys(row, mod) for j, row in rows.items()}
+        f = lay.join({j: row for j, row in rows.items() if j <= D}, v)
     return f
 
 
 def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv):
-    """Variable-by-variable lift of the monic image factors against Fw."""
+    """Variable-by-variable lift of the monic image factors against Fw.
+
+    F*, L and their partial evaluations are packed once under one layout;
+    every level then works on packed dicts.
+    """
     work = Fw.ring
-    K = work.cring
     r = len(uhat)
-    bounds = {v: Fw.degree(v) for v in order}
+    degs = Fw.degrees()
+    bounds = {v: degs[v] for v in order}
+    lay = _Layout(work, m, order, degs, r)
+    mod = lay.mod
 
-    ctx = _LiftCtx(work, m, order, alpha, bounds, uhat, tinv)
-    ctx.snapshots.append([from_unipoly(work, uni_scale(g, La), m) for g in uhat])
+    ctx = _LiftCtx(lay, work.cring, m, order, alpha, bounds, uhat, tinv)
+    ctx.snapshots.append(
+        [{k: c for k, c in enumerate(uni_scale(g, La).coeffs) if c} for g in uhat]
+    )
 
-    # partial evaluations of F* from the innermost level outward
+    # partial evaluations of F* and L from the innermost level outward
     Es = [None] * (len(order) + 1)
-    cur = Fw
-    for s in range(len(order), 0, -1):
-        Es[s] = cur
-        cur = multi_subs(cur, {order[s - 1]: alpha[order[s - 1]]})
     Ls = [None] * (len(order) + 1)
-    cur = Lw
+    curF, curL = Fw, Lw
     for s in range(len(order), 0, -1):
-        Ls[s] = cur
-        cur = multi_subs(cur, {order[s - 1]: alpha[order[s - 1]]})
+        Es[s], Ls[s] = lay.pack(curF), lay.pack(curL)
+        point = {order[s - 1]: alpha[order[s - 1]]}
+        curF, curL = multi_subs(curF, point), multi_subs(curL, point)
 
     dxs = [g.degree for g in uhat]
+    mmask = lay.mask[m]
     for s in range(1, len(order) + 1):
         v = order[s - 1]
         a = alpha[v]
         D = bounds[v]
-        rowsF = _shift_rows(coefficients_in(Es[s], v), a, work)
-        Lrows = _shift_rows(coefficients_in(Ls[s], v), a, work)
+        rowsF = _shift_rows(lay.split(Es[s], v), a, mod)
+        Lrows = _shift_rows(lay.split(Ls[s], v), a, mod)
         grows = []
         for i in range(r):
-            prev = ctx.snapshots[s - 1][i]
-            rows = {0: _drop_lc(prev, m, dxs[i], work)}
+            d = dxs[i]
+            # row 0 without its x_m^d term, then lc rows times x_m^d
+            rows = {0: {k: c for k, c in ctx.snapshots[s - 1][i].items() if k & mmask != d}}
             for j, lp in Lrows.items():
-                lifted = multi_mono_mul(lp, _unit_exp(work, m, dxs[i]), K.one)
-                rows[j] = multi_add(rows.get(j, work.zero), lifted)
-            grows.append({j: q for j, q in rows.items() if not q.is_zero()})
+                rows[j] = _add(rows.get(j, {}), {k + d: c for k, c in lp.items()}, mod)
+            grows.append({j: q for j, q in rows.items() if q})
         _level(ctx, s, v, D, rowsF, grows)
-        cur_polys = []
-        for i in range(r):
-            g = _rows_to_poly(grows[i], v, work)
-            cur_polys.append(_shift_poly(g, v, K.neg(a), work))
-        ctx.snapshots.append(cur_polys)
+        ctx.snapshots.append([lay.join(_shift_rows(g, -a % mod, mod), v) for g in grows])
     return ctx
-
-
-def _unit_exp(work, m, d):
-    e = [0] * len(work.vars)
-    e[m] = d
-    return tuple(e)
-
-
-def _drop_lc(f, m, d, work):
-    terms = {e: c for e, c in f.terms.items() if e[m] != d}
-    return MultiPoly(work, terms)
 
 
 def _level(ctx, s, v, D, rowsF, grows):
@@ -538,9 +614,10 @@ def _level(ctx, s, v, D, rowsF, grows):
 
     Every error term is reduced modulo (x_u - alpha_u)^(D_u + 1) for the
     variables u lifted at earlier levels before it is solved for; all
-    coefficients are residues of work's coefficient ring.
+    coefficients are residues mod the layout's modulus.
     """
-    work = ctx.work
+    lay = ctx.lay
+    mod = lay.mod
     r = ctx.r
     # lazy row convolution of the factor chain; memoized rows stay current
     # because each correction patches every cached product row in place
@@ -552,23 +629,17 @@ def _level(ctx, s, v, D, rowsF, grows):
         cache = memo[t]
         if j in cache:
             return cache[j]
-        acc = None
+        acc = {}
         for a in range(j + 1):
             x = prow(t - 1, a)
-            if x is None:
-                continue
             y = grows[t - 1].get(j - a)
-            if y is None:
-                continue
-            term = multi_mul(x, y)
-            acc = term if acc is None else multi_add(acc, term)
-        if acc is not None and acc.is_zero():
-            acc = None
-        cache[j] = acc
-        return acc
+            if x is not None and y is not None:
+                mul_keys_into(acc, x, y)
+        cache[j] = reduce_keys(acc, mod) or None
+        return cache[j]
 
     # row-0 cofactors for patching cached product rows after a correction
-    base0 = [grows[i].get(0, work.zero) for i in range(r)]
+    base0 = [grows[i].get(0, {}) for i in range(r)]
     cof0 = None
 
     processed = [(u, ctx.alpha[u], ctx.bounds[u]) for u in ctx.order[: s - 1]]
@@ -577,42 +648,36 @@ def _level(ctx, s, v, D, rowsF, grows):
         fj = rowsF.get(j)
         if pj is None and fj is None:
             continue
-        if pj is None:
-            ej = fj
-        elif fj is None:
-            ej = multi_sub(work.zero, pj)
-        else:
-            ej = multi_sub(fj, pj)
-        ej = _mod_lifted(ej, processed, work)
-        if ej.is_zero():
+        ej = _add(fj or {}, pj or {}, mod, -1)
+        ej = _mod_lifted(ej, processed, lay)
+        if not ej:
             continue
         ds = _mdp(ej, s - 1, ctx)
         if cof0 is None:
-            cof0 = _cof0_table(base0, r, work)
+            cof0 = _cof0_table(base0, r, mod)
         for i in range(r):
             d = ds[i]
-            if d is None or d.is_zero():
+            if not d:
                 continue
-            grows[i][j] = multi_add(grows[i].get(j, work.zero), d)
+            grows[i][j] = _add(grows[i].get(j, {}), d, mod)
             for t in range(2, r + 1):
                 cache = memo[t]
                 if j not in cache or i >= t:
                     continue
-                patch = multi_mul(d, cof0[t][i])
-                cur = cache[j]
-                cache[j] = patch if cur is None else multi_add(cur, patch)
+                acc = mul_keys_into(dict(cache[j] or {}), d, cof0[t][i])
+                cache[j] = reduce_keys(acc, mod)
 
 
-def _cof0_table(base0, r, work):
+def _cof0_table(base0, r, mod):
     """cof0[t][i] = product of base rows 0 over k <= t-1, k != i."""
     table = {}
     for t in range(2, r + 1):
         row = []
         for i in range(t):
-            prod = work.one
+            prod = {0: 1}
             for k in range(t):
                 if k != i:
-                    prod = multi_mul(prod, base0[k])
+                    prod = mul_keys(prod, base0[k], mod)
             row.append(prod)
         table[t] = row
     return table
@@ -650,51 +715,45 @@ def _bezout_rows(uhat, La, p):
 
 def _mdp(e, s, ctx):
     """Solve sum_i delta_i * cofactor_i = e with x-degrees below the images."""
-    work = ctx.work
-    K = work.cring
+    lay = ctx.lay
+    mod = lay.mod
     r = ctx.r
-    if e.is_zero():
+    if not e:
         return [None] * r
     if s == 0:
-        el = to_unipoly(e, ctx.m)
+        # only x_m is left, so each key is an x_m degree
+        el = _poly(ctx.K, [e.get(k, 0) for k in range(max(e) + 1)])
         out = []
         for ti, ui in zip(ctx.tinv, ctx.uhat):
             d = uni_rem(uni_mul(ti, el), ui)
-            out.append(None if d.is_zero() else from_unipoly(work, d, ctx.m))
+            out.append({k: c for k, c in enumerate(d.coeffs) if c} or None)
         return out
     v = ctx.order[s - 1]
     a = ctx.alpha[v]
     D = ctx.bounds[v]
-    rows = _shift_rows(coefficients_in(e, v), a, work)
-    if any(k > D for k in rows):
+    rows = lay.split(e, v)
+    if max(rows) > D:
         raise _BadPoint()
+    # rows k+1..D collect the products d * cofactor row unreduced, and each
+    # row is reduced once, when its turn comes
+    rows = _shift_rows(rows, a, mod)
     cof = ctx.cofrows(s)
     acc = [dict() for _ in range(r)]
     for k in range(D + 1):
-        ek = rows.pop(k, None)
-        if ek is None or ek.is_zero():
+        ek = reduce_keys(rows.pop(k, {}), mod)
+        if not ek:
             continue
         ds = _mdp(ek, s - 1, ctx)
         for i in range(r):
             d = ds[i]
-            if d is None or d.is_zero():
+            if not d:
                 continue
-            for ee, c in d.terms.items():
-                acc[i][ee[:v] + (k,) + ee[v + 1 :]] = c
+            acc[i][k] = d
+            neg = {e: -c for e, c in d.items()}
             for l, cp in cof[i].items():
-                if l == 0 or k + l > D:
-                    continue
-                prod = multi_mul(d, cp)
-                tgt = rows.get(k + l)
-                rows[k + l] = multi_sub(tgt, prod) if tgt is not None else multi_sub(work.zero, prod)
-    out = []
-    for i in range(r):
-        if not acc[i]:
-            out.append(None)
-            continue
-        d = MultiPoly(work, acc[i])
-        out.append(_shift_poly(d, v, K.neg(a), work))
-    return out
+                if 0 < l <= D - k:
+                    mul_keys_into(rows.setdefault(k + l, {}), neg, cp)
+    return [lay.join(_shift_rows(rows_i, -a % mod, mod), v) if rows_i else None for rows_i in acc]
 
 
 # ------------------------------------------------------------- recombination
@@ -706,7 +765,8 @@ def _subset_split(target, Gs, order, ctx):
     Returns (subset, factor) pairs so callers can reuse the index grouping.
     """
     ring = target.ring
-    work = ctx.work
+    lay = ctx.lay
+    mod = lay.mod
     r = len(Gs)
     pairs = [(v, ctx.alpha[v], ctx.bounds[v]) for v in order]
     tested = 0
@@ -714,17 +774,17 @@ def _subset_split(target, Gs, order, ctx):
     def candidate(idxs):
         prod = Gs[idxs[0]]
         for i in idxs[1:]:
-            prod = multi_mul(prod, Gs[i])
-            prod = _mod_lifted(prod, pairs, work)
-        if work.cring.is_field:
-            g = prod
+            prod = mul_keys(prod, Gs[i], mod)
+            prod = _mod_lifted(prod, pairs, lay)
+        if ctx.K.is_field:
+            terms = {lay.exponents(k): c for k, c in prod.items()}
         else:
             terms = {}
-            for e, c in prod.terms.items():
-                v = symmetric_lift(c, work.cring.coeff_modulus)
-                if v:
-                    terms[e] = v
-            g = MultiPoly(ring, terms)
+            for k, c in prod.items():
+                c = symmetric_lift(c, mod)
+                if c:
+                    terms[lay.exponents(k)] = c
+        g = MultiPoly(ring, terms)
         if g.is_zero() or g.degree(ctx.m) < 1:
             return None
         _, prim = content_primitive(g, ctx.m)

@@ -297,38 +297,58 @@ def multi_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return _mul_packed(a, b, widths)
 
 
+def mul_keys_into(acc, A, B):
+    """Add A * B into `acc`, the one packed-product loop; returns `acc`.
+
+    A, B and acc map packed monomial keys to ints; keys add, so the
+    caller's layout must leave room for every exponent sum.  Nothing is
+    reduced: a caller sums as many products as it likes, then reduces once
+    per output key with `reduce_keys`.
+    """
+    if len(A) > len(B):
+        A, B = B, A
+    get = acc.get
+    for ka, ca in A.items():
+        for kb, cb in B.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return acc
+
+
+def reduce_keys(acc, mod):
+    """The nonzero entries of `acc`, reduced mod `mod` unless it is None (Z)."""
+    if mod is None:
+        return {k: c for k, c in acc.items() if c}
+    return {k: c for k, v in acc.items() if (c := v % mod)}
+
+
+def mul_keys(A, B, mod):
+    """A * B on packed keys, reduced by `reduce_keys`."""
+    return reduce_keys(mul_keys_into({}, A, B), mod)
+
+
 def _mul_packed(a: MultiPoly, b: MultiPoly, widths) -> MultiPoly:
-    """Product on packed exponent keys; Z and the residue rings share one
-    int loop (reduced once per output term when there is a modulus)."""
+    """Product on packed exponent keys; Z and the residue rings run
+    `mul_keys`, other rings one generic loop."""
     K = a.ring.cring
     A = _pack(a.terms, widths)
     B = _pack(b.terms, widths)
-    acc = {}
     mod = K.coeff_modulus
-    ints = mod is not None or isinstance(K, rings.IntegerRing)
-    if ints:
-        for ka, ca in A.items():
-            for kb, cb in B.items():
-                k = ka + kb
-                acc[k] = acc.get(k, 0) + ca * cb
+    if mod is not None or isinstance(K, rings.IntegerRing):
+        acc = mul_keys(A, B, mod)
     else:
+        acc = {}
         zero = K.zero
         for ka, ca in A.items():
             for kb, cb in B.items():
                 k = ka + kb
                 acc[k] = K.add(acc.get(k, zero), K.mul(ca, cb))
+        acc = {k: c for k, c in acc.items() if not K.is_zero(c)}
     n = len(a.ring.vars)
     out = {}
     rev = list(range(n - 1, -1, -1))
     masks = [(widths[i], (1 << widths[i]) - 1) for i in range(n)]
     for k, c in acc.items():
-        if ints:
-            if mod is not None:
-                c %= mod
-            if not c:
-                continue
-        elif K.is_zero(c):
-            continue
         e = [0] * n
         for i in rev:
             w, msk = masks[i]

@@ -12,9 +12,10 @@ from .modular import gcd_coeff_bound, mod_inverse, modular_gcd
 
 KARATSUBA_THRESHOLD = 32  # generic rings: schoolbook up to this length
 # residue rings: schoolbook below this length, one packed big-int product at
-# or above it; at lengths 33-39 packing is 1.3-3.8x faster than schoolbook
-# for 20- to 361-bit moduli
-PACKED_MUL_THRESHOLD = 33
+# or above it.  Balanced operands, both results reduced mod m: packing wins
+# from length 11 for a 20-bit modulus, 8 for 62 bits and 18 for 361 bits,
+# and at length 20 is 1.6-2.0x, 1.8-2.0x and 1.05-1.13x faster
+PACKED_MUL_THRESHOLD = 20
 NEWTON_DIV_THRESHOLD = 60  # remainder degree where Newton division kicks in
 HALF_GCD_THRESHOLD = 180  # degree where the gcd loop switches to Half-GCD
 

@@ -5,7 +5,7 @@ import pytest
 from ringkit import multifactor
 from ringkit.errors import UnsupportedRingError
 from ringkit.multifactor import factor_multipoly
-from ringkit.multipoly import MultiPoly, MultiRing, multi_mul, multi_pow
+from ringkit.multipoly import LEX, MultiPoly, MultiRing, multi_divrem, multi_mul, multi_pow
 from ringkit.rings import QQ, ZZ, Rational, ZpRing
 
 
@@ -269,3 +269,70 @@ def test_level_truncation_changes_error_terms_zp(seed, monkeypatch):
     assert [e for _, e in parts] == [1, 1]
     assert {g for g, _ in parts} == {R.normalize_unit(a)[1], R.normalize_unit(b)[1]}
     assert _rebuild(R, unit, parts) == a * b
+
+
+@pytest.mark.parametrize("K", [ZpRing(1000003), ZZ], ids=["Zp", "Z"])
+def test_lift_with_five_factors_and_high_degree(K, monkeypatch):
+    # five non-monic factors, so F* = F * L^4 has degree 30 in y: the packed
+    # fields of the lifted variables must hold r * D_v, and over Z the lift
+    # runs modulo a large prime power
+    R = MultiRing(K, ("x", "y", "z"))
+    x, y, z = R.gens()
+    facs = [
+        (y + R.of(i + 1)) * x + y**2 * z + R.of(i) * z**2 + R.of(1000 * i + 7)
+        for i in range(5)
+    ]
+    f = R.one
+    for g in facs:
+        f = f * g
+    lifts = []
+    run_levels = multifactor._run_levels
+
+    def recording(*args):
+        ctx = run_levels(*args)
+        lifts.append((len(args[6]), ctx.bounds, ctx.lay))
+        return ctx
+
+    monkeypatch.setattr(multifactor, "_run_levels", recording)
+    unit, parts = factor_multipoly(R, f, seed=0)
+    assert len(lifts) == 2  # the scout and one full lift, at the first point
+    r, bounds, lay = lifts[-1]
+    assert r == 5 and len(bounds) == 2 and min(bounds.values()) >= 8
+    for v, D in bounds.items():
+        assert lay.width[v] > (r * D).bit_length()
+    if K == ZZ:
+        assert lay.mod.bit_length() > 64
+    assert {g for g, _ in parts} == {R.normalize_unit(g)[1] for g in facs}
+    assert _rebuild(R, unit, parts) == f
+
+
+def test_layout_rejects_an_exponent_wider_than_its_field():
+    # x_m = x gets room for degree 3, lifted y for r * D = 2 * 4, z none;
+    # each field has one spare bit, and past that packing raises, never wraps
+    R = MultiRing(ZpRing(101), ("x", "y", "z"))
+    x, y, z = R.gens()
+    lay = multifactor._Layout(R, 0, [1], (3, 4, 0), 2)
+    assert lay.width == [3, 5, 1]
+    ok = x**7 * y**31 + z + R.of(5)
+    packed = lay.pack(ok)
+    assert {lay.exponents(k): c for k, c in packed.items()} == ok.terms
+    assert lay.degree(packed, 1) == 31
+    for bad in (x**8, y**32, z**2, x * y**40):
+        with pytest.raises(OverflowError):
+            lay.pack(ok + bad)
+
+
+def test_mod_lifted_is_the_remainder_by_the_power_of_the_shift():
+    # g = f mod (y - a)^(D + 1): f - g is a multiple of it and deg_y g <= D
+    K = ZpRing(1000003)
+    R = MultiRing(K, ("x", "y", "z"), order=LEX)
+    y = R.var("y")
+    rng = random.Random(4)
+    lay = multifactor._Layout(R, 0, [1, 2], (6, 6, 6), 3)
+    for a, D in ((0, 2), (5, 3), (999_999, 1), (1234, 0)):
+        f = _sparse(R, rng, 12, 6)
+        g = multifactor._mod_lifted(lay.pack(f), [(1, a, D)], lay)
+        g = MultiPoly(R, {lay.exponents(k): c for k, c in g.items()})
+        assert g.degree(1) <= D
+        power = (y - R.of(a)) ** (D + 1)
+        assert multi_divrem(f - g, [power])[1].is_zero()

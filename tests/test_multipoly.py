@@ -22,12 +22,15 @@ from ringkit.multipoly import (
     multi_random,
     multi_subs,
     multi_value,
+    mul_keys,
+    mul_keys_into,
+    reduce_keys,
     term_values,
     to_unipoly,
     univariate_image,
 )
 from ringkit.galois import GFRing
-from ringkit.rings import QQ, ZZ, ZpRing
+from ringkit.rings import QQ, ZZ, ZmRing, ZpRing
 
 
 def test_order_goldens():
@@ -87,6 +90,59 @@ def test_mul_strategies_agree():
         a = multi_random(ring, rng, terms=5, max_exp=6)
         b = multi_random(ring, rng, terms=5, max_exp=6)
         assert multi_mul(a, b) == multi_mul_naive(a, b)
+
+
+def _keyed(f, width):
+    return mp._pack(f.terms, [width] * len(f.ring.vars))
+
+
+def _unkeyed(ring, packed, width):
+    n = len(ring.vars)
+    mask = (1 << width) - 1
+    return MultiPoly(
+        ring,
+        {tuple((k >> (width * (n - 1 - i))) & mask for i in range(n)): c for k, c in packed.items()},
+    )
+
+
+@pytest.mark.parametrize("K", [ZpRing(1000003), ZmRing(7**9), ZZ], ids=["Zp", "Z/7^9", "Z"])
+def test_mul_keys_matches_naive(K):
+    # the one packed-product kernel: residues reduced once per key, ints kept
+    # exact over Z, zero sums dropped; operands of one term included
+    ring = MultiRing(K, ("x", "y", "z"))
+    mod = K.coeff_modulus
+    rng = random.Random(17)
+    for _ in range(80):
+        a = multi_random(ring, rng, terms=rng.choice([1, 1, 2, 5, 9]), max_exp=5)
+        b = multi_random(ring, rng, terms=rng.choice([1, 2, 3, 8]), max_exp=5)
+        if a.is_zero() or b.is_zero():
+            continue
+        got = mul_keys(_keyed(a, 5), _keyed(b, 5), mod)
+        assert _unkeyed(ring, got, 5) == multi_mul_naive(a, b)
+        assert all(got.values())
+        # products summed unreduced, reduced once
+        acc = mul_keys_into({}, _keyed(a, 5), _keyed(b, 5))
+        mul_keys_into(acc, _keyed(b, 5), _keyed(a * a, 5))
+        got = reduce_keys(acc, mod)
+        assert _unkeyed(ring, got, 5) == multi_mul_naive(a, b) + multi_mul_naive(b, a * a)
+    x, y, _ = ring.gens()
+    # cross terms cancel: (x + y)(x - y) keeps two of four keys
+    got = mul_keys(_keyed(x + y, 5), _keyed(x - y, 5), mod)
+    assert _unkeyed(ring, got, 5) == x * x - y * y
+
+
+def test_mul_keys_full_cancellation():
+    # over Z/7^9 a product of nonzero polynomials can vanish: every term, and
+    # every sum of terms, is a multiple of 7^9
+    K = ZmRing(7**9)
+    ring = MultiRing(K, ("x", "y"))
+    x, y = ring.gens()
+    a = ring.of(7**4) * x + ring.of(2 * 7**4) * y
+    b = ring.of(7**5) * y
+    c = ring.of(3 * 7**5) * (x + y)
+    for u, v in ((a, b), (b, a), (a, c), (b, b + c)):
+        assert multi_mul_naive(u, v).is_zero()
+        assert mul_keys(_keyed(u, 4), _keyed(v, 4), K.coeff_modulus) == {}
 
 
 def test_packed_overflow_falls_back():
