@@ -269,14 +269,19 @@ def _prim_squarefree_into(acc, F, mult, rng):
             parts = _attempt(F, m, rng, attempt)
         except _BadPoint:
             continue
-        rest = F
+        # each part is F itself or was divided out of F by _subset_split, so
+        # F is their product times a constant: the ratio of leading
+        # coefficients, as leading monomials multiply under any order
+        c = F.lc()
+        deg = F.degree()
         for g in parts:
             _, g = ring.normalize_unit(g)
-            rest = multi_exact_div(rest, g)
+            c = ring.cring.exact_div(c, g.lc())
+            deg -= g.degree()
             acc.add(g, mult)
-        if not rest.is_constant():
+        if deg:
             raise ArithmeticError("lifted factors do not multiply back")
-        _constant_into(acc, rest.constant(), mult)
+        _constant_into(acc, c, mult)
         return
     raise ArithmeticError("unlucky evaluation points: retry budget exhausted")
 

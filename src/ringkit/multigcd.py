@@ -4,9 +4,14 @@ Field coefficients: per-variable degree bounds come from univariate
 images, variables the gcd does not use are removed by content
 extraction, and the rest is variable-by-variable sparse interpolation
 (Zippel) with the gcd of the two leading coefficients imposed on every
-image so that images taken at different points agree.  The frame falls
-back on its own to Brown-style dense interpolation when the sparse
-skeleton assumption keeps failing; there is no knob to pick one.  Every
+image so that images taken at different points agree.  Each new variable
+x_v is taken at geometric points alpha_v * beta^j, and Berlekamp-Massey
+on every monomial's coefficients stops the loop early, after about
+2*tau+1 points for tau x_v-terms per coefficient (Ben-Or/Tiwari with the
+early termination of Kaltofen, Lee and Lobo); at the degree bound it
+interpolates densely instead.  The frame falls back on its own to
+Brown-style dense interpolation when the sparse skeleton assumption
+keeps failing; there is no knob to pick one.  Every
 content comes through `multipoly.content_primitive`, whose gcds fold in
 `gcd_many` and run through `multi_gcd` with their own seeded draws.
 
@@ -49,7 +54,7 @@ from .multipoly import (
     to_unipoly,
     univariate_image,
 )
-from .unipoly import uni_gcd, uni_lagrange_basis, uni_scale
+from .unipoly import UniPoly, uni_eval, uni_gcd, uni_lagrange_basis, uni_scale
 
 _RETRIES = 16
 
@@ -210,17 +215,29 @@ def _sparse_interp(A, B, m, others, bounds, gamma, rng):
 def _lift_var(A, B, H, m, processed, v, alpha, gamma, dv, degm, rng):
     """Extend H (exact in x_m and `processed`) to carry x_v as well.
 
-    Each new point beta gives one image of the scaled gcd at x_v = beta,
-    solved on H's monomial support from probes at consecutive powers of
-    a random point, one transposed-Vandermonde system per x_m-degree
-    group.  The probe count per image is the largest group size, i.e.
-    proportional to the support and not to the dense degree bound.
+    One loop over points x_v = alpha_v * beta^j, j = 0, 1, 2, ..., where
+    beta has multiplicative order above dv.  Point 0 is the seed point,
+    whose image is H; each later start is the previous one times beta^e_v
+    per term.  A point's image of the scaled gcd is solved on H's monomial
+    support from probes at consecutive powers of a random rho, one
+    transposed-Vandermonde system per x_m-degree group, so it costs
+    `count` univariate gcds, the largest group size.
+
+    After every point, Berlekamp-Massey takes each monomial's next
+    coefficient.  The loop stops early once no connection polynomial
+    changed at the last point, each rests on at least 2L+1 points for its
+    length L, and each has all its roots among beta^0..beta^dv.  The roots
+    beta^k name the x_v-exponents k, and a transposed Vandermonde system
+    over them gives the coefficients (Ben-Or/Tiwari with the early
+    termination of Kaltofen, Lee and Lobo): about 2*tau+1 points for tau
+    x_v-terms per coefficient.  At dv+1 points, or once an unlucky point
+    was skipped (the later points are then random), x_v is interpolated
+    densely through the images instead.  A wrong early stop can only fail
+    the trial division in `_certify`.
     """
     ring = A.ring
     K = ring.cring
-    levA = _LevelEval(A, m, v, processed, alpha)
-    levB = _LevelEval(B, m, v, processed, alpha)
-    levG = _LevelEval(gamma, m, v, processed, alpha)
+    levs = [_LevelEval(f, m, v, processed, alpha) for f in (A, B, gamma)]
     groups = {}
     for e in H.terms:
         groups.setdefault(e[m], []).append(e)
@@ -231,47 +248,166 @@ def _lift_var(A, B, H, m, processed, v, alpha, gamma, dv, degm, rng):
             rho = {i: _nonzero(K, rng) for i in processed}
             rows = _group_nodes(groups, rho, K)
             if rows is not None:
-                levA.set_rho(rho)
-                levB.set_rho(rho)
-                levG.set_rho(rho)
+                for lev in levs:
+                    lev.set_rho(rho)
                 return rows
         raise _Restart
 
     rows = redraw()
-    pts = [alpha[v]]
+    x = alpha[v]
+    pts = [x]
     imgs = [H]
-    used = {alpha[v]}
+    used = {x}
+    powers = _ratio_powers(K, rng, dv)
+    seqs = None
+    if powers is not None:
+        seqs = {e: _Massey(K, c) for e, c in H.terms.items()}
+        for lev in levs:
+            lev.set_ratio(powers[1])
+        cur = [lev.start(x) for lev in levs]
     fails = 0
     while len(pts) < dv + 1:
-        beta = _fresh_point(K, rng, used)
-        used.add(beta)
+        if seqs is not None:
+            x = K.mul(x, powers[1])
+            cur = [lev.advance(c, lev.ratio) for lev, c in zip(levs, cur)]
+        else:
+            x = _fresh_point(K, rng, used)
+            cur = [lev.start(x) for lev in levs]
+        used.add(x)
         try:
-            img = _point_image(levA, levB, levG, groups, rows, beta, degm, count)
+            img = _point_image(levs, cur, groups, rows, degm, count)
         except _Unlucky:
             fails += 1
             if fails > _RETRIES:
                 raise _Restart
             rows = redraw()
+            seqs = None
             continue
-        pts.append(beta)
+        pts.append(x)
         imgs.append(img)
+        if seqs is not None:
+            settled = [s.push(img.terms.get(e, K.zero)) for e, s in seqs.items()]
+            if all(settled):
+                lifted = _sparse_terms(ring, v, seqs, powers, alpha[v])
+                if lifted is not None:
+                    return lifted
     return _interp_terms(ring, v, pts, imgs)
 
 
-def _point_image(levA, levB, levG, groups, rows, beta, degm, count):
-    """One image of the scaled gcd at x_v = beta, on the support of H."""
+def _ratio_powers(K, rng, dv):
+    """[1, beta, ..., beta^dv] for a random beta whose powers up to dv are
+    distinct, i.e. of multiplicative order above dv; None when K has no
+    such element or the draws find none."""
+    if K.cardinality is not None and K.cardinality <= dv + 1:
+        return None
+    for _ in range(_RETRIES):
+        beta = _nonzero(K, rng)
+        pw = [K.one]
+        for _ in range(dv):
+            w = K.mul(pw[-1], beta)
+            if K.is_one(w):
+                break
+            pw.append(w)
+        else:
+            return pw
+    return None
+
+
+class _Massey:
+    """Berlekamp-Massey on one coefficient sequence, a term at a time.
+
+    `conn` is the connection polynomial C (C[0] = 1) of the shortest
+    recurrence sum C[i] * s[n-i] = 0 that the terms so far satisfy, and
+    `length` is its length L.
+    """
+
+    __slots__ = ("K", "seq", "conn", "length", "prev", "dprev", "gap")
+
+    def __init__(self, K, first):
+        self.K = K
+        self.seq = []
+        self.conn = [K.one]
+        self.length = 0
+        self.prev = [K.one]
+        self.dprev = K.one
+        self.gap = 1
+        self.push(first)
+
+    def push(self, s):
+        """Take the next term; True when C did not change and the terms
+        seen number at least 2L+1."""
+        K = self.K
+        seq = self.seq
+        seq.append(s)
+        n = len(seq) - 1
+        C = self.conn
+        L = self.length
+        d = s
+        for i in range(1, L + 1):
+            d = K.add(d, K.mul(C[i], seq[n - i]))
+        if K.is_zero(d):
+            self.gap += 1
+            return n >= 2 * L
+        coef = K.div(d, self.dprev)
+        gap = self.gap
+        B = self.prev
+        new = C + [K.zero] * (len(B) + gap - len(C))
+        for i, c in enumerate(B):
+            new[i + gap] = K.sub(new[i + gap], K.mul(coef, c))
+        if 2 * L <= n:
+            self.prev = C
+            self.length = n + 1 - L
+            self.dprev = d
+            self.gap = 1
+        else:
+            self.gap += 1
+        self.conn = new[: self.length + 1]
+        return False
+
+
+def _sparse_terms(ring, v, seqs, powers, a):
+    """x_v-terms of every monomial from its settled recurrence, or None
+    when some connection polynomial does not split over the powers.
+
+    The reversed connection polynomial of the sequence c_j = sum_k
+    b_k (beta^k)^j has the roots beta^k; with the Lagrange basis l_i over
+    them, b_i = sum_j l_i[j] c_j, and b_k is a_k * alpha_v^k.
+    """
+    K = ring.cring
+    ainv = K.inv(a)
+    terms = {}
+    for e, s in seqs.items():
+        lam = UniPoly(K, s.conn[::-1])
+        ks = [k for k, w in enumerate(powers) if K.is_zero(uni_eval(lam, w))]
+        if len(ks) != s.length:
+            return None
+        basis = uni_lagrange_basis(K, [powers[k] for k in ks])
+        e2 = list(e)
+        for k, ell in zip(ks, basis):
+            b = K.zero
+            for c, y in zip(ell.coeffs, s.seq):
+                b = K.add(b, K.mul(c, y))
+            if K.is_zero(b):
+                return None
+            e2[v] = k
+            terms[tuple(e2)] = K.mul(b, K.pow(ainv, k))
+    return MultiPoly(ring, terms)
+
+
+def _point_image(levs, starts, groups, rows, degm, count):
+    """One image of the scaled gcd on the support of H, from the term
+    values `starts` of A, B and gamma at its first probe."""
+    levA, levB, levG = levs
+    curA, curB, curG = starts
     K = levA.K
     ring = levA.ring
     degA, degB = levA.deg, levB.deg
-    curA = levA.start(beta)
-    curB = levB.start(beta)
-    curG = levG.start(beta)
     images = []
     for s in range(count):
         if s:
-            curA = levA.advance(curA)
-            curB = levB.advance(curB)
-            curG = levG.advance(curG)
+            curA = levA.advance(curA, levA.mults)
+            curB = levB.advance(curB, levB.mults)
+            curG = levG.advance(curG, levG.mults)
         ua = levA.image(curA)
         ub = levB.image(curB)
         ug = levG.image(curG)
@@ -302,12 +438,14 @@ class _LevelEval:
     """Per-level probe evaluator for one polynomial.
 
     Term values split into a fixed part (coefficient times the alpha
-    values of the untouched variables), a beta power for the variable
-    being lifted, and a processed-variable monomial multiplier that
-    advances the value by one probe per multiplication.
+    values of the untouched variables), a power of the x_v point, and a
+    processed-variable monomial multiplier that advances the value by
+    one probe per multiplication.  The next geometric x_v point is one
+    multiplication by the per-term ratio beta^e_v.
     """
 
-    __slots__ = ("K", "ring", "mod", "deg", "v", "exps", "ems", "base", "mults", "first")
+    __slots__ = ("K", "ring", "mod", "deg", "v", "exps", "ems", "base", "mults",
+                 "first", "ratio")
 
     def __init__(self, f, m, v, processed, alpha):
         K = f.ring.cring
@@ -322,23 +460,28 @@ class _LevelEval:
         self.exps = list(f.terms)
         self.ems = [e[m] for e in self.exps]
         self.base = term_values(K, self.exps, fixed, f.terms.values())
-        self.mults = self.first = None
+        self.mults = self.first = self.ratio = None
 
     def set_rho(self, rho):
         """Point the processed variables at rho; rho has exactly those keys."""
         self.mults = term_values(self.K, self.exps, rho)
         self.first = term_values(self.K, self.exps, rho, self.base)
 
-    def start(self, beta):
-        """Term values at the first probe with x_v = beta."""
-        return term_values(self.K, self.exps, {self.v: beta}, self.first)
+    def set_ratio(self, beta):
+        """Per-term beta^e_v, the step between geometric x_v points."""
+        self.ratio = term_values(self.K, self.exps, {self.v: beta})
 
-    def advance(self, cur):
+    def start(self, x):
+        """Term values at the first probe with x_v = x."""
+        return term_values(self.K, self.exps, {self.v: x}, self.first)
+
+    def advance(self, cur, by):
+        """cur times by, term by term."""
         p = self.mod
         if p is not None:
-            return [val * mt % p for val, mt in zip(cur, self.mults)]
+            return [val * mt % p for val, mt in zip(cur, by)]
         K = self.K
-        return [K.mul(val, mt) for val, mt in zip(cur, self.mults)]
+        return [K.mul(val, mt) for val, mt in zip(cur, by)]
 
     def image(self, cur):
         """UniPoly in x_m from the current term values."""

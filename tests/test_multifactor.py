@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -336,3 +337,27 @@ def test_mod_lifted_is_the_remainder_by_the_power_of_the_shift():
         assert g.degree(1) <= D
         power = (y - R.of(a)) ** (D + 1)
         assert multi_divrem(f - g, [power])[1].is_zero()
+
+
+@pytest.mark.parametrize("K", [ZZ, ZpRing(1000003)])
+def test_accepted_factors_are_not_divided_again(K, monkeypatch):
+    # _subset_split divides each factor out of F to accept it, so the caller
+    # takes the leftover constant from the leading coefficients instead of
+    # dividing F by every factor a second time
+    orig = multifactor.multi_exact_div
+    callers = []
+
+    def counting(a, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return orig(a, b)
+
+    monkeypatch.setattr(multifactor, "multi_exact_div", counting)
+    R = MultiRing(K, ("x", "y", "z"))
+    x, y, z = R.gens()
+    parts = [x * y + 2 * z + 3, x * x * z - y + 1, 3 * y * z + x + 5]
+    f = multi_mul(multi_mul(multi_mul(parts[0], parts[1]), parts[2]), R.of(-6))
+    unit, got = factor_multipoly(R, f)
+    assert _rebuild(R, unit, got) == f
+    assert {g for g, _ in got if g.degree() > 0} == {R.normalize_unit(g)[1] for g in parts}
+    assert callers.count("_subset_split") >= 2
+    assert "_prim_squarefree_into" not in callers

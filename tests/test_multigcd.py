@@ -15,7 +15,7 @@ from ringkit.multipoly import (
     multi_scale,
 )
 from ringkit.rings import QQ, ZZ, FractionField, ZpRing
-from ringkit.unipoly import UniRing
+from ringkit.unipoly import UniRing, uni_eval
 
 
 @pytest.fixture
@@ -193,3 +193,163 @@ def test_unsupported_coefficient_ring():
     x, y = ring.gens()
     with pytest.raises(UnsupportedRingError):
         multi_gcd(x * y + 1, x + y)
+
+
+# ------------------------------------------- geometric points, early stop
+
+
+def _counting(monkeypatch, *names):
+    """Wrap multigcd functions by name; returns the live call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(multigcd, name)
+
+        def wrapper(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(multigcd, name, wrapper)
+    return calls
+
+
+def _monic(g):
+    return multi_scale(g, g.ring.cring.inv(g.lc()))
+
+
+def test_massey_settles_after_two_tau_plus_one_terms():
+    K = ZpRing(101)
+    nodes, weights = [3, 7, 50], [5, 1, 99]
+    seq = [sum(w * pow(r, j, 101) for w, r in zip(weights, nodes)) % 101
+           for j in range(8)]
+    s = multigcd._Massey(K, seq[0])
+    settled = [s.push(c) for c in seq[1:]]
+    # terms 0..5 fix the recurrence, term 6 is the first check
+    assert settled == [False] * 5 + [True, True]
+    assert s.length == 3
+    lam = UniRing(K, "t").of_coeffs(s.conn[::-1])
+    assert all(uni_eval(lam, r) == 0 for r in nodes)
+
+
+def test_ratio_powers_have_order_above_dv():
+    rng = random.Random(1)
+    for K, dv in ((ZpRing(31), 20), (GFRing(3, 3), 13), (ZpRing(1000003), 40)):
+        for _ in range(5):
+            pw = multigcd._ratio_powers(K, rng, dv)
+            assert pw is not None and len(set(pw)) == len(pw) == dv + 1
+            assert pw[0] == K.one
+    # no element of order above dv exists
+    assert multigcd._ratio_powers(ZpRing(31), rng, 30) is None
+    assert multigcd._ratio_powers(GFRing(3, 3), rng, 26) is None
+
+
+def test_sparse_gcd_of_high_degree_per_variable(monkeypatch):
+    ring = MultiRing(ZpRing(1000003), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    g = x**16 * y**2 + 3 * x**5 * y**15 * z + 7 * z**17 + 2
+    a = x**3 + y * z**4 + 5
+    b = x * y**2 + z**3 + 1
+    calls = _counting(monkeypatch, "_point_image", "_interp_terms")
+    assert multi_gcd(multi_mul(a, g), multi_mul(b, g)) == _monic(g)
+    # dense interpolation takes 31 point images here; tau <= 2 needs 2 * tau
+    # new points per lifted variable
+    assert calls["_point_image"] <= 8
+    assert calls["_interp_terms"] == 0
+
+
+def test_dense_gcd_reaches_dv_plus_one_points(monkeypatch):
+    ring = MultiRing(ZpRing(1000003), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    g = (x + 2 * y + 3 * z + 4) ** 4
+    a = x * y + z + 1
+    b = x + y * z + 2
+    calls = _counting(monkeypatch, "_interp_terms", "_sparse_terms")
+    assert multi_gcd(multi_mul(a, g), multi_mul(b, g)) == _monic(g)
+    # each of the two lifted variables has 5 terms per coefficient but only
+    # degree 4, so it ends on dense interpolation through its dv + 1 points
+    assert calls["_interp_terms"] == 2
+    assert calls["_sparse_terms"] == 0
+
+
+def test_unlucky_point_skips_to_dense(monkeypatch):
+    ring = MultiRing(ZpRing(1000003), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    g = x**6 * y**2 + 3 * x * y**7 * z + 7 * z**8 + 2
+    a = x**3 + y * z**4 + 5
+    b = x * y**2 + z**3 + 1
+    orig = multigcd._point_image
+    seen = []
+
+    def second_unlucky(*args):
+        seen.append(1)
+        if len(seen) == 2:
+            raise multigcd._Unlucky
+        return orig(*args)
+
+    monkeypatch.setattr(multigcd, "_point_image", second_unlucky)
+    calls = _counting(monkeypatch, "_interp_terms", "_sparse_terms")
+    assert multi_gcd(multi_mul(a, g), multi_mul(b, g)) == _monic(g)
+    # the variable that met the skipped point finishes densely, the other
+    # one still stops early
+    assert calls["_interp_terms"] == 1
+    assert calls["_sparse_terms"] >= 1
+
+
+@pytest.mark.parametrize("K, hi, trials", [(ZpRing(31), 14, 12), (GFRing(3, 3), 10, 6)])
+def test_small_fields_certify_or_raise(monkeypatch, K, hi, trials):
+    # random ratios often have order <= dv here; each gcd must come back
+    # certified or raise the typed error, within a bounded number of points
+    ring = MultiRing(K, ("x", "y", "z"))
+    orig = multigcd._point_image
+    seen = []
+
+    def bounded(*args):
+        seen.append(1)
+        assert len(seen) < 5000, "the lift does not terminate"
+        return orig(*args)
+
+    monkeypatch.setattr(multigcd, "_point_image", bounded)
+    for t in range(trials):
+        rng = random.Random(t)
+        g = _sparse(ring, rng, 3, hi)
+        a = _sparse(ring, rng, 3, hi // 2)
+        b = _sparse(ring, rng, 3, hi // 2)
+        A, B = multi_mul(a, g), multi_mul(b, g)
+        got = multi_gcd(A, B, seed=t)
+        assert multi_divides(got, A) and multi_divides(got, B)
+        assert multi_divides(_monic(g), got)
+    # degree 31 in y needs 32 distinct points, and Zp[31] has 30 nonzero
+    if K == ZpRing(31):
+        x, y, z = ring.gens()
+        g = x**40 + y**31 * z + 1
+        with pytest.raises(UnsupportedRingError):
+            multi_gcd(multi_mul(x * y + 2, g), multi_mul(x + z**2, g))
+
+
+def _sharp(rng, n, dsum):
+    """Exponents of total degree dsum, each variable a uniform share of the
+    rest (perfbench's shape for planted gcds)."""
+    order = list(range(n))
+    rng.shuffle(order)
+    e = [0] * n
+    rem = dsum
+    for i in order[:-1]:
+        e[i] = rng.randint(0, rem)
+        rem -= e[i]
+    e[order[-1]] = rem
+    return tuple(e)
+
+
+def test_planted_sparse5_point_images(monkeypatch):
+    ring = MultiRing(ZpRing(1000003), tuple("x%d" % i for i in range(1, 6)))
+    rng = random.Random(0)
+    polys = []
+    for _ in range(3):
+        terms = {}
+        while len(terms) < 20:
+            terms[_sharp(rng, 5, 20)] = rng.randrange(1, 1000003)
+        polys.append(MultiPoly(ring, terms))
+    a, b, g = polys
+    calls = _counting(monkeypatch, "_point_image")
+    assert multi_gcd(multi_mul(a, g), multi_mul(b, g)) == _monic(g)
+    # dense interpolation of every lifted variable took 69 point images
+    assert calls["_point_image"] <= 34

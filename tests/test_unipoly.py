@@ -152,7 +152,10 @@ def test_gcd_zero_edges():
     assert uni_gcd(P(Z17), P(Z17)).is_zero()
 
 
-def test_half_gcd_agrees_with_euclid():
+def test_half_gcd_agrees_with_euclid(monkeypatch):
+    # the Half-GCD loop runs above HALF_GCD_THRESHOLD; lowered to HGCD_BASE
+    # it runs on these degrees too, and _hgcd recurses into its base case
+    monkeypatch.setattr(up, "HALF_GCD_THRESHOLD", up.HGCD_BASE)
     rng = random.Random(6)
     for _ in range(60):
         a = uni_random(Z17, rng.randrange(150, 400), rng)
@@ -164,6 +167,30 @@ def test_half_gcd_agrees_with_euclid():
         a = uni_mul(g, uni_random(ZBIG, rng.randrange(100, 260), rng))
         b = uni_mul(g, uni_random(ZBIG, rng.randrange(100, 260), rng))
         assert uni_gcd_half(a, b) == uni_gcd_euclid(a, b)
+    monkeypatch.undo()
+    top = up.HALF_GCD_THRESHOLD
+    for _ in range(2):
+        g = uni_random(ZBIG, rng.randrange(5, 40), rng)
+        a = uni_mul(g, uni_random(ZBIG, rng.randrange(top, top + 100), rng))
+        b = uni_mul(g, uni_random(ZBIG, rng.randrange(top - 100, top), rng))
+        assert uni_gcd(a, b) == uni_gcd_half(a, b) == uni_gcd_euclid(a, b)
+
+
+@pytest.mark.parametrize("K", [Z17, ZBIG])
+def test_hgcd_meets_its_contract_around_the_base_case(K):
+    # M*(a, b) = (c, d) with deg c >= ceil(deg a / 2) > deg d, from the
+    # remainder-step base case below HGCD_BASE and the recursion above it
+    rng = random.Random(11)
+    for da in range(up.HGCD_BASE - 4, up.HGCD_BASE + 60, 8):
+        a = uni_random(K, da, rng)
+        b = uni_random(K, rng.randrange(da // 2, da), rng)
+        M = up._hgcd(a, b)
+        c, d = up._mat_apply(M, a, b)
+        m = (da + 1) // 2
+        assert c.degree >= m > d.degree
+        # M is a product of elementary steps: its determinant is a unit
+        det = up.uni_sub(uni_mul(M[0], M[3]), uni_mul(M[1], M[2]))
+        assert det.degree == 0
 
 
 def test_subresultant_gcd_over_z():
