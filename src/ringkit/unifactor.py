@@ -5,7 +5,10 @@ Zassenhaus equal-degree splitting ((q^d-1)/2 powers for odd q, trace maps
 in characteristic 2).  Every q-th power in these steps and in Rabin's test
 is an image of one FrobeniusMap (von zur Gathen and Shoup 1992), built
 once per squarefree part, not a fresh power: only x^q mod f and the short
-power r^((q-1)/2) are computed by repeated squaring.  Over Z: factor an
+power r^((q-1)/2) are computed by repeated squaring.  The distinct-degree
+split batches its degrees in blocks (Shoup 1995): one gcd of the unsplit
+part with the product of the block's x^(q^d) - x mod f, and a per-degree
+split only inside a block whose gcd is nontrivial.  Over Z: factor an
 image modulo a 31-bit prime, Hensel-lift to the Mignotte bound, recombine
 subsets by trial division.
 """
@@ -116,23 +119,55 @@ def factor_finite(f: UniPoly, seed: int = 0):
 
 def _distinct_degree(f: UniPoly, frob):
     """[(product of irreducible factors of degree d, d)] for monic squarefree
-    f, with `frob` the FrobeniusMap of f."""
+    f, with `frob` the FrobeniusMap of f.
+
+    Shoup's interval batching: the degrees run in blocks of about
+    sqrt(deg f / 2).  A block multiplies the h_d - x, h_d = x^(q^d) mod f,
+    of its degrees mod f, with the map's own context, and takes one gcd of
+    that product with the part `cur` of f not yet split off (cur divides f,
+    so the product mod f has the same gcd).  That gcd holds the factors
+    whose degree lies in the block, since the lower ones are gone; only a
+    nontrivial block gcd is split degree by degree.  Degrees stop at
+    deg(cur) / 2: what remains then is irreducible.
+    """
     K = f.ring
     x = _poly(K, [K.zero, K.one])
+    width = max(1, math.isqrt(f.degree // 2))
+    ctx = frob.context
     out = []
     h = x
     cur = f
     d = 0
-    while cur.degree > 0:
-        d += 1
-        if cur.degree < 2 * d:
-            out.append((cur, cur.degree))
-            break
-        h = frob(h)  # x^(q^d) mod f
-        g = uni_gcd(uni_sub(h, x), cur)
+    while cur.degree >= 2 * (d + 1):
+        prod = _poly(K, [K.one])
+        block = []
+        for d in range(d + 1, min(d + width, cur.degree // 2) + 1):
+            h = frob(h)
+            block.append((h, d))
+            prod = ctx.mulmod(prod, uni_sub(h, x))
+        g = uni_gcd(prod, cur)
         if g.degree > 0:
-            out.append((g, d))
             cur = uni_exact_div(cur, g)
+            out.extend(_split_block(g, block, x))
+    if cur.degree > 0:
+        out.append((cur, cur.degree))
+    return out
+
+
+def _split_block(g: UniPoly, block, x):
+    """Split g, the product of the factors whose degrees lie in `block`, a
+    list of (x^(q^d) mod f, d) by increasing d, by degree."""
+    out = []
+    for h, d in block:
+        if g.degree < 2 * d:
+            break
+        gd = uni_gcd(uni_sub(h, x), g)
+        if gd.degree > 0:
+            out.append((gd, d))
+            g = uni_exact_div(g, gd)
+    if g.degree > 0:
+        # deg g < 2d and every factor left has degree >= d: g is irreducible
+        out.append((g, g.degree))
     return out
 
 

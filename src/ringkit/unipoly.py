@@ -6,17 +6,30 @@ plus the coefficient ring.  Residue rings (Z/m and Zp, the rings with a
 through the generic ring operations.
 """
 
+import sys
+from array import array
+
 from . import rings
 from .errors import UnsupportedRingError
 from .modular import gcd_coeff_bound, mod_inverse, modular_gcd
 
 KARATSUBA_THRESHOLD = 32  # generic rings: schoolbook up to this length
-# residue rings: schoolbook below this length, one packed big-int product at
-# or above it.  Balanced operands, both results reduced mod m: packing wins
-# from length 11 for a 20-bit modulus, 8 for 62 bits and 18 for 361 bits,
-# and at length 20 is 1.6-2.0x, 1.8-2.0x and 1.05-1.13x faster
+# residue rings: schoolbook below these lengths, one packed big-int product
+# at or above them.  Balanced operands, both results reduced mod m: for
+# moduli up to 62 bits packing wins from length 6-8 (p = 17, 20, 31 and 62
+# bits) and at length 10 is 1.5-2.2x faster; it wins from length 10 for 63
+# and 93 bits and from 18-20 for 361 bits
+PACKED_MUL_WORD_THRESHOLD = 8  # moduli up to 62 bits
 PACKED_MUL_THRESHOLD = 20
+# PolyModContext over Zp packs its mulmod from this modulus degree on: in
+# powmod, 8-byte slots (p = 17, 20 bits) win from degree 4, 16-byte slots
+# (31 and 62 bits) break even at 6 and win by 1.1-1.2x at 7
+PACKED_MULMOD_DEGREE = 7
 NEWTON_DIV_THRESHOLD = 60  # remainder degree where Newton division kicks in
+# PolyModContext.rem divides by Newton iteration with the cached inverse only
+# when the modulus degree and the quotient length both reach this: below
+# either, classical division was faster for every field measured
+NEWTON_REM_THRESHOLD = 32
 # Half-GCD against Euclid over Zp, random inputs: Half-GCD wins from degree
 # about 450 for a 62-bit prime, 550 for a 20-bit one and 700 for p = 17
 HALF_GCD_THRESHOLD = 500  # degree where the gcd loop switches to Half-GCD
@@ -171,25 +184,50 @@ def _school_int(x, y):
     return out
 
 
+# word-aligned slots pack through array('Q'), which is native byte order
+_WORD_SLOTS = sys.byteorder == "little"
+
+
 def _slot_bytes(p, terms):
-    """Bytes per slot holding a sum of `terms` products of residues mod p."""
-    return (2 * (p - 1).bit_length() + terms.bit_length() + 8) // 8
+    """Bytes per slot holding a sum of `terms` products of residues mod p.
+
+    Rounded up to a machine word (8 bytes) or two (16), so that packing and
+    unpacking run through `array('Q')` and `memoryview.cast('Q')`; wider
+    slots keep their exact byte count.
+    """
+    s = (2 * (p - 1).bit_length() + terms.bit_length() + 7) // 8
+    if not _WORD_SLOTS or s > 16:
+        return s
+    return 8 if s <= 8 else 16
 
 
 def _pack(x, s):
-    """Nonnegative ints, each below 2^(8s), as the slots of one big integer."""
+    """Residues as the slots of one big integer: each below 2^(8s), and
+    below 2^64 for 16-byte slots."""
+    if s == 8:
+        return int.from_bytes(array("Q", x), "little")
+    if s == 16:
+        w = array("Q", bytes(16 * len(x)))
+        w[::2] = array("Q", x)
+        return int.from_bytes(w, "little")
     return int.from_bytes(b"".join(c.to_bytes(s, "little") for c in x), "little")
 
 
 def _unpack(v, s, count):
-    """The first `count` slots of s bytes of a packed integer."""
+    """The first `count` slots of s bytes of a packed integer below
+    2^(8 * s * count)."""
     raw = v.to_bytes(s * count, "little")
+    if s == 8:
+        return memoryview(raw).cast("Q").tolist()
+    if s == 16:
+        w = memoryview(raw).cast("Q")
+        return [lo | hi << 64 if hi else lo for lo, hi in zip(w[::2], w[1::2])]
     return [int.from_bytes(raw[k * s : (k + 1) * s], "little") for k in range(count)]
 
 
 def _packed_int(x, y, p):
     """Convolution by packing coefficient slots into one big integer."""
-    s = _slot_bytes(p, max(len(x), len(y)))
+    s = _slot_bytes(p, min(len(x), len(y)))
     return _unpack(_pack(x, s) * _pack(y, s), s, len(x) + len(y) - 1)
 
 
@@ -231,8 +269,9 @@ def _kara_generic(K, x, y):
 def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
     """Product.
 
-    Over a residue ring: schoolbook on ints below PACKED_MUL_THRESHOLD, one
-    packed big-int convolution at or above it, no Karatsuba.  Over any other
+    Over a residue ring: schoolbook on ints below PACKED_MUL_THRESHOLD
+    (PACKED_MUL_WORD_THRESHOLD for moduli up to 62 bits), one packed
+    big-int convolution at or above it, no Karatsuba.  Over any other
     ring: schoolbook up to KARATSUBA_THRESHOLD, Karatsuba above.
     """
     K = a.ring
@@ -241,7 +280,10 @@ def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
     x, y = a.coeffs, b.coeffs
     m = K.coeff_modulus
     if m is not None:
-        if min(len(x), len(y)) >= PACKED_MUL_THRESHOLD:
+        n = min(len(x), len(y))
+        if n >= PACKED_MUL_THRESHOLD or (
+            n >= PACKED_MUL_WORD_THRESHOLD and m.bit_length() <= 62
+        ):
             raw = _packed_int(x, y, m)
         else:
             raw = _school_int(x, y)
@@ -872,23 +914,82 @@ def uni_random(K, degree: int, rng, monic=False) -> UniPoly:
 
 
 class PolyModContext:
-    """Arithmetic modulo a fixed polynomial with a cached series inverse."""
+    """Arithmetic modulo a fixed polynomial f of degree n.
+
+    Over Zp, from n = PACKED_MULMOD_DEGREE on, the context packs once the
+    low part of monic f and the reversed Newton inverse of its reversal
+    mod x^(n-1) into word-slot big integers.  `mulmod` of reduced operands
+    is then three big-int products (the operands, the quotient from the
+    high half of the product, the quotient times f's low part), each
+    unpacked and reduced slot by slot, and `rem` takes the same Barrett
+    step for dividends of degree below 2n - 1.  Below that degree and over
+    other rings, `mulmod` is a product followed by `rem`, which divides
+    classically when the quotient is short and by FastDivision otherwise.
+    """
 
     def __init__(self, modulus: UniPoly):
         self.modulus = modulus
-        self._fast = FastDivision(modulus) if modulus.degree >= 1 else None
+        n = modulus.degree
+        self._fast = FastDivision(modulus) if n >= 1 else None
+        K = modulus.ring
+        m = K.coeff_modulus
+        self._slot = None
+        if K.is_field and m is not None and n >= PACKED_MULMOD_DEGREE:
+            self._slot = s = _slot_bytes(m, n)
+            inv = self._fast._rev_inverse(n - 1).coeffs
+            # with g the inverse, the quotient's coefficient j is slot n-2+j
+            # of (high half) * reversed g: no list reversal per product
+            self._inv_rev = _pack([0] * (n - 1 - len(inv)) + inv[::-1], s)
+            self._low = _pack(self._fast.monic_divider.coeffs[:n], s)
+            self._shift = 8 * s * (n - 2)
+            self._mask = (1 << 8 * s * n) - 1
+
+    def _reduce(self, v, count):
+        """Trimmed residues of the polynomial whose `count` slots are packed
+        in v, each slot a sum of at most n products of residues, mod f."""
+        s, n, m = self._slot, self.modulus.degree, self.modulus.ring.coeff_modulus
+        c = _unpack(v, s, count)
+        if count <= n:
+            r = [t % m for t in c]
+        else:
+            hi = [t % m for t in c[n:]]
+            q = _unpack((_pack(hi, s) * self._inv_rev) >> self._shift, s, len(hi))
+            q = [t % m for t in q]
+            low = _unpack((_pack(q, s) * self._low) & self._mask, s, n)
+            r = [(a - b) % m for a, b in zip(c, low)]
+        while r and not r[-1]:
+            r.pop()
+        return r
 
     def rem(self, a: UniPoly) -> UniPoly:
-        if self._fast is None:
-            return UniPoly(a.ring, [])
-        if a.degree < self.modulus.degree:
+        n = self.modulus.degree
+        k = a.degree - n  # quotient degree
+        if k < 0:
             return a
-        if a.degree - self.modulus.degree < 8:
+        if n == 0:
+            return UniPoly(a.ring, [])
+        # a quotient of degree below 8 divides faster classically, packed or not
+        if self._slot is not None and 8 <= k < n - 1:
+            return UniPoly(a.ring, self._reduce(_pack(a.coeffs, self._slot), k + n + 1))
+        if k < NEWTON_REM_THRESHOLD or n < NEWTON_REM_THRESHOLD:
             return _divrem_classical(a, self.modulus)[1]
         return self._fast.rem(a)
 
     def mulmod(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        return self.rem(uni_mul(a, b))
+        s = self._slot
+        if s is None:
+            return self.rem(uni_mul(a, b))
+        n = self.modulus.degree
+        if a.degree >= n:
+            a = self.rem(a)
+        if b.degree >= n:
+            b = self.rem(b)
+        x, y = a.coeffs, b.coeffs
+        if not x or not y:
+            return UniPoly(a.ring, [])
+        X = _pack(x, s)
+        v = X * X if x is y else X * _pack(y, s)
+        return UniPoly(a.ring, self._reduce(v, len(x) + len(y) - 1))
 
     def powmod(self, a: UniPoly, e: int) -> UniPoly:
         K = a.ring
@@ -907,19 +1008,23 @@ class FrobeniusMap:
 
     The map is linear over the field, so it stores the rows x^(i*q) mod f
     for i < deg f (one `powmod(x, q)`, then deg f - 2 products by x^q) and
-    takes an image as sum(h_i * row_i).  Over a residue ring the rows are
-    packed once into big integers, so an image is one pass of int-by-bigint
-    products, one unpack and one reduction per slot; over other fields the
-    sum runs through the ring operations.  `h` must be reduced mod f.
+    takes an image as sum(h_i * row_i).  The rows come from `context`, the
+    PolyModContext of f: over Zp, from degree PACKED_MULMOD_DEGREE on, each
+    is a packed `mulmod` of three big-int products and no FastDivision;
+    below that degree and over other fields, a product and a remainder.
+    Over a residue ring the rows are packed once into word-slot big
+    integers, so an image is one pass of int-by-bigint products, one unpack
+    and one reduction per slot; over other fields the sum runs through the
+    ring operations.  `h` must be reduced mod f.
     """
 
     def __init__(self, f: UniPoly):
         K = f.ring
         self.ring = K
         n = f.degree
+        self.context = ctx = PolyModContext(f)
         rows = [_poly(K, [K.one])]
         if n > 1:
-            ctx = PolyModContext(f)
             xq = ctx.powmod(UniPoly(K, [K.zero, K.one]), K.cardinality)
             rows.append(xq)
             while len(rows) < n:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ringkit import unifactor as uf
 from ringkit import unipoly as up
 from ringkit.errors import UnsupportedRingError
 from ringkit.galois import GFRing
@@ -212,6 +213,99 @@ def test_pdeg_100_over_word_prime():
     assert [g.degree for g, _ in parts] == [1, 1, 6, 12, 16, 18, 46]
     assert all(m == 1 for _, m in parts)
     assert multiply_back(unit, parts) == f
+
+
+# ------------------------------------------------------ distinct degrees
+
+
+def _distinct_degree_reference(f, frob):
+    """The per-degree DDF: one gcd(x^(q^d) - x, cur) for every degree d."""
+    K = f.ring
+    x = P(K, 0, 1)
+    out = []
+    h = x
+    cur = f
+    d = 0
+    while cur.degree > 0:
+        d += 1
+        if cur.degree < 2 * d:
+            out.append((cur, cur.degree))
+            break
+        h = frob(h)
+        g = up.uni_gcd(up.uni_sub(h, x), cur)
+        if g.degree > 0:
+            out.append((g, d))
+            cur = up.uni_exact_div(cur, g)
+    return out
+
+
+def _irreducibles(K, degrees, rng):
+    out = []
+    for d in degrees:
+        while True:
+            g = _random_monic(K, d, rng)
+            if g not in out and uni_is_irreducible(g):
+                out.append(g)
+                break
+    return out
+
+
+# Blocks hold about sqrt(deg f / 2) degrees.  At degree 50 that is 5: the
+# first block holds three factors of degree 4 and one of degree 5, blocks
+# 6-10 and 11-15 up to the factor of degree 13 hold none, and the factor of
+# degree 20 is left by the cur.degree < 2d exit.  At degree 23 the blocks
+# are 1-3 (degrees 1 and 2), 4-6 (6) and the last, cut at deg(cur) / 2,
+# holds both factors of degree 7.
+DDF_SHAPES = ([4, 4, 4, 5, 13, 20], [1, 2, 6, 7, 7])
+
+
+@pytest.mark.parametrize(
+    "K",
+    [ZpRing(2), ZpRing(3), Z17, ZpRing(1000003), GFRing(2, 3)],
+    ids=["Z2", "Z3", "Z17", "Zword", "GF8"],
+)
+@pytest.mark.parametrize("degrees", DDF_SHAPES, ids=["gap", "tight"])
+def test_blocked_distinct_degree_matches_per_degree_loop(K, degrees):
+    rng = random.Random(len(degrees))
+    factors = _irreducibles(K, degrees, rng)
+    f = P(K, 1)
+    for g in factors:
+        f = up.uni_mul(f, g)
+    frob = up.FrobeniusMap(f)
+    got = uf._distinct_degree(f, frob)
+    assert got == _distinct_degree_reference(f, frob)
+    expect = {}
+    for g in factors:
+        expect[g.degree] = up.uni_mul(expect.get(g.degree, P(K, 1)), g)
+    assert got == sorted(((g, d) for d, g in expect.items()), key=lambda gd: gd[1])
+
+
+def test_ddf_gcds_and_table_divisions_stay_cut(monkeypatch):
+    # 1 + sum(i * x^i) at degree 100 over Zp[1000003]: the per-degree DDF
+    # took 23 gcds and the table build 118 FastDivision.divrem calls
+    K = ZpRing(1000003)
+    f = P(K, 1, *range(1, 101))
+    f = up.uni_monic(f)
+    calls = {"gcd": 0, "divrem": 0}
+    gcd, divrem = uf.uni_gcd, up.FastDivision.divrem
+
+    def counting_gcd(a, b):
+        calls["gcd"] += 1
+        return gcd(a, b)
+
+    def counting_divrem(self, a):
+        calls["divrem"] += 1
+        return divrem(self, a)
+
+    monkeypatch.setattr(up.FastDivision, "divrem", counting_divrem)
+    frob = up.FrobeniusMap(f)
+    assert calls["divrem"] == 0
+    monkeypatch.setattr(uf, "uni_gcd", counting_gcd)
+    parts = uf._distinct_degree(f, frob)
+    assert [(g.degree, d) for g, d in parts] == [
+        (2, 1), (6, 6), (12, 12), (16, 16), (18, 18), (46, 46)
+    ]
+    assert calls["gcd"] <= 23 // 2
 
 
 # ------------------------------------------------------------------- over Z

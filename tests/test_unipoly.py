@@ -5,6 +5,7 @@ import pytest
 from ringkit import rings
 from ringkit import unipoly as up
 from ringkit.errors import NonInvertibleError
+from ringkit.galois import GFRing
 from ringkit.rings import ZZ, QQ, ZmRing, ZpRing
 from ringkit.unipoly import (
     PolyModContext,
@@ -67,8 +68,10 @@ def test_dunder_arithmetic_matches_functions():
 def test_mul_strategies_agree(K):
     # schoolbook is the oracle; karatsuba and the dispatcher must match it
     rng = random.Random(42)
-    t = up.PACKED_MUL_THRESHOLD  # residue rings: lengths t - 1 and t straddle it
-    sizes = [(0, 0), (1, 5), (t - 2, t - 2), (t - 1, t - 1), (33, 40), (64, 100), (257, 300)]
+    # residue rings: lengths t - 1 and t straddle each threshold
+    t, w = up.PACKED_MUL_THRESHOLD, up.PACKED_MUL_WORD_THRESHOLD
+    sizes = [(0, 0), (1, 5), (w - 2, w - 2), (w - 1, w - 1), (t - 2, t - 2), (t - 1, t - 1)]
+    sizes += [(33, 40), (64, 100), (257, 300)]
     for da, db in sizes:
         a = uni_random(K, da, rng)
         b = uni_random(K, db, rng)
@@ -314,6 +317,89 @@ def _slow_powmod(a, e, m):
         base = uni_mul(base, base) % m
         e >>= 1
     return out
+
+
+# (p, terms) whose worst slot, terms * (p - 1)^2, needs exactly 64 and 128
+# bits, and moduli past two words that keep the byte-per-byte path
+SLOT_CASES = [
+    (2**29 - 3, 63, 8),
+    (1000003, 100, 8),
+    (2**61 - 1, 63, 16),
+    (2**31 - 1, 100, 16),
+    (2**62 + 135, 20, 17),
+    ((2**31 - 1) ** 3, 40, 24),
+]
+
+
+@pytest.mark.parametrize("p, terms, width", SLOT_CASES)
+def test_pack_unpack_round_trip_at_every_slot_width(p, terms, width):
+    s = up._slot_bytes(p, terms)
+    assert s == width
+    rng = random.Random(p % 1000)
+    x = [rng.randrange(p) for _ in range(terms)] + [p - 1, 0, 0]
+    assert up._unpack(up._pack(x, s), s, len(x)) == x
+    assert up._unpack(0, s, 0) == []
+    # every slot of the square of the worst operand is a full sum of
+    # (p - 1)^2 terms up to the middle one, which holds terms of them
+    worst = [p - 1] * terms
+    prod = up._unpack(up._pack(worst, s) ** 2, s, 2 * terms - 1)
+    assert prod == [min(k + 1, 2 * terms - 1 - k) * (p - 1) ** 2 for k in range(2 * terms - 1)]
+    assert prod[terms - 1].bit_length() <= 8 * s
+
+
+MULMOD_PRIMES = (2, 3, 17, 1000003, 2**31 - 1, 2**61 - 1, 2**62 + 135)
+
+
+@pytest.mark.parametrize("p", MULMOD_PRIMES)
+def test_packed_mulmod_and_powmod_match_classical_division(p):
+    K = ZpRing(p)
+    rng = random.Random(p % 997)
+    gate = up.PACKED_MULMOD_DEGREE
+    for n in (1, 2, gate - 1, gate, gate + 1, 100):
+        f = uni_random(K, n, rng)  # not monic: the remainder is the same
+        ctx = PolyModContext(f)
+        assert (ctx._slot is not None) == (n >= gate)
+        for da, db in ((n - 1, n - 1), (n - 1, 0), (n // 2, n - 1)):
+            a, b = uni_random(K, da, rng), uni_random(K, db, rng)
+            expect = up._divrem_classical(uni_mul(a, b), f)[1]
+            assert ctx.mulmod(a, b) == expect, (p, n, da, db)
+            assert ctx.mulmod(a, a) == up._divrem_classical(uni_mul(a, a), f)[1]
+        assert ctx.mulmod(P(K), uni_random(K, n - 1, rng)) == P(K)
+        # operands that are not reduced are reduced first
+        a, b = uni_random(K, n + 3, rng), uni_random(K, 2 * n, rng)
+        assert ctx.mulmod(a, b) == up._divrem_classical(uni_mul(a, b), f)[1]
+        e = rng.randrange(p, 3 * p)
+        a = uni_random(K, n - 1, rng)
+        assert ctx.powmod(a, e) == _powmod_reference(a, e, f)
+        # every remainder route: short quotient, packed, classical, Newton
+        for k in (0, 7, 8, n - 2, n - 1, 40, 3 * n):
+            if k >= 0:
+                a = uni_random(K, n + k, rng)
+                assert ctx.rem(a) == up._divrem_classical(a, f)[1], (p, n, k)
+
+
+def _powmod_reference(a, e, f):
+    out = P(a.ring, 1)
+    while e:
+        if e & 1:
+            out = up._divrem_classical(uni_mul(out, a), f)[1]
+        a = up._divrem_classical(uni_mul(a, a), f)[1]
+        e >>= 1
+    return out
+
+
+def test_rings_without_word_residues_keep_their_mulmod_path():
+    # Z/m for a prime power is no field, and GF(3^2) has no coeff_modulus:
+    # both multiply and then take the remainder, as before
+    rng = random.Random(12)
+    gf9 = GFRing(3, 2)
+    for K in (ZmRing((2**31 - 1) ** 3), gf9):
+        f = uni_random(K, 12, rng, monic=True)
+        ctx = PolyModContext(f)
+        assert ctx._slot is None
+        a, b = uni_random(K, 11, rng), uni_random(K, 11, rng)
+        assert ctx.mulmod(a, b) == up._divrem_classical(uni_mul(a, b), f)[1]
+        assert ctx.powmod(a, 10) == _powmod_reference(a, 10, f)
 
 
 def test_uniring_descriptor():
