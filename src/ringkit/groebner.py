@@ -1,7 +1,8 @@
 """Groebner bases over fields: signature-based Buchberger under GREVLEX,
 Buchberger with Gebauer-Moller pruning under LEX and GRLEX.
 
-The engine packs exponent vectors into guard-bit integers so monomial
+The engine packs exponent vectors with a `multipoly.Layout` of 15 value
+bits and a guard bit per variable, variable 0 on top, so monomial
 divisibility is two int ops, and carries each monomial's order key as a
 second integer (order keys are additive, so products need no repacking).
 
@@ -30,8 +31,9 @@ every pair and serves the tests as the oracle.
 Normal forms run in one of two kernels.  The integer kernel serves Zp and
 rational coefficients: Zp reducers are monic residues, while Q runs
 fraction-free on primitive integer polynomials with content stripping.
-The field kernel serves every other field, GF(p^k) and the exact-Q
-reduction of `Ideal`, through the ring's descriptor operations.
+The field kernel serves every other field, such as GF(p^k), through the
+ring's descriptor operations.  `Ideal.reduce` is `multi_divrem` by the
+reduced basis.
 """
 
 import heapq
@@ -39,10 +41,9 @@ import math
 
 from . import rings
 from .errors import UnsupportedRingError
-from .multipoly import MultiPoly, MultiRing, ORDERS, MonomialOrder
+from .multipoly import Layout, MultiPoly, MultiRing, monomial_order, multi_divrem
 
-_W = 16
-_EXP_CAP = (1 << (_W - 1)) - 1
+_BITS = 15  # value bits per variable; each field has one guard bit above them
 
 
 class _Engine:
@@ -59,26 +60,28 @@ class _Engine:
     uses the field normal form `_nf_gen`.
     """
 
-    def __init__(self, ring, exact=False):
+    def __init__(self, ring):
         n = len(ring.vars)
         self.ring = ring
         self.K = ring.cring
         self.n = n
         # variable 0 sits in the top field so LEX compare is int compare
-        self.shifts = [_W * (n - 1 - i) for i in range(n)]
-        self.guard = sum(1 << (s + _W - 1) for s in self.shifts)
-        self.mask = (1 << _W) - 1
+        self.lay = Layout([_BITS] * n, range(n - 1, -1, -1))
+        self.shifts = self.lay.shift
+        self.guard = self.lay.guard
+        self.mask = self.lay.mask[0]
+        w = _BITS + 1
         self.order = ring.order.name
         # okey(e) = sum(e[i] * weights[i]): LEX compares the packed fields,
         # GRLEX puts the total degree above them, GREVLEX puts it above the
         # reversed fields, negated
-        top = 1 << (_W * n)
+        top = 1 << (w * n)
         if self.order == "LEX":
             self.weights = [1 << s for s in self.shifts]
         elif self.order == "GRLEX":
             self.weights = [top + (1 << s) for s in self.shifts]
         else:
-            self.weights = [top - (1 << (_W * i)) for i in range(n)]
+            self.weights = [top - (1 << (w * i)) for i in range(n)]
         self.entries = []
         if not self.K.is_field:
             raise UnsupportedRingError(
@@ -86,22 +89,11 @@ class _Engine:
             )
         if self.K.coeff_modulus is not None:
             self.mode = "zp"
-        elif self.K == rings.QQ and not exact:
+        elif self.K == rings.QQ:
             # fraction-free: primitive integer coefficients throughout
             self.mode = "zz"
         else:
             self.mode = "gen"
-
-    def pack(self, e):
-        p = 0
-        for x, s in zip(e, self.shifts):
-            if x > _EXP_CAP:
-                raise ArithmeticError("exponent %d exceeds the packed budget" % x)
-            p += x << s
-        return p
-
-    def unpack(self, p):
-        return tuple((p >> s) & self.mask for s in self.shifts)
 
     def okey(self, e):
         return sum(x * w for x, w in zip(e, self.weights))
@@ -124,9 +116,8 @@ class _Engine:
 
     def to_triples(self, f):
         """MultiPoly -> descending [(packed, okey, coeff)] in engine coeffs."""
-        items = []
-        for e, c in f.terms.items():
-            items.append((self.pack(e), self.okey(e), c))
+        pack = self.lay.pack
+        items = [(pack(e), self.okey(e), c) for e, c in f.terms.items()]
         items.sort(key=lambda t: -t[1])
         if self.mode == "zz":
             _, nums = self.K.clear_denominators(c for _, _, c in items)
@@ -145,27 +136,12 @@ class _Engine:
         if not triples:
             return self.ring.zero
         lead = triples[0][2]
-        terms = {}
         if self.mode == "zz":
-            for p, _, c in triples:
-                terms[self.unpack(p)] = K.make(c, lead)
+            keyed = {p: K.make(c, lead) for p, _, c in triples}
         else:
             inv = K.inv(lead)
-            for p, _, c in triples:
-                terms[self.unpack(p)] = K.mul(c, inv)
-        return MultiPoly(self.ring, terms)
-
-    def check_budget(self, p):
-        """Return packed p, raising as `pack` does when a guard bit is set.
-
-        A sum of two in-budget monomials cannot carry between fields, so the
-        guard bit alone tells whether an exponent left the budget.
-        """
-        if p & self.guard:
-            raise ArithmeticError(
-                "exponent %d exceeds the packed budget" % max(self.unpack(p))
-            )
-        return p
+            keyed = {p: K.mul(c, inv) for p, _, c in triples}
+        return MultiPoly(self.ring, self.lay.unpack_terms(keyed))
 
     def add_entry(self, triples, sugar, sig=(0, 0, 0)):
         """Insert a nonzero polynomial as a reducer, monic where possible.
@@ -345,8 +321,7 @@ class _Engine:
 def _shadow_ring(ring, order):
     if order is None:
         return ring
-    if not isinstance(order, MonomialOrder):
-        order = ORDERS[str(order).upper()]
+    order = monomial_order(order)
     if order == ring.order:
         return ring
     return MultiRing(ring.cring, ring.vars, order)
@@ -498,7 +473,7 @@ def _signature_basis(eng, gens):
     """
     guard = eng.guard
     entries = eng.entries
-    check = eng.check_budget
+    check = eng.lay.check
     syz = {}  # generator index -> minimal syzygy signature monomials
     owned = {}  # generator index -> entries with that signature index
     heap = []
@@ -618,8 +593,8 @@ def _finalize(eng):
 class Ideal:
     """An ideal presented by generators, carrying its reduced Groebner basis.
 
-    Reduction runs in exact coefficient arithmetic so normal forms agree
-    with plain multivariate division by the basis.
+    Reduction is `multi_divrem` by the basis, whose remainder is the unique
+    normal form since the basis is a Groebner basis.
     """
 
     def __init__(self, generators, order=None):
@@ -628,10 +603,6 @@ class Ideal:
         self.ring = self.basis[0].ring
         self.order = self.ring.order
         self.generators = gens
-        self._engine = _Engine(self.ring, exact=True)
-        for g in self.basis:
-            t = self._engine.to_triples(g)
-            self._engine.add_entry(t, self._engine.tdeg(t[0][0]))
 
     def reduce(self, f):
         """Normal form of f modulo the ideal, unique for the fixed order.
@@ -648,9 +619,7 @@ class Ideal:
             f = MultiPoly(self.ring, dict(f.terms))
         if f.is_zero():
             return self.ring.zero
-        eng = self._engine
-        triples, _ = eng.nf(eng.to_triples(f))
-        return MultiPoly(self.ring, {eng.unpack(p): c for p, _, c in triples})
+        return multi_divrem(f, self.basis)[1]
 
     def contains(self, f):
         return self.reduce(f).is_zero()

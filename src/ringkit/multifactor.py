@@ -19,11 +19,12 @@ true factorization; every emitted factor is certified by exact division, so
 unlucky evaluation points cost retries, never wrong answers.
 
 Inside the lift a polynomial is a plain dict {packed monomial key: residue}
-under one `_Layout` per `_run_levels` call: x_m in the low field, then the
-lifted variables, each with room for r * D_v.  F*, L and their partial
-evaluations are packed once on entry; rows in a variable are split off and
-joined back by shift and mask, and every product, Taylor shift and
-truncation runs the one packed-product loop, `multipoly.mul_keys_into`.
+under one `multipoly.Layout` per `_run_levels` call, sized by
+`_lift_layout`: x_m in the low field, then the lifted variables, each with
+room for r * D_v.  F*, L and their partial evaluations are packed once on
+entry; rows in a variable are split off and joined back by shift and mask,
+and every product, Taylor shift and truncation runs the one packed-product
+loop, `multipoly.mul_keys_into`.
 The only way back to MultiPoly is the unpacking of each recombination
 candidate in `_subset_split`.
 """
@@ -38,6 +39,7 @@ from .errors import UnsupportedRingError
 from .modular import symmetric_lift
 from .multigcd import multi_gcd
 from .multipoly import (
+    Layout,
     MultiPoly,
     MultiRing,
     change_ring,
@@ -395,66 +397,21 @@ def _precision(F, L, r, dF, p):
 # --------------------------------------------------------------- the lifting
 
 
-class _Layout:
-    """Packed monomial keys for one lift, with the work modulus.
+def _lift_layout(m, order, degs, r):
+    """The Layout of one lift; `degs` are the degrees of F* per variable.
 
-    `degs` are the degrees of F* per variable.  x_m takes the low field, so
-    a key free of the lifted variables is its x_m degree; the field holds
-    deg_m F*, since every polynomial in the lift is a piece of a product of
-    the factors, whose x_m degrees add up to it.  Each lifted variable v
-    comes next, in lifting order, with room for r * D_v, the most a product
-    of r truncated factors reaches; the remaining variables take the fields
-    above.  Every field has one spare bit, so a product of two in-bound
-    operands never carries into its neighbour.
+    x_m takes the low field, so a key free of the lifted variables is its
+    x_m degree; the field holds deg_m F*, since every polynomial in the lift
+    is a piece of a product of the factors, whose x_m degrees add up to it.
+    Each lifted variable v comes next, in lifting order, with room for
+    r * D_v, the most a product of r truncated factors reaches; the
+    remaining variables take the fields above.
     """
-
-    def __init__(self, work, m, order, degs, r):
-        self.mod = work.cring.coeff_modulus
-        n = len(work.vars)
-        lifted = set(order)
-        fields = [m] + list(order) + [i for i in range(n) if i != m and i not in lifted]
-        self.shift = [0] * n
-        self.width = [0] * n
-        sh = 0
-        for i in fields:
-            bound = degs[i] if i == m else r * degs[i]
-            self.shift[i] = sh
-            self.width[i] = bound.bit_length() + 1
-            sh += self.width[i]
-        self.mask = [(1 << w) - 1 for w in self.width]
-
-    def pack(self, f):
-        """The terms of a MultiPoly over work as {key: residue}."""
-        out = {}
-        fields = list(zip(self.shift, self.width))
-        for e, c in f.terms.items():
-            key = 0
-            for x, (sh, w) in zip(e, fields):
-                if x >> w:
-                    raise OverflowError("exponent %d does not fit a %d-bit field" % (x, w))
-                key |= x << sh
-            out[key] = c
-        return out
-
-    def exponents(self, key):
-        return tuple((key >> sh) & mk for sh, mk in zip(self.shift, self.mask))
-
-    def split(self, f, v):
-        """Rows of f in v: {j: coefficient of v^j, with the v field cleared}."""
-        sh, mk = self.shift[v], self.mask[v]
-        rows = {}
-        for k, c in f.items():
-            j = (k >> sh) & mk
-            rows.setdefault(j, {})[k - (j << sh)] = c
-        return rows
-
-    def join(self, rows, v):
-        sh = self.shift[v]
-        return {k + (j << sh): c for j, row in rows.items() for k, c in row.items()}
-
-    def degree(self, f, v):
-        sh, mk = self.shift[v], self.mask[v]
-        return max(((k >> sh) & mk for k in f), default=-1)
+    lifted = set(order)
+    rest = [i for i in range(len(degs)) if i != m and i not in lifted]
+    fields = [m] + list(order) + rest
+    bits = [(d if i == m else r * d).bit_length() for i, d in enumerate(degs)]
+    return Layout(bits, fields)
 
 
 def _add(a, b, mod, sign=1):
@@ -476,6 +433,7 @@ class _LiftCtx:
     def __init__(self, lay, K, m, order, alpha, bounds, uhat, tinv):
         self.lay = lay
         self.K = K
+        self.mod = K.coeff_modulus
         self.m = m
         self.order = order
         self.alpha = alpha
@@ -491,7 +449,7 @@ class _LiftCtx:
         if s in self.cof:
             return self.cof[s]
         lay = self.lay
-        mod = lay.mod
+        mod = self.mod
         facs = self.snapshots[s]
         v = self.order[s - 1]
         n = len(facs)
@@ -540,13 +498,13 @@ def _shift_rows(rows, a, mod, D=None):
     return out
 
 
-def _mod_lifted(f, pairs, lay):
+def _mod_lifted(f, pairs, ctx):
     """Reduce modulo (x_v - a_v)^(D_v + 1) for every lifted variable.
 
     Division by the monic (v - a)^(D+1) = v^(D+1) + sum_i b_i v^i: the
     top row q, at degree k, leaves -q * b_i at degree k - D - 1 + i.
     """
-    mod = lay.mod
+    lay, mod = ctx.lay, ctx.mod
     for v, a, D in pairs:
         top = lay.degree(f, v)
         if top <= D:
@@ -576,10 +534,10 @@ def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv):
     r = len(uhat)
     degs = Fw.degrees()
     bounds = {v: degs[v] for v in order}
-    lay = _Layout(work, m, order, degs, r)
-    mod = lay.mod
+    lay = _lift_layout(m, order, degs, r)
 
     ctx = _LiftCtx(lay, work.cring, m, order, alpha, bounds, uhat, tinv)
+    mod = ctx.mod
     ctx.snapshots.append(
         [{k: c for k, c in enumerate(uni_scale(g, La).coeffs) if c} for g in uhat]
     )
@@ -589,7 +547,7 @@ def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv):
     Ls = [None] * (len(order) + 1)
     curF, curL = Fw, Lw
     for s in range(len(order), 0, -1):
-        Es[s], Ls[s] = lay.pack(curF), lay.pack(curL)
+        Es[s], Ls[s] = lay.pack_terms(curF.terms), lay.pack_terms(curL.terms)
         point = {order[s - 1]: alpha[order[s - 1]]}
         curF, curL = multi_subs(curF, point), multi_subs(curL, point)
 
@@ -619,10 +577,10 @@ def _level(ctx, s, v, D, rowsF, grows):
 
     Every error term is reduced modulo (x_u - alpha_u)^(D_u + 1) for the
     variables u lifted at earlier levels before it is solved for; all
-    coefficients are residues mod the layout's modulus.
+    coefficients are residues mod `ctx.mod`.
     """
     lay = ctx.lay
-    mod = lay.mod
+    mod = ctx.mod
     r = ctx.r
     # lazy row convolution of the factor chain; memoized rows stay current
     # because each correction patches every cached product row in place
@@ -654,7 +612,7 @@ def _level(ctx, s, v, D, rowsF, grows):
         if pj is None and fj is None:
             continue
         ej = _add(fj or {}, pj or {}, mod, -1)
-        ej = _mod_lifted(ej, processed, lay)
+        ej = _mod_lifted(ej, processed, ctx)
         if not ej:
             continue
         ds = _mdp(ej, s - 1, ctx)
@@ -721,7 +679,7 @@ def _bezout_rows(uhat, La, p):
 def _mdp(e, s, ctx):
     """Solve sum_i delta_i * cofactor_i = e with x-degrees below the images."""
     lay = ctx.lay
-    mod = lay.mod
+    mod = ctx.mod
     r = ctx.r
     if not e:
         return [None] * r
@@ -771,7 +729,7 @@ def _subset_split(target, Gs, order, ctx):
     """
     ring = target.ring
     lay = ctx.lay
-    mod = lay.mod
+    mod = ctx.mod
     r = len(Gs)
     pairs = [(v, ctx.alpha[v], ctx.bounds[v]) for v in order]
     tested = 0
@@ -780,16 +738,10 @@ def _subset_split(target, Gs, order, ctx):
         prod = Gs[idxs[0]]
         for i in idxs[1:]:
             prod = mul_keys(prod, Gs[i], mod)
-            prod = _mod_lifted(prod, pairs, lay)
-        if ctx.K.is_field:
-            terms = {lay.exponents(k): c for k, c in prod.items()}
-        else:
-            terms = {}
-            for k, c in prod.items():
-                c = symmetric_lift(c, mod)
-                if c:
-                    terms[lay.exponents(k)] = c
-        g = MultiPoly(ring, terms)
+            prod = _mod_lifted(prod, pairs, ctx)
+        if not ctx.K.is_field:
+            prod = {k: c for k, v in prod.items() if (c := symmetric_lift(v, mod))}
+        g = MultiPoly(ring, lay.unpack_terms(prod))
         if g.is_zero() or g.degree(ctx.m) < 1:
             return None
         _, prim = content_primitive(g, ctx.m)

@@ -9,11 +9,10 @@ x_v is taken at geometric points alpha_v * beta^j, and Berlekamp-Massey
 on every monomial's coefficients stops the loop early, after about
 2*tau+1 points for tau x_v-terms per coefficient (Ben-Or/Tiwari with the
 early termination of Kaltofen, Lee and Lobo); at the degree bound it
-interpolates densely instead.  The frame falls back on its own to
-Brown-style dense interpolation when the sparse skeleton assumption
-keeps failing; there is no knob to pick one.  Every
-content comes through `multipoly.content_primitive`, whose gcds fold in
-`gcd_many` and run through `multi_gcd` with their own seeded draws.
+interpolates densely instead.  A frame whose skeleton or points go bad is
+drawn afresh, up to 8 times.  Every content comes through
+`multipoly.content_primitive`, whose gcds fold in `gcd_many` and run
+through `multi_gcd` with their own seeded draws.
 
 Integer coefficients: the integer contents are split off, a gcd in one
 active variable goes to `uni_gcd`, and otherwise the field algorithm runs
@@ -44,10 +43,8 @@ from .multipoly import (
     min_exponents,
     multi_add,
     multi_divides,
-    multi_exact_div,
     multi_mul,
     multi_scale,
-    multi_subs,
     multi_value,
     slot_sums,
     term_values,
@@ -128,25 +125,23 @@ def gcd_many(polys, seed: int = 0):
 
 
 def _field_entry(a, b, rng):
-    """Zippel first; Brown's dense interpolation if the sparse skeleton
-    keeps failing."""
-    for interp in (_sparse_interp, _dense_interp):
-        for _ in range(4):
-            try:
-                return _field_gcd(a, b, rng, interp)
-            except (_Unlucky, _Restart):
-                continue
+    """Zippel's gcd, with a fresh frame for each of up to 8 attempts."""
+    for _ in range(8):
+        try:
+            return _field_gcd(a, b, rng)
+        except (_Unlucky, _Restart):
+            continue
     raise ArithmeticError("gcd interpolation failed to stabilize")
 
 
-def _field_gcd(a, b, rng, interp):
-    """Gcd over a field; `interp` rebuilds the x_m-primitive part.
+def _field_gcd(a, b, rng):
+    """Gcd over a field.
 
     The frame handles the trivial, monomial and univariate cases, drops
     variables whose degree bound is 0, splits off the contents in the
     main variable x_m through `content_primitive` and imposes gamma, the
-    gcd of the leading coefficients, before `interp(A, B, m, others, bounds, gamma, rng)`
-    returns H, the gcd of the primitive parts scaled to lead gamma.
+    gcd of the leading coefficients, before `_sparse_interp` returns H,
+    the gcd of the primitive parts scaled to lead gamma.
     """
     ring = a.ring
     triv = _field_trivial(a, b)
@@ -166,14 +161,14 @@ def _field_gcd(a, b, rng, interp):
         for i in drop:
             a = content_primitive(a, i)[0]
             b = content_primitive(b, i)[0]
-        return _field_gcd(a, b, rng, interp)
+        return _field_gcd(a, b, rng)
     m = max(act, key=lambda i: (bounds[i], -i))
     others = [i for i in act if i != m]
     ca, A = content_primitive(a, m)
     cb, B = content_primitive(b, m)
-    cg = _field_gcd(ca, cb, rng, interp)
-    gamma = _field_gcd(lc_in(A, m), lc_in(B, m), rng, interp)
-    H = interp(A, B, m, others, bounds, gamma, rng)
+    cg = _field_gcd(ca, cb, rng)
+    gamma = _field_gcd(lc_in(A, m), lc_in(B, m), rng)
+    H = _sparse_interp(A, B, m, others, bounds, gamma, rng)
     return _certify(a, b, H, m, cg, gamma)
 
 
@@ -506,51 +501,6 @@ def _group_nodes(groups, rho, K):
         basis = uni_lagrange_basis(K, [K.zero] + vals)
         rows[d] = [ell.coeffs[1:] for ell in basis[1:]]
     return rows
-
-
-def _dense_interp(A, B, m, others, bounds, gamma, rng):
-    """Brown-style dense interpolation in the last variable, recursing
-    through the frame for the images; correct but exponential in vars."""
-    ring = A.ring
-    K = ring.cring
-    v = others[-1]
-    degm = bounds[m]
-    degA = A.degree(m)
-    degB = B.degree(m)
-    need = min(A.degree(v), B.degree(v)) + gamma.degree(v) + 1
-
-    pts, imgs = [], []
-    used = set()
-    fails = 0
-    while len(pts) < need:
-        if fails > _RETRIES:
-            raise _Restart
-        beta = _fresh_point(K, rng, used)
-        used.add(beta)
-        Ab = multi_subs(A, {v: beta})
-        Bb = multi_subs(B, {v: beta})
-        if Ab.degree(m) != degA or Bb.degree(m) != degB:
-            fails += 1
-            continue
-        gb = _field_gcd(Ab, Bb, rng, _dense_interp)
-        if gb.degree(m) > degm:
-            fails += 1
-            continue
-        if gb.degree(m) < degm:
-            raise _Restart
-        gammab = multi_subs(gamma, {v: beta})
-        if gammab.is_zero():
-            fails += 1
-            continue
-        # rescale the monic image so its x_m lead matches gamma at beta
-        try:
-            q = multi_exact_div(gammab, lc_in(gb, m))
-        except ArithmeticError:
-            fails += 1
-            continue
-        pts.append(beta)
-        imgs.append(multi_mul(q, gb))
-    return _interp_terms(ring, v, pts, imgs)
 
 
 def _certify(a, b, H, m, cg, gamma):

@@ -2,9 +2,11 @@
 
 Terms live in a dict mapping exponent tuples to nonzero coefficients.
 Monomial orders produce sortable keys (bigger key = bigger monomial), so
-descending term iteration is a sort.  Multiplication packs exponent
-vectors into single integer keys when the bit budget allows; division is
-the standard multi-divisor reduction driven by a lazy max-heap.
+descending term iteration is a sort.  `Layout` is the one packing of
+exponent vectors into integer keys with a guard bit per variable; the
+Hensel lift and the Groebner engine run on its keys, and multiplication
+always packs under a Layout sized by the degree sums.  Division is the
+standard multi-divisor reduction driven by a lazy max-heap.
 
 This module owns evaluation: `term_values` substitutes a point into every
 term from one power cache, and the full value, the partial substitution and
@@ -69,6 +71,18 @@ LEX = _Lex("LEX")
 GRLEX = _Grlex("GRLEX")
 GREVLEX = _Grevlex("GREVLEX")
 ORDERS = {"LEX": LEX, "GRLEX": GRLEX, "GREVLEX": GREVLEX}
+
+
+def monomial_order(order) -> MonomialOrder:
+    """`order` itself, or the order it names in any letter case."""
+    if isinstance(order, MonomialOrder):
+        return order
+    try:
+        return ORDERS[str(order).upper()]
+    except KeyError:
+        raise ValueError(
+            "unknown monomial order %r: use LEX, GRLEX or GREVLEX" % (order,)
+        ) from None
 
 
 class MultiPoly:
@@ -255,32 +269,100 @@ def multi_mono_mul(a: MultiPoly, exp, c) -> MultiPoly:
     return MultiPoly(a.ring, out)
 
 
-def _pack_widths(a: MultiPoly, b: MultiPoly):
-    """Per-variable bit widths for the packed product, or None on overflow."""
-    n = len(a.ring.vars)
-    widths = []
-    total = 0
-    for i in range(n):
-        m = a.degree(i) + b.degree(i)
-        w = max(1, m.bit_length())
-        widths.append(w)
-        total += w
-    if total > 62:
-        return None
-    return widths
+class Layout:
+    """Packed monomial keys: the one map between exponent tuples and ints.
 
+    Variable i takes `bits[i]` value bits plus one guard bit above them, and
+    `fields` lists the variables from the low bits up.  Keys of monomials
+    add as their exponents do, and the sum of two in-range keys can set a
+    guard bit but never carries into the next field, so `check` spots an
+    exponent that left its range, and d divides k exactly when k - d is
+    nonnegative with no guard bit set (Monagan and Pearce).  `mask[i]`
+    covers the whole field of variable i, guard bit included.
+    """
 
-def _pack(terms, widths):
-    packed = {}
-    for e, c in terms.items():
-        key = 0
-        for x, w in zip(e, widths):
-            key = (key << w) | x
-        packed[key] = c
-    return packed
+    __slots__ = ("bits", "shift", "mask", "guard", "_steps")
+
+    def __init__(self, bits, fields):
+        n = len(bits)
+        self.bits = tuple(bits)
+        self.shift = [0] * n
+        self.mask = [0] * n
+        self.guard = 0
+        steps = []
+        sh = 0
+        for i in fields:
+            w = self.bits[i] + 1
+            self.shift[i] = sh
+            self.mask[i] = (1 << w) - 1
+            self.guard |= 1 << (sh + w - 1)
+            steps.append((i, w, self.mask[i]))
+            sh += w
+        self._steps = steps
+
+    def pack(self, e):
+        """The key of one exponent tuple; OverflowError past the budget."""
+        (key,) = self.pack_terms({e: None})
+        return key
+
+    def pack_terms(self, terms):
+        """{key: coefficient} for a dict {exponent tuple: coefficient}."""
+        fields = list(zip(self.shift, self.bits))
+        out = {}
+        for e, c in terms.items():
+            key = 0
+            for x, (sh, b) in zip(e, fields):
+                if x >> b:
+                    raise OverflowError("exponent %d exceeds the packed budget" % x)
+                key |= x << sh
+            out[key] = c
+        return out
+
+    def unpack_terms(self, keyed):
+        """{exponent tuple: coefficient} for a dict {key: coefficient}."""
+        n = len(self.bits)
+        steps = self._steps
+        out = {}
+        for k, c in keyed.items():
+            e = [0] * n
+            for i, w, msk in steps:
+                e[i] = k & msk
+                k >>= w
+            out[tuple(e)] = c
+        return out
+
+    def exponents(self, key):
+        return tuple((key >> sh) & mk for sh, mk in zip(self.shift, self.mask))
+
+    def check(self, key):
+        """Return key, raising as `pack` does when a guard bit is set."""
+        if key & self.guard:
+            raise OverflowError(
+                "exponent %d exceeds the packed budget" % max(self.exponents(key))
+            )
+        return key
+
+    def split(self, f, v):
+        """Rows of keyed f in v: {j: coefficient of v^j, v field cleared}."""
+        sh, mk = self.shift[v], self.mask[v]
+        rows = {}
+        for k, c in f.items():
+            j = (k >> sh) & mk
+            rows.setdefault(j, {})[k - (j << sh)] = c
+        return rows
+
+    def join(self, rows, v):
+        sh = self.shift[v]
+        return {k + (j << sh): c for j, row in rows.items() for k, c in row.items()}
+
+    def degree(self, f, v):
+        sh, mk = self.shift[v], self.mask[v]
+        return max(((k >> sh) & mk for k in f), default=-1)
 
 
 def multi_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Product on packed keys under a Layout sized by the degree sums; Z
+    and the residue rings run `mul_keys`, other rings one generic loop."""
     if a.ring != b.ring:
         raise ValueError("polynomial rings differ")
     if a.is_zero() or b.is_zero():
@@ -291,10 +373,23 @@ def multi_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if len(a.terms) == 1:
         (e, c), = a.terms.items()
         return multi_mono_mul(b, e, c)
-    widths = _pack_widths(a, b)
-    if widths is None:
-        return multi_mul_naive(a, b)
-    return _mul_packed(a, b, widths)
+    n = len(a.ring.vars)
+    lay = Layout([(a.degree(i) + b.degree(i)).bit_length() for i in range(n)], range(n))
+    A = lay.pack_terms(a.terms)
+    B = lay.pack_terms(b.terms)
+    K = a.ring.cring
+    mod = K.coeff_modulus
+    if mod is not None or isinstance(K, rings.IntegerRing):
+        acc = mul_keys(A, B, mod)
+    else:
+        acc = {}
+        zero = K.zero
+        for ka, ca in A.items():
+            for kb, cb in B.items():
+                k = ka + kb
+                acc[k] = K.add(acc.get(k, zero), K.mul(ca, cb))
+        acc = {k: c for k, c in acc.items() if not K.is_zero(c)}
+    return MultiPoly(a.ring, lay.unpack_terms(acc))
 
 
 def mul_keys_into(acc, A, B):
@@ -325,37 +420,6 @@ def reduce_keys(acc, mod):
 def mul_keys(A, B, mod):
     """A * B on packed keys, reduced by `reduce_keys`."""
     return reduce_keys(mul_keys_into({}, A, B), mod)
-
-
-def _mul_packed(a: MultiPoly, b: MultiPoly, widths) -> MultiPoly:
-    """Product on packed exponent keys; Z and the residue rings run
-    `mul_keys`, other rings one generic loop."""
-    K = a.ring.cring
-    A = _pack(a.terms, widths)
-    B = _pack(b.terms, widths)
-    mod = K.coeff_modulus
-    if mod is not None or isinstance(K, rings.IntegerRing):
-        acc = mul_keys(A, B, mod)
-    else:
-        acc = {}
-        zero = K.zero
-        for ka, ca in A.items():
-            for kb, cb in B.items():
-                k = ka + kb
-                acc[k] = K.add(acc.get(k, zero), K.mul(ca, cb))
-        acc = {k: c for k, c in acc.items() if not K.is_zero(c)}
-    n = len(a.ring.vars)
-    out = {}
-    rev = list(range(n - 1, -1, -1))
-    masks = [(widths[i], (1 << widths[i]) - 1) for i in range(n)]
-    for k, c in acc.items():
-        e = [0] * n
-        for i in rev:
-            w, msk = masks[i]
-            e[i] = k & msk
-            k >>= w
-        out[tuple(e)] = c
-    return MultiPoly(a.ring, out)
 
 
 def multi_mul_naive(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -752,11 +816,9 @@ class MultiRing(rings.Ring):
                 raise ValueError("bad variable name %r" % v)
             if v in cring.symbols():
                 raise ValueError("variable %r collides with a symbol of %s" % (v, cring))
-        if not isinstance(order, MonomialOrder):
-            order = ORDERS[str(order).upper()]
         self.cring = cring
         self.vars = names
-        self.order = order
+        self.order = monomial_order(order)
         self.characteristic = cring.characteristic
         self.zero = MultiPoly(self, {})
         self.one = MultiPoly(self, {(0,) * len(names): cring.one})

@@ -301,13 +301,31 @@ def test_inconsistent_system_returns_unit_ideal():
 def test_signature_past_packed_budget_raises():
     # a sum of two in-budget monomials sets a guard bit instead of carrying
     R = MultiRing(rings.ZpRing(101), ("x", "y"), "GREVLEX")
-    eng = groebner._Engine(R)
-    a, b = eng.pack((16000, 3)), eng.pack((20000, 3))
-    assert eng.unpack(eng.check_budget(a + a)) == (32000, 6)
+    lay = groebner._Engine(R).lay
+    a, b = lay.pack((16000, 3)), lay.pack((20000, 3))
+    assert lay.exponents(lay.check(a + a)) == (32000, 6)
     with pytest.raises(ArithmeticError, match="packed budget"):
-        eng.check_budget(a + b)
+        lay.check(a + b)
     with pytest.raises(ArithmeticError, match="packed budget"):
-        eng.pack((36000, 6))
+        lay.pack((36000, 6))
+
+
+def test_order_names_resolve_in_any_case_and_unknown_ones_raise():
+    K = rings.ZpRing(101)
+    for name in ("lex", "Grlex", "grevlex"):
+        R = MultiRing(K, ("x", "y"), order=name)
+        assert R.order.name == name.upper()
+        x, y = R.gens()
+        gb = groebner_basis([x * x - y, x * y - R.one], order=name.lower())
+        assert gb[0].ring.order == R.order
+        assert is_groebner_basis(gb)
+    x = MultiRing(K, ("x",)).var("x")
+    for call in (
+        lambda: MultiRing(K, ("x",), order="lexx"),
+        lambda: groebner_basis([x], order="lexx"),
+    ):
+        with pytest.raises(ValueError, match="LEX, GRLEX or GREVLEX"):
+            call()
 
 
 def test_normal_form_survives_generator_shuffle():

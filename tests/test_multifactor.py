@@ -291,36 +291,38 @@ def test_lift_with_five_factors_and_high_degree(K, monkeypatch):
 
     def recording(*args):
         ctx = run_levels(*args)
-        lifts.append((len(args[6]), ctx.bounds, ctx.lay))
+        lifts.append((len(args[6]), ctx.bounds, ctx))
         return ctx
 
     monkeypatch.setattr(multifactor, "_run_levels", recording)
     unit, parts = factor_multipoly(R, f, seed=0)
     assert len(lifts) == 2  # the scout and one full lift, at the first point
-    r, bounds, lay = lifts[-1]
+    r, bounds, ctx = lifts[-1]
     assert r == 5 and len(bounds) == 2 and min(bounds.values()) >= 8
     for v, D in bounds.items():
-        assert lay.width[v] > (r * D).bit_length()
+        assert ctx.lay.bits[v] >= (r * D).bit_length()
     if K == ZZ:
-        assert lay.mod.bit_length() > 64
+        assert ctx.mod.bit_length() > 64
     assert {g for g, _ in parts} == {R.normalize_unit(g)[1] for g in facs}
     assert _rebuild(R, unit, parts) == f
 
 
 def test_layout_rejects_an_exponent_wider_than_its_field():
     # x_m = x gets room for degree 3, lifted y for r * D = 2 * 4, z none;
-    # each field has one spare bit, and past that packing raises, never wraps
+    # each field has one guard bit above, which never holds a value: past
+    # the room packing raises, never wraps
     R = MultiRing(ZpRing(101), ("x", "y", "z"))
     x, y, z = R.gens()
-    lay = multifactor._Layout(R, 0, [1], (3, 4, 0), 2)
-    assert lay.width == [3, 5, 1]
-    ok = x**7 * y**31 + z + R.of(5)
-    packed = lay.pack(ok)
-    assert {lay.exponents(k): c for k, c in packed.items()} == ok.terms
-    assert lay.degree(packed, 1) == 31
-    for bad in (x**8, y**32, z**2, x * y**40):
-        with pytest.raises(OverflowError):
-            lay.pack(ok + bad)
+    lay = multifactor._lift_layout(0, [1], (3, 4, 0), 2)
+    assert lay.bits == (2, 4, 0)
+    assert lay.shift == [0, 3, 8]
+    ok = x**3 * y**15 + R.of(5)
+    packed = lay.pack_terms(ok.terms)
+    assert lay.unpack_terms(packed) == ok.terms
+    assert lay.degree(packed, 1) == 15
+    for bad in (x**4, y**16, z, x * y**40):
+        with pytest.raises(OverflowError, match="packed budget"):
+            lay.pack_terms((ok + bad).terms)
 
 
 def test_mod_lifted_is_the_remainder_by_the_power_of_the_shift():
@@ -329,11 +331,12 @@ def test_mod_lifted_is_the_remainder_by_the_power_of_the_shift():
     R = MultiRing(K, ("x", "y", "z"), order=LEX)
     y = R.var("y")
     rng = random.Random(4)
-    lay = multifactor._Layout(R, 0, [1, 2], (6, 6, 6), 3)
+    lay = multifactor._lift_layout(0, [1, 2], (6, 6, 6), 3)
+    ctx = multifactor._LiftCtx(lay, K, 0, [1, 2], {}, {}, [], [])
     for a, D in ((0, 2), (5, 3), (999_999, 1), (1234, 0)):
         f = _sparse(R, rng, 12, 6)
-        g = multifactor._mod_lifted(lay.pack(f), [(1, a, D)], lay)
-        g = MultiPoly(R, {lay.exponents(k): c for k, c in g.items()})
+        g = multifactor._mod_lifted(lay.pack_terms(f.terms), [(1, a, D)], ctx)
+        g = MultiPoly(R, lay.unpack_terms(g))
         assert g.degree(1) <= D
         power = (y - R.of(a)) ** (D + 1)
         assert multi_divrem(f - g, [power])[1].is_zero()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,12 +11,14 @@ from ringkit.multipoly import (
     MultiPoly,
     MultiRing,
     multi_divides,
+    multi_exact_div,
     multi_mul,
     multi_random,
     multi_scale,
+    univariate_image,
 )
 from ringkit.rings import QQ, ZZ, FractionField, ZpRing
-from ringkit.unipoly import UniRing, uni_eval
+from ringkit.unipoly import UniRing, uni_eval, uni_gcd
 
 
 @pytest.fixture
@@ -72,14 +75,41 @@ def test_edge_cases(rp):
         multi_gcd(a, MultiRing(ZpRing(17), ("x", "y", "z")).one)
 
 
-def _dense_gcd(monkeypatch, a, b, seed):
-    """multi_gcd with Brown's dense interpolation in place of Zippel's."""
-    with monkeypatch.context() as mp:
-        mp.setattr(multigcd, "_sparse_interp", multigcd._dense_interp)
-        return multi_gcd(a, b, seed=seed)
+def _coprime(u, v, rng):
+    """True when uni_gcd alone shows that no nonconstant polynomial divides
+    both u and v: for each variable in which both have positive degree, a
+    point for the other variables keeps both degrees and gives images with
+    a constant gcd.  A common factor of positive degree in x_i keeps its
+    degree in every such image, so it can never pass."""
+    ring = u.ring
+    K = ring.cring
+    n = len(ring.vars)
+    for i in range(n):
+        du, dv = u.degree(i), v.degree(i)
+        if du <= 0 or dv <= 0:
+            continue
+        for _ in range(20):
+            point = {j: K.random_element(rng) for j in range(n) if j != i}
+            ui, vi = univariate_image(u, i, point), univariate_image(v, i, point)
+            if ui.degree == du and vi.degree == dv and uni_gcd(ui, vi).degree == 0:
+                break
+        else:
+            return False
+    return True
 
 
-def test_zippel_matches_dense(monkeypatch):
+def _assert_is_gcd(a, b, g, got, rng):
+    """got divides a and b, the planted g divides got, and the cofactors
+    are coprime (over Z their integer contents too)."""
+    assert multi_divides(got, a) and multi_divides(got, b)
+    assert multi_divides(g, got)
+    ca, cb = multi_exact_div(a, got), multi_exact_div(b, got)
+    assert _coprime(ca, cb, rng)
+    if ca.ring.cring == ZZ:
+        assert math.gcd(*ca.terms.values(), *cb.terms.values()) == 1
+
+
+def test_zippel_gcd_is_certified():
     # GF(17^2) has no coeff_modulus, so it runs the generic field paths
     for K, trials, max_exp in ((ZpRing(524287), 30, 3), (GFRing(17, 2), 10, 2)):
         ring = MultiRing(K, ("x", "y", "z"))
@@ -91,13 +121,13 @@ def test_zippel_matches_dense(monkeypatch):
             if f1.is_zero() or f2.is_zero() or g.is_zero():
                 continue
             a, b = multi_mul(f1, g), multi_mul(f2, g)
-            gz = multi_gcd(a, b, seed=t)
-            gd = _dense_gcd(monkeypatch, a, b, t)
-            assert gz == gd, (K, t)
-            assert multi_divides(gz, a) and multi_divides(gz, b)
+            _assert_is_gcd(a, b, g, multi_gcd(a, b, seed=t), rng)
+            if not g.is_constant():
+                # the certificate rejects cofactors with a common factor
+                assert not _coprime(a, b, rng)
 
 
-def test_zippel_matches_dense_over_z(monkeypatch):
+def test_zippel_gcd_is_certified_over_z():
     ring = MultiRing(ZZ, ("x", "y"))
     rng = random.Random(9)
     for t in range(10):
@@ -107,7 +137,7 @@ def test_zippel_matches_dense_over_z(monkeypatch):
         if f1.is_zero() or f2.is_zero() or g.is_zero():
             continue
         a, b = multi_mul(f1, g), multi_mul(f2, g)
-        assert multi_gcd(a, b, seed=t) == _dense_gcd(monkeypatch, a, b, t)
+        _assert_is_gcd(a, b, g, multi_gcd(a, b, seed=t), rng)
 
 
 def test_planted_divisor_is_recovered():

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from ringkit import multipoly as mp
 from ringkit.multipoly import (
     GREVLEX,
     GRLEX,
     LEX,
+    Layout,
     MultiPoly,
     MultiRing,
     coefficients_in,
@@ -92,17 +92,46 @@ def test_mul_strategies_agree():
         assert multi_mul(a, b) == multi_mul_naive(a, b)
 
 
-def _keyed(f, width):
-    return mp._pack(f.terms, [width] * len(f.ring.vars))
-
-
-def _unkeyed(ring, packed, width):
+def _lay(ring, bits):
     n = len(ring.vars)
-    mask = (1 << width) - 1
-    return MultiPoly(
-        ring,
-        {tuple((k >> (width * (n - 1 - i))) & mask for i in range(n)): c for k, c in packed.items()},
-    )
+    return Layout([bits] * n, range(n))
+
+
+@pytest.mark.parametrize("bits", [0, 1, 5, 15, 40])
+@pytest.mark.parametrize("top", [False, True], ids=["x0-low", "x0-top"])
+def test_layout_packs_checks_and_divides(bits, top):
+    n = 3
+    lay = Layout([bits] * n, range(n - 1, -1, -1) if top else range(n))
+    hi = (1 << bits) - 1
+    rng = random.Random(bits)
+    exps = [(0, 0, 0), (hi, hi, hi), (hi, 0, hi)]
+    exps += [tuple(rng.randint(0, hi) for _ in range(n)) for _ in range(20)]
+    terms = {e: i + 1 for i, e in enumerate(exps)}
+    keyed = lay.pack_terms(terms)
+    assert lay.unpack_terms(keyed) == terms
+    assert all(lay.exponents(lay.pack(e)) == e for e in exps)
+    assert lay.check(lay.pack((hi, hi, hi))) == lay.pack((hi, hi, hi))
+    if bits:
+        # the top field holds x0 exactly when x0 is on top, so keys order LEX
+        assert (lay.pack((1, 0, 0)) > lay.pack((0, hi, hi))) == top
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1 << bits
+        with pytest.raises(OverflowError, match="packed budget"):
+            lay.pack(tuple(e))
+        # two in-range exponents summing past the range set the guard bit
+        e[i] = hi
+        k = lay.pack(tuple(e))
+        other = [0] * n
+        other[i] = 1
+        with pytest.raises(OverflowError, match="packed budget"):
+            lay.check(k + lay.pack(tuple(other)))
+    # d divides k exactly when k - d is nonnegative with no guard bit set
+    for ek in exps[:8]:
+        for ed in exps[:8]:
+            k, d = lay.pack(ek), lay.pack(ed)
+            divides = all(x >= y for x, y in zip(ek, ed))
+            assert (k - d >= 0 and not (k - d) & lay.guard) == divides
 
 
 @pytest.mark.parametrize("K", [ZpRing(1000003), ZmRing(7**9), ZZ], ids=["Zp", "Z/7^9", "Z"])
@@ -112,23 +141,31 @@ def test_mul_keys_matches_naive(K):
     ring = MultiRing(K, ("x", "y", "z"))
     mod = K.coeff_modulus
     rng = random.Random(17)
+    lay = _lay(ring, 4)
+
+    def key(f):
+        return lay.pack_terms(f.terms)
+
+    def unkey(keyed):
+        return MultiPoly(ring, lay.unpack_terms(keyed))
+
     for _ in range(80):
         a = multi_random(ring, rng, terms=rng.choice([1, 1, 2, 5, 9]), max_exp=5)
         b = multi_random(ring, rng, terms=rng.choice([1, 2, 3, 8]), max_exp=5)
         if a.is_zero() or b.is_zero():
             continue
-        got = mul_keys(_keyed(a, 5), _keyed(b, 5), mod)
-        assert _unkeyed(ring, got, 5) == multi_mul_naive(a, b)
+        got = mul_keys(key(a), key(b), mod)
+        assert unkey(got) == multi_mul_naive(a, b)
         assert all(got.values())
         # products summed unreduced, reduced once
-        acc = mul_keys_into({}, _keyed(a, 5), _keyed(b, 5))
-        mul_keys_into(acc, _keyed(b, 5), _keyed(a * a, 5))
+        acc = mul_keys_into({}, key(a), key(b))
+        mul_keys_into(acc, key(b), key(a * a))
         got = reduce_keys(acc, mod)
-        assert _unkeyed(ring, got, 5) == multi_mul_naive(a, b) + multi_mul_naive(b, a * a)
+        assert unkey(got) == multi_mul_naive(a, b) + multi_mul_naive(b, a * a)
     x, y, _ = ring.gens()
     # cross terms cancel: (x + y)(x - y) keeps two of four keys
-    got = mul_keys(_keyed(x + y, 5), _keyed(x - y, 5), mod)
-    assert _unkeyed(ring, got, 5) == x * x - y * y
+    got = mul_keys(key(x + y), key(x - y), mod)
+    assert unkey(got) == x * x - y * y
 
 
 def test_mul_keys_full_cancellation():
@@ -140,18 +177,20 @@ def test_mul_keys_full_cancellation():
     a = ring.of(7**4) * x + ring.of(2 * 7**4) * y
     b = ring.of(7**5) * y
     c = ring.of(3 * 7**5) * (x + y)
+    lay = _lay(ring, 3)
     for u, v in ((a, b), (b, a), (a, c), (b, b + c)):
         assert multi_mul_naive(u, v).is_zero()
-        assert mul_keys(_keyed(u, 4), _keyed(v, 4), K.coeff_modulus) == {}
+        assert mul_keys(lay.pack_terms(u.terms), lay.pack_terms(v.terms), K.coeff_modulus) == {}
 
 
-def test_packed_overflow_falls_back():
-    # 12 variables at degree 40 blow the 62-bit key budget
+def test_wide_products_pack_past_64_bits():
+    # 12 variables at degree 40 need keys far wider than a machine word
     ring = MultiRing(ZpRing(17), tuple("abcdefghijkl"))
     rng = random.Random(3)
     a = multi_random(ring, rng, terms=6, max_exp=40)
     b = multi_random(ring, rng, terms=6, max_exp=40)
-    assert mp._pack_widths(a, b) is None
+    bits = [(a.degree(i) + b.degree(i)).bit_length() for i in range(12)]
+    assert sum(bits) + 12 > 64
     assert multi_mul(a, b) == multi_mul_naive(a, b)
 
 
