@@ -22,6 +22,8 @@ _MR_DETERMINISTIC = [
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 _TRIAL_BOUND = 1 << 16
+_MR_ROUNDS = 48  # random Miller-Rabin bases above the deterministic range
+_P1_BOUND = 100000  # smoothness bound of Pollard's p-1
 _trial_primes = None  # lazy sieve cache, grows once and is then read-only
 
 
@@ -49,8 +51,9 @@ def _miller_rabin_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
-def is_prime(n: int, rounds: int = 48, seed: int = 0) -> bool:
-    """Deterministic below 2^64; Miller-Rabin with `rounds` seeded bases above."""
+def is_prime(n: int) -> bool:
+    """Deterministic below 2^64; above, _MR_ROUNDS Miller-Rabin bases drawn
+    from a generator seeded with n, so every call on n agrees."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -63,10 +66,9 @@ def is_prime(n: int, rounds: int = 48, seed: int = 0) -> bool:
     for bound, bases in _MR_DETERMINISTIC:
         if n < bound:
             return not any(_miller_rabin_witness(n, a, d, s) for a in bases)
-    rng = random.Random((seed << 64) ^ n)
-    return not any(
-        _miller_rabin_witness(n, rng.randrange(2, n - 1), d, s) for _ in range(rounds)
-    )
+    rng = random.Random(n)
+    bases = (rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS))
+    return not any(_miller_rabin_witness(n, a, d, s) for a in bases)
 
 
 def next_prime(n: int) -> int:
@@ -109,11 +111,11 @@ def _pollard_rho(n: int, rng) -> int:
             return g
 
 
-def _pollard_p1(n: int, bound: int = 100000) -> int:
-    """Pollard's p-1 with a fixed smoothness bound; 0 when it finds nothing."""
+def _pollard_p1(n: int) -> int:
+    """Pollard's p-1 with smoothness bound _P1_BOUND; 0 when it finds nothing."""
     a = 2
-    for p in primes_up_to(bound):
-        a = pow(a, p ** int(math.log(bound, p)), n)
+    for p in primes_up_to(_P1_BOUND):
+        a = pow(a, p ** int(math.log(_P1_BOUND, p)), n)
     g = math.gcd(a - 1, n)
     return g if 1 < g < n else 0
 
@@ -133,7 +135,7 @@ def _split(n: int, rng) -> int:
             return g
 
 
-def factor_integer(n: int, seed: int = 0) -> dict:
+def factor_integer(n: int) -> dict:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:
         raise ValueError("factor_integer expects n >= 1, got %r" % (n,))
@@ -149,7 +151,7 @@ def factor_integer(n: int, seed: int = 0) -> dict:
             n //= p
     if n == 1:
         return result
-    rng = random.Random((seed << 64) ^ n)
+    rng = random.Random(n)  # the seed of rho's parameters
     stack = [n]
     while stack:
         m = stack.pop()

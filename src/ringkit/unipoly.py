@@ -4,6 +4,11 @@ A UniPoly is a coefficient list (lowest degree first, no trailing zeros)
 plus the coefficient ring.  Residue rings (Z/m and Zp, the rings with a
 `coeff_modulus`) share one set of int-list kernels; every other ring goes
 through the generic ring operations.
+
+Division is classical except over Zp, where `PolyModContext` is the one
+fast division: a packed Barrett step with the Newton inverse of the
+reversed modulus (von zur Gathen and Gerhard, Modern Computer Algebra,
+section 9.1).  `uni_divrem` hands a long quotient to a one-off context.
 """
 
 import sys
@@ -25,11 +30,10 @@ PACKED_MUL_THRESHOLD = 20
 # powmod, 8-byte slots (p = 17, 20 bits) win from degree 4, 16-byte slots
 # (31 and 62 bits) break even at 6 and win by 1.1-1.2x at 7
 PACKED_MULMOD_DEGREE = 7
-NEWTON_DIV_THRESHOLD = 60  # remainder degree where Newton division kicks in
-# PolyModContext.rem divides by Newton iteration with the cached inverse only
-# when the modulus degree and the quotient length both reach this: below
-# either, classical division was faster for every field measured
-NEWTON_REM_THRESHOLD = 32
+# PolyModContext over Zp takes its Barrett step for a quotient of degree
+# k >= n - 1 only from this degree n of f on, and uni_divrem one for k >=
+# n - 2 only from twice it: below, classical division was faster
+LONG_QUOTIENT_DEGREE = 32
 # Half-GCD against Euclid over Zp, random inputs: Half-GCD wins from degree
 # about 450 for a 62-bit prime, 550 for a 20-bit one and 700 for p = 17
 HALF_GCD_THRESHOLD = 500  # degree where the gcd loop switches to Half-GCD
@@ -184,7 +188,8 @@ def _school_int(x, y):
     return out
 
 
-# word-aligned slots pack through array('Q'), which is native byte order
+# word-aligned slots pack through array('Q'), which is native byte order:
+# only on little-endian hosts, where that order is the packing's
 _WORD_SLOTS = sys.byteorder == "little"
 
 
@@ -204,9 +209,9 @@ def _slot_bytes(p, terms):
 def _pack(x, s):
     """Residues as the slots of one big integer: each below 2^(8s), and
     below 2^64 for 16-byte slots."""
-    if s == 8:
+    if s == 8 and _WORD_SLOTS:
         return int.from_bytes(array("Q", x), "little")
-    if s == 16:
+    if s == 16 and _WORD_SLOTS:
         w = array("Q", bytes(16 * len(x)))
         w[::2] = array("Q", x)
         return int.from_bytes(w, "little")
@@ -217,9 +222,9 @@ def _unpack(v, s, count):
     """The first `count` slots of s bytes of a packed integer below
     2^(8 * s * count)."""
     raw = v.to_bytes(s * count, "little")
-    if s == 8:
+    if s == 8 and _WORD_SLOTS:
         return memoryview(raw).cast("Q").tolist()
-    if s == 16:
+    if s == 16 and _WORD_SLOTS:
         w = memoryview(raw).cast("Q")
         return [lo | hi << 64 if hi else lo for lo, hi in zip(w[::2], w[1::2])]
     return [int.from_bytes(raw[k * s : (k + 1) * s], "little") for k in range(count)]
@@ -380,79 +385,15 @@ def _divrem_classical(a: UniPoly, b: UniPoly):
     return _poly(K, q), _poly(K, r[:db])
 
 
-def _trunc(a: UniPoly, n: int) -> UniPoly:
-    if len(a.coeffs) <= n:
-        return a
-    return _poly(a.ring, a.coeffs[:n])
-
-
-def _reverse(a: UniPoly, n: int) -> UniPoly:
-    """Coefficient reversal padded to degree n."""
-    K = a.ring
-    out = [K.zero] * (n + 1)
-    for i, c in enumerate(a.coeffs):
-        out[n - i] = c
-    return _poly(K, out)
-
-
-class FastDivision:
-    """Division with remainder by a fixed divider via Newton iteration.
-
-    The power series inverse of the reversed monic divider is cached and
-    only grows, so repeated divisions by one divider amortize it.
-    """
-
-    def __init__(self, divider: UniPoly):
-        K = divider.ring
-        if divider.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        self.divider = divider
-        self.monic_divider = uni_monic(divider)
-        self.lc_inv = K.inv(divider.lc())
-        self._rev = _reverse(self.monic_divider, divider.degree)
-        self._inv = _poly(K, [K.one])  # the reversal has constant term 1
-        self._prec = 1
-
-    def _rev_inverse(self, n: int) -> UniPoly:
-        """g with rev * g = 1 mod x^n."""
-        K = self._rev.ring
-        while self._prec < n:
-            m = self._prec * 2
-            g = self._inv
-            fg = _trunc(uni_mul(_trunc(self._rev, m), g), m)
-            two_minus = uni_sub(_poly(K, [K.add(K.one, K.one)]), fg)
-            self._inv = _trunc(uni_mul(g, two_minus), m)
-            self._prec = m
-        return _trunc(self._inv, n)
-
-    def divrem(self, a: UniPoly):
-        K = a.ring
-        b = self.monic_divider
-        da, db = a.degree, b.degree
-        if da < db:
-            return UniPoly(K, []), a
-        if db == 0:
-            return uni_scale(a, self.lc_inv), UniPoly(K, [])
-        n = da - db + 1
-        ra = _reverse(a, da)
-        q = _reverse(_trunc(uni_mul(_trunc(ra, n), self._rev_inverse(n)), n), n - 1)
-        r = uni_sub(_trunc(a, db), _trunc(uni_mul(_trunc(q, db), _trunc(b, db)), db))
-        return uni_scale(q, self.lc_inv), r
-
-    def rem(self, a: UniPoly):
-        return self.divrem(a)[1]
-
-
 def uni_divrem(a: UniPoly, b: UniPoly):
-    """Quotient and remainder; Newton path for large field divisions."""
-    K = a.ring
-    if (
-        K.is_field
-        and b.degree >= 1
-        and a.degree - b.degree >= NEWTON_DIV_THRESHOLD
-        and b.degree >= NEWTON_DIV_THRESHOLD
-    ):
-        return FastDivision(b).divrem(a)
+    """Quotient and remainder: over Zp, a quotient of degree k >= deg b - 2
+    by b of degree >= 2 * LONG_QUOTIENT_DEGREE takes the Barrett step of a
+    one-off PolyModContext; every other division is classical."""
+    n = b.degree
+    if n >= 2 * LONG_QUOTIENT_DEGREE and a.degree - n >= n - 2:
+        K = a.ring
+        if K.is_field and K.coeff_modulus is not None:
+            return PolyModContext(b).divrem(a)
     return _divrem_classical(a, b)
 
 
@@ -916,80 +857,102 @@ def uni_random(K, degree: int, rng, monic=False) -> UniPoly:
 class PolyModContext:
     """Arithmetic modulo a fixed polynomial f of degree n.
 
-    Over Zp, from n = PACKED_MULMOD_DEGREE on, the context packs once the
-    low part of monic f and the reversed Newton inverse of its reversal
-    mod x^(n-1) into word-slot big integers.  `mulmod` of reduced operands
-    is then three big-int products (the operands, the quotient from the
-    high half of the product, the quotient times f's low part), each
-    unpacked and reduced slot by slot, and `rem` takes the same Barrett
-    step for dividends of degree below 2n - 1.  Below that degree and over
-    other rings, `mulmod` is a product followed by `rem`, which divides
-    classically when the quotient is short and by FastDivision otherwise.
+    Over Zp, from n = PACKED_MULMOD_DEGREE on, a quotient of degree k >= 8
+    with k <= n - 2 or n >= LONG_QUOTIENT_DEGREE comes from one packed
+    Barrett step: the high part of the dividend times g, the Newton inverse
+    of the reversed monic f to precision P, gives the quotient, and the low
+    part minus the quotient times f's low part the remainder; both products
+    run on word-slot big integers.  P is max(k + 1, n - 1) over the steps
+    so far: g is built at the first step and grown when a longer quotient
+    comes.  `mulmod` of reduced operands is one more packed product.  Other
+    quotients, and every division over other rings, are classical.
     """
 
     def __init__(self, modulus: UniPoly):
         self.modulus = modulus
-        n = modulus.degree
-        self._fast = FastDivision(modulus) if n >= 1 else None
-        K = modulus.ring
+        K, n = modulus.ring, modulus.degree
         m = K.coeff_modulus
         self._slot = None
         if K.is_field and m is not None and n >= PACKED_MULMOD_DEGREE:
-            self._slot = s = _slot_bytes(m, n)
-            inv = self._fast._rev_inverse(n - 1).coeffs
-            # with g the inverse, the quotient's coefficient j is slot n-2+j
-            # of (high half) * reversed g: no list reversal per product
-            self._inv_rev = _pack([0] * (n - 1 - len(inv)) + inv[::-1], s)
-            self._low = _pack(self._fast.monic_divider.coeffs[:n], s)
-            self._shift = 8 * s * (n - 2)
-            self._mask = (1 << 8 * s * n) - 1
+            self._slot = _slot_bytes(m, n)
+            self._lc_inv = mod_inverse(modulus.lc(), m)
+            self._monic = uni_monic(modulus).coeffs
+            self._g = [1]  # the reversal of monic f has constant term 1
+            self._prec = 0  # nothing packed before the first Barrett step
 
-    def _reduce(self, v, count):
-        """Trimmed residues of the polynomial whose `count` slots are packed
-        in v, each slot a sum of at most n products of residues, mod f."""
-        s, n, m = self._slot, self.modulus.degree, self.modulus.ring.coeff_modulus
-        c = _unpack(v, s, count)
-        if count <= n:
-            r = [t % m for t in c]
-        else:
-            hi = [t % m for t in c[n:]]
-            q = _unpack((_pack(hi, s) * self._inv_rev) >> self._shift, s, len(hi))
-            q = [t % m for t in q]
-            low = _unpack((_pack(q, s) * self._low) & self._mask, s, n)
-            r = [(a - b) % m for a, b in zip(c, low)]
+    def _grow(self, prec):
+        """Extend g to precision prec by Newton steps that at most double it,
+        then pack it with the slot width and mask that go with it."""
+        n, m = self.modulus.degree, self.modulus.ring.coeff_modulus
+        rev, g = self._monic[::-1], self._g
+        steps = [prec]
+        while steps[-1] > 2 * len(g):
+            steps.append((steps[-1] + 1) // 2)
+        for t in reversed(steps):
+            # rev * g = 1 + x^h * e mod x^t, and g - x^h * (g * e mod x^(t-h))
+            # inverts rev mod x^t; both products run on packed slots
+            h = len(g)
+            s = _slot_bytes(m, t)
+            G, mask = _pack(g, s), (1 << 8 * s * (t - h)) - 1
+            e = _unpack(_pack(rev[:t], s) * G >> 8 * s * h & mask, s, t - h)
+            e = _pack([c % m for c in e], s)
+            g += [-c % m for c in _unpack(e * G & mask, s, t - h)]
+        self._prec = P = len(g)
+        self._slot = s = _slot_bytes(m, max(n, P))
+        self._inv_rev = _pack(g[::-1], s)
+        self._low = _pack(self._monic[:n], s)
+        self._mask = (1 << 8 * s * n) - 1
+
+    def _barrett(self, c):
+        """(quotient by monic f, trimmed remainder) of the polynomial whose
+        len(c) > n coefficients c are sums of at most n residue products."""
+        n, m = self.modulus.degree, self.modulus.ring.coeff_modulus
+        hi = [t % m for t in c[n:]]
+        L = len(hi)
+        if L > self._prec:
+            self._grow(max(L, n - 1))
+        s, inv = self._slot, self._inv_rev
+        if L < self._prec:  # only g mod x^L counts: the top L slots
+            inv >>= 8 * s * (self._prec - L)
+        # quotient coefficient j is slot L-1+j of (high part) * reversed g
+        q = _unpack(_pack(hi, s) * inv >> 8 * s * (L - 1), s, L)
+        q = [t % m for t in q]
+        low = _unpack(_pack(q[:n], s) * self._low & self._mask, s, n)  # mod x^n
+        r = [(a - b) % m for a, b in zip(c, low)]
         while r and not r[-1]:
             r.pop()
-        return r
+        return q, r
+
+    def divrem(self, a: UniPoly):
+        f, K = self.modulus, a.ring
+        n, k = f.degree, a.degree - f.degree
+        # a quotient of degree below 8 divides faster classically
+        if self._slot is None or k < 8 or (k >= n - 1 and n < LONG_QUOTIENT_DEGREE):
+            return _divrem_classical(a, f)
+        q, r = self._barrett(a.coeffs)
+        if self._lc_inv != 1:
+            q = [c * self._lc_inv % K.coeff_modulus for c in q]
+        return UniPoly(K, q), UniPoly(K, r)
 
     def rem(self, a: UniPoly) -> UniPoly:
-        n = self.modulus.degree
-        k = a.degree - n  # quotient degree
-        if k < 0:
-            return a
-        if n == 0:
-            return UniPoly(a.ring, [])
-        # a quotient of degree below 8 divides faster classically, packed or not
-        if self._slot is not None and 8 <= k < n - 1:
-            return UniPoly(a.ring, self._reduce(_pack(a.coeffs, self._slot), k + n + 1))
-        if k < NEWTON_REM_THRESHOLD or n < NEWTON_REM_THRESHOLD:
-            return _divrem_classical(a, self.modulus)[1]
-        return self._fast.rem(a)
+        return self.divrem(a)[1]
 
     def mulmod(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        s = self._slot
+        s, n, K = self._slot, self.modulus.degree, a.ring
         if s is None:
             return self.rem(uni_mul(a, b))
-        n = self.modulus.degree
         if a.degree >= n:
             a = self.rem(a)
         if b.degree >= n:
             b = self.rem(b)
         x, y = a.coeffs, b.coeffs
         if not x or not y:
-            return UniPoly(a.ring, [])
+            return UniPoly(K, [])
         X = _pack(x, s)
-        v = X * X if x is y else X * _pack(y, s)
-        return UniPoly(a.ring, self._reduce(v, len(x) + len(y) - 1))
+        c = _unpack(X * X if x is y else X * _pack(y, s), s, len(x) + len(y) - 1)
+        if len(c) <= n:
+            return _poly(K, [t % K.coeff_modulus for t in c])
+        return UniPoly(K, self._barrett(c)[1])
 
     def powmod(self, a: UniPoly, e: int) -> UniPoly:
         K = a.ring
@@ -1010,8 +973,8 @@ class FrobeniusMap:
     for i < deg f (one `powmod(x, q)`, then deg f - 2 products by x^q) and
     takes an image as sum(h_i * row_i).  The rows come from `context`, the
     PolyModContext of f: over Zp, from degree PACKED_MULMOD_DEGREE on, each
-    is a packed `mulmod` of three big-int products and no FastDivision;
-    below that degree and over other fields, a product and a remainder.
+    is a packed `mulmod` (three big-int products, one Barrett step); below
+    that degree and over other fields, a product and a classical remainder.
     Over a residue ring the rows are packed once into word-slot big
     integers, so an image is one pass of int-by-bigint products, one unpack
     and one reduction per slot; over other fields the sum runs through the
@@ -1019,8 +982,7 @@ class FrobeniusMap:
     """
 
     def __init__(self, f: UniPoly):
-        K = f.ring
-        self.ring = K
+        self.ring = K = f.ring
         n = f.degree
         self.context = ctx = PolyModContext(f)
         rows = [_poly(K, [K.one])]

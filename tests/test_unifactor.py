@@ -282,22 +282,29 @@ def test_blocked_distinct_degree_matches_per_degree_loop(K, degrees):
 
 def test_ddf_gcds_and_table_divisions_stay_cut(monkeypatch):
     # 1 + sum(i * x^i) at degree 100 over Zp[1000003]: the per-degree DDF
-    # took 23 gcds and the table build 118 FastDivision.divrem calls
+    # took 23 gcds and the table build 118 Newton divisions; now every row
+    # is a packed mulmod step, and no other division runs
     K = ZpRing(1000003)
     f = P(K, 1, *range(1, 101))
     f = up.uni_monic(f)
     calls = {"gcd": 0, "divrem": 0}
-    gcd, divrem = uf.uni_gcd, up.FastDivision.divrem
+    gcd, divrem, classical = uf.uni_gcd, up.PolyModContext.divrem, up._divrem_classical
 
     def counting_gcd(a, b):
         calls["gcd"] += 1
         return gcd(a, b)
 
+    # a dividend of lower degree than the divisor is no division
     def counting_divrem(self, a):
-        calls["divrem"] += 1
+        calls["divrem"] += a.degree >= self.modulus.degree
         return divrem(self, a)
 
-    monkeypatch.setattr(up.FastDivision, "divrem", counting_divrem)
+    def counting_classical(a, b):
+        calls["divrem"] += a.degree >= b.degree
+        return classical(a, b)
+
+    monkeypatch.setattr(up.PolyModContext, "divrem", counting_divrem)
+    monkeypatch.setattr(up, "_divrem_classical", counting_classical)
     frob = up.FrobeniusMap(f)
     assert calls["divrem"] == 0
     monkeypatch.setattr(uf, "uni_gcd", counting_gcd)

@@ -107,16 +107,6 @@ def test_divrem_identity_and_errors():
     assert err.value.gcd == 17
 
 
-def test_newton_division_matches_classical():
-    rng = random.Random(4)
-    for da, db in [(500, 200), (300, 61), (150, 75)]:
-        a = uni_random(ZBIG, da, rng)
-        b = uni_random(ZBIG, db, rng)
-        q1, r1 = up._divrem_classical(a, b)
-        q2, r2 = up.FastDivision(b).divrem(a)
-        assert (q1, r1) == (q2, r2)
-
-
 def test_division_over_z_exact_only():
     a = P(ZZ, -1, 0, 0, 0, 1)  # x^4 - 1
     b = P(ZZ, -1, 1)  # x - 1
@@ -347,6 +337,22 @@ def test_pack_unpack_round_trip_at_every_slot_width(p, terms, width):
     assert prod[terms - 1].bit_length() <= 8 * s
 
 
+@pytest.mark.parametrize("words", [True, False], ids=["words", "bytes"])
+@pytest.mark.parametrize("s", [8, 16, 17])
+def test_pack_puts_slot_i_at_bit_8si(s, words, monkeypatch):
+    # a round trip cannot see a wrong byte order, which pack and unpack
+    # would share: compare with the sum of shifted slots instead
+    monkeypatch.setattr(up, "_WORD_SLOTS", words and up._WORD_SLOTS)
+    rng = random.Random(s)
+    x = [rng.randrange(2**64) for _ in range(9)] + [0, 1, 2**64 - 1, 0]
+    v = up._pack(x, s)
+    assert v == sum(c << 8 * s * i for i, c in enumerate(x))
+    assert up._unpack(v, s, len(x)) == x
+    # unpacked slots may fill all 8s bits: products are unpacked, not packed
+    y = [rng.randrange(2 ** (8 * s)) for _ in range(9)] + [2 ** (8 * s) - 1]
+    assert up._unpack(sum(c << 8 * s * i for i, c in enumerate(y)), s, len(y)) == y
+
+
 MULMOD_PRIMES = (2, 3, 17, 1000003, 2**31 - 1, 2**61 - 1, 2**62 + 135)
 
 
@@ -371,11 +377,58 @@ def test_packed_mulmod_and_powmod_match_classical_division(p):
         e = rng.randrange(p, 3 * p)
         a = uni_random(K, n - 1, rng)
         assert ctx.powmod(a, e) == _powmod_reference(a, e, f)
-        # every remainder route: short quotient, packed, classical, Newton
+        # every remainder route: classical for a quotient of degree below 8
+        # or, when n < LONG_QUOTIENT_DEGREE, one longer than f; the packed
+        # Barrett step otherwise, at growing precisions
         for k in (0, 7, 8, n - 2, n - 1, 40, 3 * n):
             if k >= 0:
                 a = uni_random(K, n + k, rng)
                 assert ctx.rem(a) == up._divrem_classical(a, f)[1], (p, n, k)
+
+
+@pytest.mark.parametrize("p", MULMOD_PRIMES)
+def test_every_division_route_matches_classical(p):
+    K = ZpRing(p)
+    rng = random.Random(p % 991)
+    gate, long = up.PACKED_MULMOD_DEGREE, up.LONG_QUOTIENT_DEGREE
+    for n in (1, gate - 1, gate, long - 1, long, 100):
+        b = uni_random(K, n, rng)  # not monic
+        ctx = PolyModContext(b)
+        prec = 0
+        # one context: the precision grows, the quotient shrinks, then grows
+        for k in (0, 7, 8, n - 2, n - 1, 40, 3 * n, 8, n - 1, 5 * n):
+            if k < 0:
+                continue
+            a = uni_random(K, n + k, rng)
+            expect = up._divrem_classical(a, b)
+            assert ctx.divrem(a) == expect, (p, n, k)
+            assert uni_divrem(a, b) == expect, (p, n, k)
+            if n >= gate and k >= 8 and (k <= n - 2 or n >= long):
+                prec = max(prec, k + 1, n - 1)
+            assert ctx._prec == prec if n >= gate else ctx._slot is None
+        # a grown inverse still serves products and short quotients
+        x, y = uni_random(K, n - 1, rng), uni_random(K, n - 1, rng)
+        assert ctx.mulmod(x, y) == up._divrem_classical(uni_mul(x, y), b)[1]
+    a = uni_random(K, 30, rng)
+    assert ctx.divrem(a) == (P(K), a)
+
+
+@pytest.mark.parametrize("K", [QQ, GFRing(17, 2)], ids=["Q", "GF289"])
+def test_division_off_zp_is_classical(K, monkeypatch):
+    rng = random.Random(5)
+    a, b = uni_random(K, 150, rng), uni_random(K, 75, rng)
+    q, r = expect = up._divrem_classical(a, b)
+    assert up.uni_add(uni_mul(q, b), r) == a and r.degree < 75
+    square = up._divrem_classical(uni_mul(q, q), b)[1]
+    calls = []  # GF(17^2) divides classically inside its own products too
+    classical = up._divrem_classical
+    monkeypatch.setattr(
+        up, "_divrem_classical", lambda x, y: calls.append(y is b) or classical(x, y)
+    )
+    ctx = PolyModContext(b)
+    assert uni_divrem(a, b) == expect and ctx.divrem(a) == expect
+    assert ctx.rem(a) == r and ctx.mulmod(q, q) == square
+    assert ctx._slot is None and sum(calls) == 4
 
 
 def _powmod_reference(a, e, f):
