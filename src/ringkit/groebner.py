@@ -4,7 +4,8 @@ Buchberger with Gebauer-Moller pruning under LEX and GRLEX.
 The engine packs exponent vectors with a `multipoly.Layout` of 15 value
 bits and a guard bit per variable, variable 0 on top, so monomial
 divisibility is two int ops, and carries each monomial's order key as a
-second integer (order keys are additive, so products need no repacking).
+second integer from `Layout.order_weights` (order keys are additive, so
+products need no repacking).
 
 In the signature loop every basis element g carries a signature t*e_i: the
 leading term of a representation g = sum(a_j*f_j) over the input generators
@@ -38,6 +39,7 @@ reduced basis.
 
 import heapq
 import math
+from operator import mul
 
 from . import rings
 from .errors import UnsupportedRingError
@@ -64,24 +66,13 @@ class _Engine:
         n = len(ring.vars)
         self.ring = ring
         self.K = ring.cring
-        self.n = n
         # variable 0 sits in the top field so LEX compare is int compare
         self.lay = Layout([_BITS] * n, range(n - 1, -1, -1))
         self.shifts = self.lay.shift
         self.guard = self.lay.guard
         self.mask = self.lay.mask[0]
-        w = _BITS + 1
         self.order = ring.order.name
-        # okey(e) = sum(e[i] * weights[i]): LEX compares the packed fields,
-        # GRLEX puts the total degree above them, GREVLEX puts it above the
-        # reversed fields, negated
-        top = 1 << (w * n)
-        if self.order == "LEX":
-            self.weights = [1 << s for s in self.shifts]
-        elif self.order == "GRLEX":
-            self.weights = [top + (1 << s) for s in self.shifts]
-        else:
-            self.weights = [top - (1 << (w * i)) for i in range(n)]
+        self.weights = self.lay.order_weights(ring.order)
         self.entries = []
         if not self.K.is_field:
             raise UnsupportedRingError(
@@ -94,9 +85,6 @@ class _Engine:
             self.mode = "zz"
         else:
             self.mode = "gen"
-
-    def okey(self, e):
-        return sum(x * w for x, w in zip(e, self.weights))
 
     def tdeg(self, p):
         return sum((p >> s) & self.mask for s in self.shifts)
@@ -116,8 +104,8 @@ class _Engine:
 
     def to_triples(self, f):
         """MultiPoly -> descending [(packed, okey, coeff)] in engine coeffs."""
-        pack = self.lay.pack
-        items = [(pack(e), self.okey(e), c) for e, c in f.terms.items()]
+        pack, w = self.lay.pack, self.weights
+        items = [(pack(e), sum(map(mul, e, w)), c) for e, c in f.terms.items()]
         items.sort(key=lambda t: -t[1])
         if self.mode == "zz":
             _, nums = self.K.clear_denominators(c for _, _, c in items)

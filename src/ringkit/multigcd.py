@@ -1,10 +1,11 @@
 """Multivariate polynomial GCD.
 
 Field coefficients: per-variable degree bounds come from univariate
-images, variables the gcd does not use are removed by content
-extraction, and the rest is variable-by-variable sparse interpolation
-(Zippel) with the gcd of the two leading coefficients imposed on every
-image so that images taken at different points agree.  Each new variable
+images, all read off the term values of both inputs at one point,
+variables the gcd does not use are removed by content extraction, and
+the rest is variable-by-variable sparse interpolation (Zippel) with the
+gcd of the two leading coefficients imposed on every image so that
+images taken at different points agree.  Each new variable
 x_v is taken at geometric points alpha_v * beta^j, and Berlekamp-Massey
 on every monomial's coefficients stops the loop early, after about
 2*tau+1 points for tau x_v-terms per coefficient (Ben-Or/Tiwari with the
@@ -24,6 +25,8 @@ scaled gcd.  Rational coefficients clear denominators first.
 
 Every candidate is certified by trial division before it is returned,
 so unlucky evaluation points can cost retries but never correctness.
+Over Zp and Z the trial divisions run `multi_divides` on packed keys and
+stop at the first term that shows the candidate does not divide.
 """
 
 import math
@@ -144,9 +147,9 @@ def _field_gcd(a, b, rng):
     the gcd of the primitive parts scaled to lead gamma.
     """
     ring = a.ring
-    triv = _field_trivial(a, b)
-    if triv is not None:
-        return triv
+    # a and b are nonzero: so are the inputs, contents and leads passed here
+    if a.is_constant() or b.is_constant():
+        return ring.one
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _mono_gcd(a, b)
     act = _active_vars(a, b)
@@ -615,19 +618,6 @@ def _int_div(f, n):
 # ------------------------------------------------------------------ helpers
 
 
-def _field_trivial(a, b):
-    ring = a.ring
-    if a.is_zero() and b.is_zero():
-        return ring.zero
-    if a.is_zero():
-        return ring.normalize_unit(b)[1]
-    if b.is_zero():
-        return ring.normalize_unit(a)[1]
-    if a.is_constant() or b.is_constant():
-        return ring.one
-    return None
-
-
 def _active_vars(a, b):
     return [
         i
@@ -637,19 +627,27 @@ def _active_vars(a, b):
 
 
 def _degree_bounds(a, b, act, rng):
-    """Likely gcd degree per active variable, from univariate image gcds."""
+    """Likely gcd degree per active variable, from univariate image gcds.
+
+    One point alpha serves every active variable: the term values of a and
+    b there, summed by e_i, are the images in x_i with x_i scaled by
+    alpha_i, which changes no degree and no gcd degree.  Variables whose
+    images lost degree retry at a fresh point, the others are done.
+    """
     K = a.ring.cring
-    bounds = {}
-    for i in act:
-        for _ in range(_RETRIES):
-            values = {j: _nonzero(K, rng) for j in act if j != i}
-            ua = univariate_image(a, i, values)
-            ub = univariate_image(b, i, values)
+    bounds = {i: min(a.degree(i), b.degree(i)) for i in act}
+    todo = list(act)
+    for _ in range(_RETRIES):
+        alpha = {j: _nonzero(K, rng) for j in act}
+        va, vb = (term_values(K, f.terms, alpha, f.terms.values()) for f in (a, b))
+        for i in list(todo):
+            ua = slot_sums(K, [e[i] for e in a.terms], va, a.degree(i))
+            ub = slot_sums(K, [e[i] for e in b.terms], vb, b.degree(i))
             if ua.degree == a.degree(i) and ub.degree == b.degree(i):
                 bounds[i] = uni_gcd(ua, ub).degree
-                break
-        else:
-            bounds[i] = min(a.degree(i), b.degree(i))
+                todo.remove(i)
+        if not todo:
+            break
     return bounds
 
 

@@ -5,8 +5,13 @@ Monomial orders produce sortable keys (bigger key = bigger monomial), so
 descending term iteration is a sort.  `Layout` is the one packing of
 exponent vectors into integer keys with a guard bit per variable; the
 Hensel lift and the Groebner engine run on its keys, and multiplication
-always packs under a Layout sized by the degree sums.  Division is the
-standard multi-divisor reduction driven by a lazy max-heap.
+always packs under a Layout sized by the degree sums.  `Layout.order_weights`
+is the one copy of the additive int order keys that go with them.  Exact
+division over Z and Zp (`multi_exact_div`, `multi_divides`) is the heap
+division of Monagan and Pearce on those keys, which stops at the first
+leading term that shows the division inexact.  Every other ring, and every
+call with several divisors, runs the standard multi-divisor reduction
+`multi_divrem`, driven by a lazy max-heap on exponent tuples.
 
 This module owns evaluation: `term_values` substitutes a point into every
 term from one power cache, and the full value, the partial substitution and
@@ -359,6 +364,23 @@ class Layout:
         sh, mk = self.shift[v], self.mask[v]
         return max(((k >> sh) & mk for k in f), default=-1)
 
+    def order_weights(self, order):
+        """Weights w making sum(e[i] * w[i]) an additive int key for `order`
+        on every exponent vector this layout holds; variable 0 must sit in
+        the top field.  LEX reads the fields, GRLEX puts the total degree
+        above them, GREVLEX puts it above the reversed fields, negated.
+        """
+        width = sum(self.bits) + len(self.bits)
+        top = 1 << width
+        name = monomial_order(order).name
+        if name == "LEX":
+            return [1 << s for s in self.shift]
+        if name == "GRLEX":
+            return [top + (1 << s) for s in self.shift]
+        # the reversed field of variable i ends where its own field starts
+        ends = (width - s - b - 1 for s, b in zip(self.shift, self.bits))
+        return [top - (1 << r) for r in ends]
+
 
 def multi_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Product on packed keys under a Layout sized by the degree sums; Z
@@ -529,20 +551,95 @@ def multi_divrem(f: MultiPoly, dividers):
     return [MultiPoly(ring, q) for q in qs], MultiPoly(ring, rem)
 
 
+def _quotient(a: MultiPoly, b: MultiPoly):
+    """a / b when b divides a, else None.
+
+    Over Z and Zp this is the heap division of Monagan and Pearce under a
+    Layout sized from a's degrees.  A monomial is one additive int, its
+    order key above its packed key, in a work dict and a max-heap; a Zp
+    coefficient is reduced only when it is popped.  The division stops at
+    the first leading term that lm(b) does not divide, whose coefficient
+    lc(b) does not divide over Z, or whose quotient exponent passes
+    deg(a) - deg(b) somewhere; a true quotient does none of these, and the
+    last test, on guard bits, keeps every key inside the Layout.
+    """
+    if b.ring != a.ring:
+        raise ValueError("polynomial rings differ")
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero():
+        return a
+    if not isinstance(a.ring.cring, (rings.IntegerRing, rings.ZpRing)):
+        qs, r = multi_divrem(a, [b])
+        return qs[0] if r.is_zero() else None
+    da = a.degrees()
+    room = tuple(map(operator.sub, da, b.degrees()))
+    if min(room) < 0:
+        return None
+    lay = Layout([x.bit_length() for x in da], range(len(da) - 1, -1, -1))
+    low = sum(lay.bits) + len(da)
+    weights = lay.order_weights(a.ring.order)
+    ws = [(w << low) + (1 << s) for w, s in zip(weights, lay.shift)]
+
+    def keyed(terms):
+        return {sum(map(operator.mul, e, ws)): c for e, c in terms.items()}
+
+    (top,) = keyed({room: None})
+    guard, mask, mod = lay.guard, (1 << low) - 1, a.ring.cring.coeff_modulus
+    tail = keyed(b.terms)
+    lead = max(tail)
+    lc = tail.pop(lead)
+    inv = mod and pow(lc, -1, mod)
+    work = keyed(a.terms)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    q = {}
+    while heap:
+        k = -pop(heap)
+        c = work.pop(k, 0)
+        if mod:
+            c %= mod
+        if not c:
+            continue
+        # k - lead and top - (k - lead) keep every field's guard bit clear
+        # exactly when lm(b) divides k within the room
+        s = k - lead
+        if s & guard or (top - s) & guard:
+            return None
+        if mod:
+            c = c * inv % mod
+        else:
+            c, r = divmod(c, lc)
+            if r:
+                return None
+        q[s & mask] = c
+        for tk, tc in tail.items():
+            k = tk + s
+            v = work.get(k)
+            if v is None:
+                work[k] = -c * tc
+                push(heap, -k)
+            elif v := v - c * tc:
+                work[k] = v
+            else:
+                del work[k]
+    return MultiPoly(a.ring, lay.unpack_terms(q))
+
+
 def multi_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    qs, r = multi_divrem(a, [b])
-    if not r.is_zero():
+    """a / b by `_quotient`; ArithmeticError when b does not divide a."""
+    q = _quotient(a, b)
+    if q is None:
         raise ArithmeticError("inexact polynomial division")
-    return qs[0]
+    return q
 
 
 def multi_divides(b: MultiPoly, a: MultiPoly) -> bool:
-    """True when b divides a exactly."""
+    """True when b divides a exactly, decided by `_quotient`."""
     if b.is_zero():
         return a.is_zero()
-    if a.is_zero():
-        return True
-    return multi_divrem(a, [b])[1].is_zero()
+    return _quotient(a, b) is not None
 
 
 # ------------------------------------------------------------------ evaluate

@@ -5,6 +5,7 @@ algebra system (identical up to the monic normalization; that system
 normalizes by the lex leading coefficient regardless of the active order).
 """
 
+import hashlib
 import random
 
 import pytest
@@ -268,6 +269,31 @@ def test_named_systems_agree_with_plain_buchberger(order):
             assert all(multi_divrem(f, gb)[1].is_zero() for f in eqs)
             continue
         assert gb == groebner_basis(eqs, criteria=False), (build.__name__, n)
+
+
+# sha256 of each reduced basis over Zp[1000003] (its term dicts, sorted),
+# unchanged since the engine took its order weights from `Layout.order_weights`
+BASIS_DIGESTS = {
+    ("katsura", 5, "LEX"): "53a2862ec52bebc2",
+    ("katsura", 5, "GRLEX"): "1af2eeee1c661982",
+    ("katsura", 5, "GREVLEX"): "51bf9446971a04b6",
+    ("katsura", 6, "GRLEX"): "5b05eca304e18863",
+    ("katsura", 6, "GREVLEX"): "0b8e84d77d958d90",
+    ("cyclic", 5, "LEX"): "3c4d82665fbf360c",
+    ("cyclic", 5, "GRLEX"): "fb3ebb4a8e78d9ca",
+    ("cyclic", 5, "GREVLEX"): "83e511df78814db6",
+}
+
+
+@pytest.mark.parametrize("name, n, order", sorted(BASIS_DIGESTS))
+def test_named_bases_keep_their_digest(name, n, order):
+    build = {"katsura": katsura, "cyclic": cyclic}[name]
+    R, eqs = build(n, rings.ZpRing(1000003), order)
+    eng = groebner._Engine(R)
+    assert eng.weights == eng.lay.order_weights(R.order)
+    gb = groebner_basis(eqs)
+    text = repr([sorted(g.terms.items()) for g in gb]).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == BASIS_DIGESTS[name, n, order]
 
 
 def test_signature_loop_cuts_zero_reductions(monkeypatch):

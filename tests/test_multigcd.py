@@ -383,3 +383,55 @@ def test_planted_sparse5_point_images(monkeypatch):
     assert multi_gcd(multi_mul(a, g), multi_mul(b, g)) == _monic(g)
     # dense interpolation of every lifted variable took 69 point images
     assert calls["_point_image"] <= 34
+
+
+@pytest.mark.parametrize("p", [1000003, 101])
+def test_degree_bounds_take_one_evaluation_per_draw(monkeypatch, p):
+    K = ZpRing(p)
+    ring = MultiRing(K, ("x", "y", "z", "w"))
+    cases = []
+    for t in range(10):
+        rng = random.Random(t)
+        g, a, b = (_sparse(ring, rng, k, 3) for k in (3, 4, 4))
+        A, B = multi_mul(a, g), multi_mul(b, g)
+        act = [i for i in range(4) if A.degree(i) or B.degree(i)]
+        cases.append((t, A, B, act, multi_gcd(A, B, seed=t)))
+    calls = _counting(monkeypatch, "term_values")
+    kept = 0
+    for t, A, B, act, G in cases:
+        calls["term_values"] = 0
+        bounds = multigcd._degree_bounds(A, B, act, random.Random(t))
+        for i in act:
+            assert bounds[i] >= G.degree(i)
+        # the first point, drawn again: did some image lose degree there?
+        rng = random.Random(t)
+        alpha = {j: multigcd._nonzero(K, rng) for j in act}
+        lost = any(
+            univariate_image(f, i, {j: alpha[j] for j in act if j != i}).degree
+            != f.degree(i)
+            for i in act
+            for f in (A, B)
+        )
+        if lost:
+            assert calls["term_values"] >= 4 and calls["term_values"] % 2 == 0
+        else:
+            kept += 1
+            assert calls["term_values"] == 2
+    assert kept >= 5
+
+
+def test_degree_bounds_retry_only_the_variables_that_lost_degree(monkeypatch):
+    K = ZpRing(101)
+    ring = MultiRing(K, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    g = x * y + z + 1
+    # lc_x(A) = (y - 1) * y vanishes at the first point, which has y = 1
+    A = multi_mul((y - 1) * x**2 + x + z, g)
+    B = multi_mul(x + y * z + 2, g)
+    points = iter([2, 1, 3, 5, 7, 11])
+    monkeypatch.setattr(multigcd, "_nonzero", lambda K, rng: K.of(next(points)))
+    calls = _counting(monkeypatch, "term_values", "uni_gcd")
+    bounds = multigcd._degree_bounds(A, B, [0, 1, 2], None)
+    assert calls == {"term_values": 4, "uni_gcd": 3}
+    assert all(bounds[i] >= 1 for i in range(3))
+    assert bounds[0] < min(A.degree(0), B.degree(0))

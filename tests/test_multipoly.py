@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -58,6 +59,18 @@ def test_order_keys_monotone_additive():
                     tuple(x + y for x, y in zip(a, c)),
                     tuple(x + y for x, y in zip(b, c)),
                 ) < 0
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=str)
+def test_order_weights_agree_with_order_keys(order):
+    # uneven fields, variable 0 on top, every exponent at or inside its range
+    bits = [3, 0, 5, 1]
+    w = Layout(bits, range(3, -1, -1)).order_weights(order)
+    rng = random.Random(5)
+    for _ in range(400):
+        a, b = (tuple(rng.randrange(1 << k) for k in bits) for _ in range(2))
+        ka, kb = (sum(x * y for x, y in zip(e, w)) for e in (a, b))
+        assert (ka > kb) - (ka < kb) == order.compare(a, b)
 
 
 @pytest.fixture
@@ -236,6 +249,126 @@ def test_exact_division(rq):
     assert not multi_divides(x + y, x * y + 1)
     with pytest.raises(ArithmeticError):
         multi_exact_div(x * y + 1, x + y)
+
+
+DIV_RINGS = {"Z": ZZ, "Zp1000003": ZpRing(1000003), "Zp2": ZpRing(2), "Zp3": ZpRing(3)}
+# degrees at the edges of the packed fields: bit lengths 1..5, each side
+WIDTH_EDGES = (1, 2, 3, 4, 7, 8, 15, 16)
+
+
+def _coeff(K, rng):
+    while True:
+        c = K.of(rng.randint(-9, 9))
+        if not K.is_zero(c):
+            return c
+
+
+def _with_degrees(ring, rng, degs):
+    """Random polynomial of degree exactly degs[i] in each variable i."""
+    terms = {}
+    for i, d in enumerate(degs):
+        e = [rng.randint(0, x) for x in degs]
+        e[i] = d
+        terms[tuple(e)] = _coeff(ring.cring, rng)
+    for _ in range(3):
+        terms[tuple(rng.randint(0, x) for x in degs)] = _coeff(ring.cring, rng)
+    return MultiPoly(ring, terms)
+
+
+def _divrem_divides(b, a):
+    return multi_divrem(a, [b])[1].is_zero()
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=str)
+@pytest.mark.parametrize("K", list(DIV_RINGS.values()), ids=list(DIV_RINGS))
+def test_packed_division_agrees_with_divrem(K, order):
+    ring = MultiRing(K, ("x", "y", "z"), order)
+    x, y, z = ring.gens()
+    rng = random.Random(15)
+    for _ in range(10):
+        total = [rng.choice(WIDTH_EDGES) for _ in range(3)]
+        da = [rng.randint(0, d) for d in total]
+        a = _with_degrees(ring, rng, da)
+        b = _with_degrees(ring, rng, [d - k for d, k in zip(total, da)])
+        ab = multi_mul(a, b)
+        assert ab.degrees() == tuple(total)
+        assert multi_exact_div(ab, b) == a
+        assert multi_exact_div(ab, a) == b
+        # near misses and unrelated pairs decide exactly as multi_divrem
+        pairs = [(b, ab + x * y), (b, ab + ring.one), (b + z, ab), (a, b), (b, a)]
+        pairs += [(b, multi_mul(ab, x + ring.one)), (x * b, ab)]
+        for g, f in pairs:
+            ok = _divrem_divides(g, f)
+            assert multi_divides(g, f) == ok
+            if ok:
+                assert multi_exact_div(f, g) == multi_divrem(f, [g])[0][0]
+            else:
+                with pytest.raises(ArithmeticError):
+                    multi_exact_div(f, g)
+
+
+def _counting_pops(monkeypatch):
+    pops = []
+    orig = heapq.heappop
+
+    def pop(heap):
+        pops.append(1)
+        return orig(heap)
+
+    monkeypatch.setattr(heapq, "heappop", pop)
+    return pops
+
+
+@pytest.mark.parametrize("K", [ZZ, ZpRing(1000003)], ids=["Z", "Zp"])
+def test_packed_division_stops_at_the_first_bad_term(monkeypatch, K):
+    ring = MultiRing(K, ("x", "y"), LEX)
+    x, y = ring.gens()
+    cases = [
+        # lm(b) = x does not divide y^2, the second term popped
+        (x * y + y**2, x + 1, 2),
+        # the third quotient term x^13*y^2 passes deg_y(a) - deg_y(b) = 1
+        (x**16 + y**2, x - y, 3),
+        # deg_y(b) > deg_y(a): nothing is popped
+        (x**2 * y, x * y**2, 0),
+    ]
+    if K == ZZ:
+        # lc(b) = 2 does not divide the leading coefficient 1
+        cases.append((x + 1, 2 * x + 2, 1))
+    for a, b, popped in cases:
+        assert not _divrem_divides(b, a)
+        pops = _counting_pops(monkeypatch)
+        assert not multi_divides(b, a)
+        assert len(pops) == popped
+        monkeypatch.undo()
+        with pytest.raises(ArithmeticError):
+            multi_exact_div(a, b)
+
+
+@pytest.mark.parametrize("K", [ZZ, ZpRing(1000003), ZpRing(2)], ids=["Z", "Zp", "Zp2"])
+def test_packed_division_edge_inputs(K):
+    ring = MultiRing(K, ("x", "y"))
+    x, y = ring.gens()
+    f = x**3 * y + x * y**2 + y + ring.one
+    # b constant and b a monomial (3 is nonzero in each of these rings)
+    three = ring.of(3)
+    mono = 3 * x * y**2
+    assert multi_exact_div(multi_mul(f, three), three) == f
+    assert multi_exact_div(multi_mul(f, mono), mono) == f
+    assert multi_divides(mono, multi_mul(x * f, mono))
+    assert not multi_divides(mono, f) and not _divrem_divides(mono, f)
+    if K == ZZ:
+        four = ring.of(4)
+        assert not multi_divides(four, multi_mul(f, ring.of(6)))
+        assert multi_exact_div(multi_mul(f, ring.of(-12)), four) == -3 * f
+    # a zero, b zero
+    assert multi_exact_div(ring.zero, f) == ring.zero
+    assert multi_divides(f, ring.zero) and _divrem_divides(f, ring.zero)
+    with pytest.raises(ZeroDivisionError):
+        multi_exact_div(f, ring.zero)
+    with pytest.raises(ZeroDivisionError):
+        multi_divrem(f, [ring.zero])
+    assert multi_divides(ring.zero, ring.zero)
+    assert not multi_divides(ring.zero, f)
 
 
 def test_eval(rq):
