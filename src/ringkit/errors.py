@@ -38,3 +38,11 @@ class SingularSystemError(RingkitError, ArithmeticError):
         super().__init__("%s (rank=%d, consistent=%s)" % (message, rank, consistent))
         self.rank = rank
         self.consistent = consistent
+
+
+class RetryBudgetError(RingkitError, ArithmeticError):
+    """Every randomized attempt failed; .attempts is how many were made."""
+
+    def __init__(self, message, attempts):
+        super().__init__("%s after %d attempts" % (message, attempts))
+        self.attempts = attempts

@@ -5,9 +5,14 @@ recursively), multiplicities are split off with Yun's algorithm along one
 variable, and each squarefree primitive part is reduced to one variable: all
 but a chosen main variable are evaluated at a random point, the univariate
 image is factored, and the image factors are lifted back one variable at a
-time through powers of (x_v - alpha_v).  Leading coefficients are pinned by
-the classical multiply-through transform: with r image factors the lift runs
-on F* = lc^(r-1) * F and every factor keeps leading coefficient lc.
+time through powers of (x_v - alpha_v).  Leading coefficients in x_m are
+fixed before the full lift, as in Wang (1978) and Kaltofen (1985): L =
+lc(F) = s * prod l_k^e_k is factored recursively, and each l_k goes to the
+image factors whose bivariate factors (from a scout lift in x_m and one
+other variable) carry it in their leading coefficients.  With r factors the
+lift runs on F' = (sU)^(r-1) * F, factor i keeping lc sU * P_i, where P_i
+holds its l_k and U the l_k no image could place.  U = L/s with every
+P_i = 1 is the classical multiply-through transform, which the scouts use.
 
 The lift has one path on residue ints: over Zp, or over Z modulo a machine
 prime power chosen to cover the true coefficients, with candidates coming
@@ -21,10 +26,10 @@ unlucky evaluation points cost retries, never wrong answers.
 Inside the lift a polynomial is a plain dict {packed monomial key: residue}
 under one `multipoly.Layout` per `_run_levels` call, sized by
 `_lift_layout`: x_m in the low field, then the lifted variables, each with
-room for r * D_v.  F*, L and their partial evaluations are packed once on
-entry; rows in a variable are split off and joined back by shift and mask,
-and every product, Taylor shift and truncation runs the one packed-product
-loop, `multipoly.mul_keys_into`.
+room for r * D_v.  F', the lcs and their partial evaluations are packed
+once on entry; rows in a variable are split off and joined back by shift
+and mask, and every product, Taylor shift and truncation runs the one
+packed-product loop, `multipoly.mul_keys_into`.
 The only way back to MultiPoly is the unpacking of each recombination
 candidate in `_subset_split`.
 """
@@ -35,7 +40,7 @@ import random
 from functools import reduce
 
 from . import rings
-from .errors import UnsupportedRingError
+from .errors import RetryBudgetError, UnsupportedRingError
 from .modular import symmetric_lift
 from .multigcd import multi_gcd
 from .multipoly import (
@@ -73,10 +78,12 @@ from .unipoly import (
     UniPoly,
     _poly,
     uni_derivative,
+    uni_exact_div,
     uni_extended_gcd,
     uni_gcd,
     uni_monic,
     uni_mul,
+    uni_primitive,
     uni_rem,
     uni_scale,
     uni_sub,
@@ -285,7 +292,7 @@ def _prim_squarefree_into(acc, F, mult, rng):
             raise ArithmeticError("lifted factors do not multiply back")
         _constant_into(acc, c, mult)
         return
-    raise ArithmeticError("unlucky evaluation points: retry budget exhausted")
+    raise RetryBudgetError("no lucky evaluation point", _TRIES)
 
 
 # ----------------------------------------------------------- one full attempt
@@ -296,11 +303,13 @@ def _attempt(F, m, rng, attempt):
 
     A cheap bivariate scouting pass lifts the first variable only and
     regroups image factors that split more finely than the bivariate
-    factorization; that keeps the lc transform exponent small and spots
-    irreducible inputs before the full lift.  Both lifts run on residues
-    mod p (over Zp) or mod p^ell (over Z) and always truncate their error
-    terms.  Raises _BadPoint whenever the point is unusable; every result
-    is certified by exact division.
+    factorization, and spots irreducible inputs before the full lift.  With
+    three or more active variables, `_lc_parts` then reads each factor's
+    leading coefficient off bivariate factorizations, so the full lift
+    multiplies F through by the shared part sU only.  The lifts run on
+    residues mod p (over Zp) or mod p^ell (over Z) and always truncate their
+    error terms.  Raises _BadPoint whenever the point is unusable; every
+    result is certified by exact division.
     """
     ring = F.ring
     K = ring.cring
@@ -313,8 +322,7 @@ def _attempt(F, m, rng, attempt):
     L = lc_in(F, m)
 
     alpha = _draw_alpha(K, others, rng, attempt)
-    La = multi_value(L, alpha)
-    if K.is_zero(La):
+    if K.is_zero(multi_value(L, alpha)):
         raise _BadPoint()
     u = univariate_image(F, m, alpha)
     if uni_gcd(u, uni_derivative(u)).degree != 0:
@@ -326,53 +334,132 @@ def _attempt(F, m, rng, attempt):
     else:
         _, uparts = factor_over_z(u)
         us = [g for g, _ in uparts if g.degree >= 1]
-    r = len(us)
-    if r == 1:
+    if len(us) == 1:
         return [F]
+    p = K.p if field else _good_prime(u)
 
-    if field:
-        work = ring
-        p = K.p
-    else:
-        p = _good_prime(u)
-        ell = _precision(F, L, r, dF, p) + 2 * min(attempt, 3)
-        work = MultiRing(rings.ZmRing(p**ell), ring.vars, ring.order)
-    Kw = work.cring
-    alpha_w = {i: Kw.of(a) for i, a in alpha.items()}
-    La_w = Kw.of(La)
+    def work_ring(c, r):
+        """The ring of a lift whose r factors share the lc part c."""
+        if field:
+            return ring
+        ell = _precision(F, c, r, dF, p) + 2 * min(attempt, 3)
+        return MultiRing(rings.ZmRing(p**ell), ring.vars, ring.order)
 
-    order = list(others)
-    uhat = [uni_monic(_poly(Kw, [Kw.of(c) for c in g.coeffs])) for g in us]
-    tinv = _bezout_rows(uhat, La_w, p)
+    def lift(work, target, sU, P, order, groups):
+        """Lift target * sU^(r-1) with factor i's lc set to sU * P[i]."""
+        Kw = work.cring
+        uhat = [
+            uni_monic(_poly(Kw, [Kw.of(c) for c in reduce(uni_mul, [us[i] for i in g]).coeffs]))
+            for g in groups
+        ]
+        Fw = change_ring(multi_mul(target, multi_pow(sU, len(groups) - 1)), work)
+        lcs = [change_ring(multi_mul(sU, q), work) for q in P]
+        ctx = _run_levels(Fw, lcs, m, order, alpha, uhat, p)
+        return _subset_split(target, ctx.snapshots[-1], order, ctx)
 
-    # scout: lift the first variable alone and group by bivariate division
-    v1 = order[0]
-    rest = {i: alpha[i] for i in order[1:]}
-    F1 = multi_subs(F, rest)
-    L1 = multi_subs(L, rest)
-    F1w = change_ring(F1, work)
-    L1w = change_ring(L1, work)
-    Fs1 = multi_mul(F1w, multi_pow(L1w, r - 1))
-    ctx1 = _run_levels(Fs1, L1w, m, [v1], alpha_w, La_w, uhat, tinv)
-    split1 = _subset_split(F1, ctx1.snapshots[-1], [v1], ctx1)
-    if len(split1) == 1:
+    # every scout lifts in the ring sized for len(us) factors sharing L,
+    # as the first one must
+    scout_ring = work_ring(L, len(us))
+
+    def scout(v, groups, sU, P):
+        """Bivariate factors in x_m and x_v, the others at alpha."""
+        rest = {i: alpha[i] for i in others if i != v}
+        Fv, sUv = multi_subs(F, rest), multi_subs(sU, rest)
+        return lift(scout_ring, Fv, sUv, [multi_subs(q, rest) for q in P], [v], groups)
+
+    split = scout(others[0], [(i,) for i in range(len(us))], L, [ring.one] * len(us))
+    if len(split) == 1:
         return [F]
-    if len(order) == 1:
+    if len(others) == 1:
         # only two active variables, so the scout did the whole job
-        return [g for _, g in split1]
-    groups = [subset for subset, _ in split1]
-    if len(groups) < r:
-        # p^ell was sized for r factors, so it covers the fewer groups too
-        uhat = [reduce(uni_mul, [uhat[i] for i in subset]) for subset in groups]
-        r = len(groups)
-        tinv = _bezout_rows(uhat, La_w, p)
+        return [g for _, g in split]
+    groups = [subset for subset, _ in split]
+    sU, P = _lc_parts(L, m, others, alpha, split, scout, rng.randrange(1 << 30))
+    return [g for _, g in lift(work_ring(sU, len(groups)), F, sU, P, others, groups)]
 
-    Fstar = multi_mul(F, multi_pow(L, r - 1))
-    Fw = change_ring(Fstar, work)
-    Lw = change_ring(L, work)
-    ctx = _run_levels(Fw, Lw, m, order, alpha_w, La_w, uhat, tinv)
-    split = _subset_split(F, ctx.snapshots[-1], order, ctx)
-    return [g for _, g in split]
+
+def _lc_parts(L, m, others, alpha, split, scout, seed):
+    """(sU, [P_i]) with L = sU * prod P_i, where P_i is the part of L that
+    goes to the leading coefficient of group i's factor.
+
+    L = s * prod l_k^e_k is factored first.  Each l_k is tried in the
+    variables v it involves, in lifting order, until it is assigned:
+    `split` holds the groups and their bivariate factors in x_m and the
+    first variable, and each other variable takes one more scout, which
+    lifts with the parts found so far and must keep the grouping.  When
+    the image of l_k in x_v is squarefree, keeps its degree and is coprime
+    to the images of the other l_j, the number of times it divides the
+    image of a group's lc is that group's exponent, if these add up to e_k.
+    U is the product of the l_k left unassigned.  When L cannot be
+    factored, or a scout fails or changes the grouping, sU = L and every
+    P_i is 1.
+    """
+    ring = L.ring
+    r = len(split)
+    groups = [subset for subset, _ in split]
+    bivs = [g for _, g in split]
+    fallback = L, [ring.one] * r
+    # the integer content stays whole: s needs no prime factors
+    s = ring.one if ring.cring.is_field else ring.from_coeff(math.gcd(*L.terms.values()))
+    try:
+        unit, ls = factor_multipoly(ring, multi_exact_div(L, s), seed)
+    except RetryBudgetError:
+        return fallback
+    s = multi_mul(s, unit)
+    exps = {}
+
+    def assigned():
+        U, P = s, [ring.one] * r
+        for k, (l, e) in enumerate(ls):
+            if k not in exps:
+                U = multi_mul(U, multi_pow(l, e))
+                continue
+            for i, ei in enumerate(exps[k]):
+                P[i] = multi_mul(P[i], multi_pow(l, ei))
+        return U, P
+
+    for v in others:
+        todo = [k for k, (l, _) in enumerate(ls) if k not in exps and l.degree(v) > 0]
+        if not todo:
+            continue
+        if v != others[0]:
+            try:
+                split = scout(v, groups, *assigned())
+            except _BadPoint:
+                return fallback
+            if sorted(subset for subset, _ in split) != [(i,) for i in range(r)]:
+                return fallback
+            bivs = [g for _, g in sorted(split, key=lambda sg: sg[0])]
+        rest = {i: a for i, a in alpha.items() if i != v}
+        imgs = [univariate_image(l, v, rest) for l, _ in ls]
+        lcv = [to_unipoly(lc_in(g, m), v) for g in bivs]
+        for k in todo:
+            img = imgs[k]
+            if img.degree != ls[k][0].degree(v):
+                continue
+            # one gcd: squarefree and coprime to the other images
+            cof = reduce(uni_mul, [c for j, c in enumerate(imgs) if j != k], uni_derivative(img))
+            if uni_gcd(img, cof).degree:
+                continue
+            # over Z the primitive part divides exactly what it divides over Q
+            img = uni_primitive(img)[1]
+            # a bivariate factor can lose part of its lc to its content,
+            # never gain one: the counts are exact when they add up
+            es = [_multiplicity(c, img) for c in lcv]
+            if sum(es) == ls[k][1]:
+                exps[k] = es
+    return assigned()
+
+
+def _multiplicity(c, l):
+    """How often the nonconstant l divides the nonzero c."""
+    e = 0
+    while True:
+        try:
+            c = uni_exact_div(c, l)
+        except ArithmeticError:
+            return e
+        e += 1
 
 
 def _draw_alpha(K, others, rng, attempt):
@@ -384,13 +471,13 @@ def _draw_alpha(K, others, rng, attempt):
     return {i: rng.randint(-w, w) for i in others}
 
 
-def _precision(F, L, r, dF, p):
+def _precision(F, c, r, dF, p):
     """Prime-power exponent covering factor coefficients, Mignotte style.
 
-    Estimates the norm of F * L^(r-1) without materializing the product.
+    Estimates the norm of F * c^(r-1) without materializing the product.
     """
-    nf = math.isqrt(sum(int(c) * int(c) for c in F.terms.values())) + 1
-    nl = sum(abs(int(c)) for c in L.terms.values())
+    nf = math.isqrt(sum(int(x) * int(x) for x in F.terms.values())) + 1
+    nl = sum(abs(int(x)) for x in c.terms.values())
     return _exponent_above(p, (1 << (dF + 8)) * nf * max(nl, 1) ** (r - 1))
 
 
@@ -398,10 +485,10 @@ def _precision(F, L, r, dF, p):
 
 
 def _lift_layout(m, order, degs, r):
-    """The Layout of one lift; `degs` are the degrees of F* per variable.
+    """The Layout of one lift; `degs` are the degrees of F' per variable.
 
     x_m takes the low field, so a key free of the lifted variables is its
-    x_m degree; the field holds deg_m F*, since every polynomial in the lift
+    x_m degree; the field holds deg_m F', since every polynomial in the lift
     is a piece of a product of the factors, whose x_m degrees add up to it.
     Each lifted variable v comes next, in lifting order, with room for
     r * D_v, the most a product of r truncated factors reaches; the
@@ -524,32 +611,35 @@ def _mod_lifted(f, pairs, ctx):
     return f
 
 
-def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv):
+def _run_levels(Fw, lcs, m, order, alpha, uhat, p):
     """Variable-by-variable lift of the monic image factors against Fw.
 
-    F*, L and their partial evaluations are packed once under one layout;
-    every level then works on packed dicts.
+    Factor i keeps the leading coefficient lcs[i] in x_m, and Fw is their
+    product's target.  Fw, the lcs and their partial evaluations are packed
+    once under one layout; every level then works on packed dicts.
     """
     work = Fw.ring
+    K = work.cring
+    alpha = {i: K.of(a) for i, a in alpha.items()}
+    lca = [multi_value(c, alpha) for c in lcs]
     r = len(uhat)
     degs = Fw.degrees()
     bounds = {v: degs[v] for v in order}
     lay = _lift_layout(m, order, degs, r)
 
-    ctx = _LiftCtx(lay, work.cring, m, order, alpha, bounds, uhat, tinv)
+    ctx = _LiftCtx(lay, K, m, order, alpha, bounds, uhat, _bezout_rows(uhat, lca, p))
     mod = ctx.mod
     ctx.snapshots.append(
-        [{k: c for k, c in enumerate(uni_scale(g, La).coeffs) if c} for g in uhat]
+        [{k: c for k, c in enumerate(uni_scale(g, a).coeffs) if c} for g, a in zip(uhat, lca)]
     )
 
-    # partial evaluations of F* and L from the innermost level outward
-    Es = [None] * (len(order) + 1)
-    Ls = [None] * (len(order) + 1)
-    curF, curL = Fw, Lw
+    # partial evaluations of Fw and the lcs from the innermost level outward
+    packs = [None] * (len(order) + 1)
+    cur = [Fw] + lcs
     for s in range(len(order), 0, -1):
-        Es[s], Ls[s] = lay.pack_terms(curF.terms), lay.pack_terms(curL.terms)
+        packs[s] = [lay.pack_terms(f.terms) for f in cur]
         point = {order[s - 1]: alpha[order[s - 1]]}
-        curF, curL = multi_subs(curF, point), multi_subs(curL, point)
+        cur = [multi_subs(f, point) for f in cur]
 
     dxs = [g.degree for g in uhat]
     mmask = lay.mask[m]
@@ -557,14 +647,14 @@ def _run_levels(Fw, Lw, m, order, alpha, La, uhat, tinv):
         v = order[s - 1]
         a = alpha[v]
         D = bounds[v]
-        rowsF = _shift_rows(lay.split(Es[s], v), a, mod)
-        Lrows = _shift_rows(lay.split(Ls[s], v), a, mod)
+        Es, *Ls = packs[s]
+        rowsF = _shift_rows(lay.split(Es, v), a, mod)
         grows = []
         for i in range(r):
             d = dxs[i]
             # row 0 without its x_m^d term, then lc rows times x_m^d
             rows = {0: {k: c for k, c in ctx.snapshots[s - 1][i].items() if k & mmask != d}}
-            for j, lp in Lrows.items():
+            for j, lp in _shift_rows(lay.split(Ls[i], v), a, mod).items():
                 rows[j] = _add(rows.get(j, {}), {k + d: c for k, c in lp.items()}, mod)
             grows.append({j: q for j, q in rows.items() if q})
         _level(ctx, s, v, D, rowsF, grows)
@@ -646,8 +736,9 @@ def _cof0_table(base0, r, mod):
     return table
 
 
-def _bezout_rows(uhat, La, p):
-    """tinv[i] with tinv[i] * cofactor_i = inv(La^(r-1)) modulo uhat_i.
+def _bezout_rows(uhat, lca, p):
+    """tinv[i] with tinv[i] * cofactor_i = prod_{j != i} lca[j]^(-1) modulo
+    uhat_i, where lca[j] is the value of factor j's lc at the point.
 
     The uhat are monic over Z/p^k (k >= 1); the inverses come from the
     extended gcd over Zp and are Newton-lifted to p^k.
@@ -655,7 +746,7 @@ def _bezout_rows(uhat, La, p):
     K = uhat[0].ring
     zp = rings.ZpRing(p)
     r = len(uhat)
-    scale = K.pow(La, 1 - r)
+    inv = K.pow(reduce(K.mul, lca), -1)
     two = _poly(K, [K.of(2)])
     out = []
     for i in range(r):
@@ -672,7 +763,7 @@ def _bezout_rows(uhat, La, p):
         while pe < K.coeff_modulus:
             pe *= pe
             si = uni_rem(uni_mul(si, uni_sub(two, uni_mul(si, cofr))), uhat[i])
-        out.append(uni_scale(si, scale))
+        out.append(uni_scale(si, K.mul(inv, lca[i])))
     return out
 
 

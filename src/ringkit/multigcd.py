@@ -33,7 +33,7 @@ import math
 import random
 
 from . import rings
-from .errors import UnsupportedRingError
+from .errors import RetryBudgetError, UnsupportedRingError
 from .modular import gcd_coeff_bound, modular_gcd
 from .multipoly import (
     MultiPoly,
@@ -129,12 +129,13 @@ def gcd_many(polys, seed: int = 0):
 
 def _field_entry(a, b, rng):
     """Zippel's gcd, with a fresh frame for each of up to 8 attempts."""
-    for _ in range(8):
+    attempts = 8
+    for _ in range(attempts):
         try:
             return _field_gcd(a, b, rng)
         except (_Unlucky, _Restart):
             continue
-    raise ArithmeticError("gcd interpolation failed to stabilize")
+    raise RetryBudgetError("gcd interpolation failed to stabilize", attempts)
 
 
 def _field_gcd(a, b, rng):
@@ -463,7 +464,7 @@ class _LevelEval:
     def set_rho(self, rho):
         """Point the processed variables at rho; rho has exactly those keys."""
         self.mults = term_values(self.K, self.exps, rho)
-        self.first = term_values(self.K, self.exps, rho, self.base)
+        self.first = self.advance(self.base, self.mults)
 
     def set_ratio(self, beta):
         """Per-term beta^e_v, the step between geometric x_v points."""

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from ringkit import multifactor
-from ringkit.errors import UnsupportedRingError
+from ringkit.errors import RetryBudgetError, UnsupportedRingError
 from ringkit.multifactor import factor_multipoly
 from ringkit.multipoly import LEX, MultiPoly, MultiRing, multi_divrem, multi_mul, multi_pow
 from ringkit.rings import QQ, ZZ, Rational, ZpRing
@@ -217,32 +217,61 @@ def test_ring_method_matches_function():
     assert R.factor(f) == factor_multipoly(R, f)
 
 
+def _record_lifts(monkeypatch):
+    """Every _run_levels call in the main variable x as (order, r, target,
+    lcs, ctx), and every _lc_parts result as (sU, P).  L has no x, so the
+    lifts that factor L are not recorded."""
+    lifts, parts = [], []
+    run_levels, lc_parts = multifactor._run_levels, multifactor._lc_parts
+
+    def recording(Fw, lcs, m, order, alpha, uhat, p):
+        ctx = run_levels(Fw, lcs, m, order, alpha, uhat, p)
+        if m == 0:
+            lifts.append((list(order), len(uhat), Fw, lcs, ctx))
+        return ctx
+
+    def recording_parts(*args):
+        out = lc_parts(*args)
+        parts.append(out)
+        return out
+
+    monkeypatch.setattr(multifactor, "_run_levels", recording)
+    monkeypatch.setattr(multifactor, "_lc_parts", recording_parts)
+    return lifts, parts
+
+
+def _in(R, f):
+    """f mapped into R, coefficient by coefficient."""
+    return MultiPoly(R, {e: R.cring.of(int(c)) for e, c in f.terms.items()})
+
+
 @pytest.mark.parametrize("seed", [2, 3, 5])
 def test_scout_regroups_image_factors_over_z(seed, monkeypatch):
     # at these seeds the image splits into 3 factors and the bivariate scout
-    # groups them into 2 before the full lift, which keeps the first p^ell
+    # groups them into 2 before the full lift; the product is monic in x,
+    # so no other scout runs and both groups lift with lc 1
     R = MultiRing(ZZ, ("x", "y", "z"))
     x, y, z = R.gens()
     a, b = x * x - y * z**3, x + y**3 + z**3
-    counts = []
-    run_levels = multifactor._run_levels
-
-    def counting(*args):
-        counts.append(len(args[6]))
-        return run_levels(*args)
-
-    monkeypatch.setattr(multifactor, "_run_levels", counting)
-    unit, parts = factor_multipoly(R, a * b, seed=seed)
-    assert counts == [3, 2]
-    assert [e for _, e in parts] == [1, 1]
-    assert {g for g, _ in parts} == {R.normalize_unit(a)[1], R.normalize_unit(b)[1]}
-    assert _rebuild(R, unit, parts) == a * b
+    lifts, parts = _record_lifts(monkeypatch)
+    unit, parts_out = factor_multipoly(R, a * b, seed=seed)
+    assert [(order, r) for order, r, *_ in lifts] == [([1], 3), ([1, 2], 2)]
+    assert parts == [(R.one, [R.one, R.one])]
+    _, _, Fw, lcs, ctx = lifts[-1]
+    assert Fw == _in(Fw.ring, a * b)
+    assert all(c == Fw.ring.one for c in lcs)
+    assert ctx.bounds == {1: 4, 2: 6}
+    assert [e for _, e in parts_out] == [1, 1]
+    assert {g for g, _ in parts_out} == {R.normalize_unit(a)[1], R.normalize_unit(b)[1]}
+    assert _rebuild(R, unit, parts_out) == a * b
 
 
 @pytest.mark.parametrize("seed", [0, 2, 4, 5])
 def test_level_truncation_changes_error_terms_zp(seed, monkeypatch):
     # y + x*w + 3 is the content in z; the irreducible quadratic splits in
-    # its image, so its three-level lift fails and truncation must act
+    # its image, so its three-level lift fails and truncation must act.
+    # The quadratic is monic in x: the lc step finds sU = 1, so the full
+    # lift is of the quadratic itself, with lc 1 for both image factors
     R = MultiRing(ZpRing(1000003), ("x", "y", "z", "w"))
     x, y, z, w = R.gens()
     a, b = x * x - y * y * z**3 - w * w * y * y, x * w + y + R.of(3)
@@ -265,46 +294,206 @@ def test_level_truncation_changes_error_terms_zp(seed, monkeypatch):
 
     monkeypatch.setattr(multifactor, "_level", tracked_level)
     monkeypatch.setattr(multifactor, "_mod_lifted", tracked_mod)
-    unit, parts = factor_multipoly(R, a * b, seed=seed)
+    lifts, parts = _record_lifts(monkeypatch)
+    unit, parts_out = factor_multipoly(R, a * b, seed=seed)
     assert changed
-    assert [e for _, e in parts] == [1, 1]
-    assert {g for g, _ in parts} == {R.normalize_unit(a)[1], R.normalize_unit(b)[1]}
-    assert _rebuild(R, unit, parts) == a * b
+    assert [(order, r) for order, r, *_ in lifts] == [([1], 2), ([1, 2, 3], 2)]
+    assert parts == [(R.one, [R.one, R.one])]
+    _, _, Fw, lcs, ctx = lifts[-1]
+    assert Fw == a and lcs == [R.one, R.one]
+    assert ctx.bounds == {1: 2, 2: 3, 3: 2}
+    assert [e for _, e in parts_out] == [1, 1]
+    assert {g for g, _ in parts_out} == {R.normalize_unit(a)[1], R.normalize_unit(b)[1]}
+    assert _rebuild(R, unit, parts_out) == a * b
 
 
 @pytest.mark.parametrize("K", [ZpRing(1000003), ZZ], ids=["Zp", "Z"])
 def test_lift_with_five_factors_and_high_degree(K, monkeypatch):
-    # five non-monic factors, so F* = F * L^4 has degree 30 in y: the packed
-    # fields of the lifted variables must hold r * D_v, and over Z the lift
-    # runs modulo a large prime power
+    # five non-monic factors whose lcs y + i + 1 the first scout tells
+    # apart: the full lift runs on F itself, of degree 10 in y and 9 in z,
+    # with each factor's own lc; the packed fields of the lifted variables
+    # hold r * D_v, and over Z the lift runs modulo a large prime power
     R = MultiRing(K, ("x", "y", "z"))
     x, y, z = R.gens()
-    facs = [
-        (y + R.of(i + 1)) * x + y**2 * z + R.of(i) * z**2 + R.of(1000 * i + 7)
-        for i in range(5)
-    ]
+    lcs = [y + R.of(i + 1) for i in range(5)]
+    facs = [lcs[i] * x + y**2 * z + R.of(i) * z**2 + R.of(1000 * i + 7) for i in range(5)]
     f = R.one
     for g in facs:
         f = f * g
-    lifts = []
-    run_levels = multifactor._run_levels
-
-    def recording(*args):
-        ctx = run_levels(*args)
-        lifts.append((len(args[6]), ctx.bounds, ctx))
-        return ctx
-
-    monkeypatch.setattr(multifactor, "_run_levels", recording)
-    unit, parts = factor_multipoly(R, f, seed=0)
-    assert len(lifts) == 2  # the scout and one full lift, at the first point
-    r, bounds, ctx = lifts[-1]
-    assert r == 5 and len(bounds) == 2 and min(bounds.values()) >= 8
-    for v, D in bounds.items():
+    lifts, parts = _record_lifts(monkeypatch)
+    unit, parts_out = factor_multipoly(R, f, seed=0)
+    # the scout and one full lift, at the first point; no other scout
+    assert [(order, r) for order, r, *_ in lifts] == [([1], 5), ([1, 2], 5)]
+    (sU, P), = parts
+    assert sU == R.one and set(P) == set(lcs)
+    order, r, Fw, got, ctx = lifts[-1]
+    assert Fw == _in(Fw.ring, f)
+    assert set(got) == {_in(Fw.ring, c) for c in lcs}
+    assert ctx.bounds == {1: f.degree(1), 2: f.degree(2)} and min(ctx.bounds.values()) >= 8
+    for v, D in ctx.bounds.items():
         assert ctx.lay.bits[v] >= (r * D).bit_length()
     if K == ZZ:
         assert ctx.mod.bit_length() > 64
-    assert {g for g, _ in parts} == {R.normalize_unit(g)[1] for g in facs}
-    assert _rebuild(R, unit, parts) == f
+    assert {g for g, _ in parts_out} == {R.normalize_unit(g)[1] for g in facs}
+    assert _rebuild(R, unit, parts_out) == f
+
+
+@pytest.mark.parametrize("K", [ZpRing(1000003), ZZ], ids=["Zp", "Z"])
+def test_lc_factor_in_the_second_lifted_variable_takes_a_scout(K, monkeypatch):
+    # L = z^2 * (z + 1) has no y, so the first scout (in y) cannot place it;
+    # one more scout in z assigns z^2 and z + 1 to their factors, and the
+    # full lift runs on F itself with U = 1
+    R = MultiRing(K, ("x", "y", "z"))
+    x, y, z = R.gens()
+    f1 = z**2 * x**2 + y * x + y**2 + z + R.of(2)
+    f2 = (z + R.one) * x + y**2 + z**2 + R.of(3)
+    f = f1 * f2
+    lifts, parts = _record_lifts(monkeypatch)
+    unit, parts_out = factor_multipoly(R, f, seed=0)
+    assert {g for g, _ in parts_out} == {f1, f2}
+    assert _rebuild(R, unit, parts_out) == f
+    assert [order for order, *_ in lifts[-3:]] == [[1], [2], [1, 2]]
+    sU, P = parts[-1]
+    assert sU == R.one and set(P) == {z**2, z + R.one}
+    _, r, Fw, lcs, ctx = lifts[-1]
+    assert r == 2 and Fw == _in(Fw.ring, f)
+    assert ctx.bounds == {1: f.degree(1), 2: f.degree(2)}
+
+
+def test_colliding_lc_images_stay_shared(monkeypatch):
+    # at y = 0, z = 1 the images y + 1 of y + z and y + z^2 coincide, and
+    # in z the images z and z^2 are not coprime: neither is assigned, so
+    # U = L and the lift is the multiply-through one, with the same factors
+    R = MultiRing(ZpRing(1000003), ("x", "y", "z"))
+    x, y, z = R.gens()
+    f1 = (y + z) * x + y + z**2 + R.of(5)
+    f2 = (y + z**2) * x + y**2 + R.of(7) * z + R.of(2)
+    f = f1 * f2
+    draw = multifactor._draw_alpha
+
+    def forced(K, others, rng, attempt):
+        # only F's own attempts; factoring L draws as usual
+        if others == [1, 2]:
+            return {1: K.zero, 2: K.one}
+        return draw(K, others, rng, attempt)
+
+    monkeypatch.setattr(multifactor, "_draw_alpha", forced)
+    lifts, parts = _record_lifts(monkeypatch)
+    unit, parts_out = factor_multipoly(R, f, seed=0)
+    assert {g for g, _ in parts_out} == {R.normalize_unit(f1)[1], R.normalize_unit(f2)[1]}
+    assert _rebuild(R, unit, parts_out) == f
+    L = (y + z) * (y + z**2)
+    assert parts == [(L, [R.one, R.one])]
+    assert [order for order, *_ in lifts] == [[1], [2], [1, 2]]
+    _, r, Fw, lcs, _ = lifts[-1]
+    assert r == 2 and Fw == f * L and lcs == [L, L]
+
+
+def test_lc_part_lost_to_image_content_waits_for_the_next_scout(monkeypatch):
+    # at z = 1, f1 = (y + z) * x + y + 1 becomes (y + 1) * (x + 1): the
+    # first scout's bivariate factor x + 1 has lost the lc y + 1 to its
+    # content, so the multiplicities of y + z there add up to 0, not 1;
+    # the scout in z (at y = 0, f1 = z * x + 1) assigns it
+    R = MultiRing(ZpRing(1000003), ("x", "y", "z"))
+    x, y, z = R.gens()
+    f1 = (y + z) * x + y + R.one
+    f2 = x + y**2 + z**2 + R.of(3)
+    draw = multifactor._draw_alpha
+
+    def forced(K, others, rng, attempt):
+        if others == [1, 2]:
+            return {1: K.zero, 2: K.one}
+        return draw(K, others, rng, attempt)
+
+    monkeypatch.setattr(multifactor, "_draw_alpha", forced)
+    lifts, parts = _record_lifts(monkeypatch)
+    unit, parts_out = factor_multipoly(R, f1 * f2, seed=0)
+    assert {g for g, _ in parts_out} == {f1, f2}
+    assert _rebuild(R, unit, parts_out) == f1 * f2
+    (sU, P), = parts
+    assert sU == R.one and set(P) == {y + z, R.one}
+    assert [order for order, *_ in lifts] == [[1], [2], [1, 2]]
+
+
+def test_lc_that_cannot_be_factored_stays_shared(monkeypatch):
+    # factoring L is only a means to smaller lifts: when it runs out of
+    # points, L stays whole and the multiply-through lift still factors F
+    R = MultiRing(ZZ, ("x", "y", "z"))
+    x, y, z = R.gens()
+    f1 = (y + z) * x + y * z + 3
+    f2 = (y - 2 * z) * x + y**2 + z + 1
+    factor = multifactor.factor_multipoly
+
+    def no_points(ring, f, seed=0):
+        if f.degree(0) == 0:
+            raise RetryBudgetError("no lucky evaluation point", multifactor._TRIES)
+        return factor(ring, f, seed)
+
+    monkeypatch.setattr(multifactor, "factor_multipoly", no_points)
+    lifts, parts = _record_lifts(monkeypatch)
+    unit, parts_out = factor_multipoly(R, f1 * f2)
+    assert {g for g, _ in parts_out} == {f1, f2}
+    assert parts == [((y + z) * (y - 2 * z), [R.one, R.one])]
+    assert lifts[-1][2] == _in(lifts[-1][2].ring, f1 * f2 * (y + z) * (y - 2 * z))
+
+
+def test_non_monic_four_variables_over_z_with_integer_content(monkeypatch):
+    # lc_x(F) = 6 * (y + w) * z: s = 6 splits as 3 * 2 between the factors,
+    # and each lifted factor carries s / c_i until its content is removed
+    R = MultiRing(ZZ, ("x", "y", "z", "w"))
+    x, y, z, w = R.gens()
+    f1 = 3 * (y + w) * x + y * z**2 + w**2 + 5
+    f2 = 2 * z * x + y**2 * z - w**3 + 7
+    f = f1 * f2
+    lifts, parts = _record_lifts(monkeypatch)
+    for seed in range(3):
+        unit, parts_out = factor_multipoly(R, f, seed=seed)
+        assert {g for g, _ in parts_out} == {f1, f2}
+        assert _rebuild(R, unit, parts_out) == f
+        sU, P = parts[-1]
+        assert sU == R.of(6) and set(P) == {y + w, z}
+        assert [order for order, *_ in lifts[-3:]] == [[1], [2], [1, 2, 3]]
+        # the scout in z lifts with y + w already given to its factor
+        z_lcs = lifts[-2][3]
+        assert z_lcs[0] != z_lcs[1]
+        assert lifts[-1][2] == _in(lifts[-1][2].ring, R.of(6) * f)
+
+
+def test_lc_image_that_loses_degree_waits_for_its_own_scout(monkeypatch):
+    # at z = 0 the image of y*z + 1 in y is the constant 1: the first scout
+    # leaves it, and the scout in z (at y = 2, image 2z + 1) assigns it
+    R = MultiRing(ZpRing(1000003), ("x", "y", "z"))
+    x, y, z = R.gens()
+    f1 = (y * z + R.one) * x + y + z**2 + R.of(5)
+    f2 = x + y**2 + z + R.of(2)
+    draw = multifactor._draw_alpha
+
+    def forced(K, others, rng, attempt):
+        if others == [1, 2]:
+            return {1: K.of(2), 2: K.zero}
+        return draw(K, others, rng, attempt)
+
+    monkeypatch.setattr(multifactor, "_draw_alpha", forced)
+    lifts, parts = _record_lifts(monkeypatch)
+    unit, parts_out = factor_multipoly(R, f1 * f2, seed=0)
+    assert {g for g, _ in parts_out} == {f1, f2}
+    assert _rebuild(R, unit, parts_out) == f1 * f2
+    assert [order for order, *_ in lifts] == [[1], [2], [1, 2]]
+    (sU, P), = parts
+    assert sU == R.one and set(P) == {y * z + R.one, R.one}
+
+
+def test_retry_budget_is_a_typed_arithmetic_error(monkeypatch):
+    def unlucky(*args):
+        raise multifactor._BadPoint()
+
+    monkeypatch.setattr(multifactor, "_attempt", unlucky)
+    R = MultiRing(ZZ, ("x", "y"))
+    x, y = R.gens()
+    with pytest.raises(RetryBudgetError) as info:
+        factor_multipoly(R, x * x + y + 1)
+    assert info.value.attempts == multifactor._TRIES
+    assert isinstance(info.value, ArithmeticError)
 
 
 def test_layout_rejects_an_exponent_wider_than_its_field():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ringkit import multigcd
-from ringkit.errors import UnsupportedRingError
+from ringkit.errors import RetryBudgetError, RingkitError, UnsupportedRingError
 from ringkit.galois import GFRing
 from ringkit.multigcd import gcd_many, multi_gcd
 from ringkit.multipoly import (
@@ -15,6 +15,7 @@ from ringkit.multipoly import (
     multi_mul,
     multi_random,
     multi_scale,
+    term_values,
     univariate_image,
 )
 from ringkit.rings import QQ, ZZ, FractionField, ZpRing
@@ -435,3 +436,53 @@ def test_degree_bounds_retry_only_the_variables_that_lost_degree(monkeypatch):
     assert calls == {"term_values": 4, "uni_gcd": 3}
     assert all(bounds[i] >= 1 for i in range(3))
     assert bounds[0] < min(A.degree(0), B.degree(0))
+
+
+@pytest.mark.parametrize("K", [ZpRing(1000003), ZZ, QQ], ids=["Zp", "Z", "Q"])
+def test_level_eval_first_is_base_times_mults(K):
+    # set_rho multiplies the stored base by the new monomial values instead
+    # of evaluating every term again; the result is the term-by-term value
+    ring = MultiRing(K, ("x", "y", "z", "w"))
+    rng = random.Random(16)
+    for t in range(5):
+        f = MultiPoly(
+            ring,
+            {
+                tuple(rng.randrange(4) for _ in range(4)): K.of(rng.randrange(1, 50))
+                for _ in range(8)
+            },
+        )
+        alpha = {1: K.of(rng.randrange(2, 9)), 2: K.of(rng.randrange(2, 9)), 3: K.of(3)}
+        ev = multigcd._LevelEval(f, 0, 2, [1], alpha)
+        for rho in ({1: K.of(5)}, {1: K.of(rng.randrange(2, 99))}):
+            ev.set_rho(rho)
+            assert ev.mults == term_values(K, ev.exps, rho)
+            assert ev.first == term_values(K, ev.exps, rho, ev.base)
+
+
+def test_small_field_gcd_failures_are_typed():
+    # three variables, four terms each in a, b and g, exponents 0..3, over
+    # Zp[2]: every failure is a RingkitError, and the retry budget error
+    # still reads as the ArithmeticError it was
+    K = ZpRing(2)
+    ring = MultiRing(K, ("x", "y", "z"))
+    budget = 0
+    for s in range(20):
+        rng = random.Random(s)
+        polys = []
+        for _ in range(3):
+            terms = {}
+            while len(terms) < 4:
+                terms[tuple(rng.randint(0, 3) for _ in range(3))] = K.of(rng.randrange(1, 2))
+            polys.append(MultiPoly(ring, terms))
+        a, b, g = polys
+        try:
+            got = multi_gcd(multi_mul(a, g), multi_mul(b, g))
+        except ArithmeticError as exc:
+            assert isinstance(exc, RetryBudgetError) and exc.attempts == 8
+            budget += 1
+        except Exception as exc:
+            assert isinstance(exc, RingkitError)
+        else:
+            assert multi_divides(got, multi_mul(a, g)) and multi_divides(got, multi_mul(b, g))
+    assert budget >= 1
