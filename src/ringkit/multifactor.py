@@ -12,7 +12,10 @@ image factors whose bivariate factors (from a scout lift in x_m and one
 other variable) carry it in their leading coefficients.  With r factors the
 lift runs on F' = (sU)^(r-1) * F, factor i keeping lc sU * P_i, where P_i
 holds its l_k and U the l_k no image could place.  U = L/s with every
-P_i = 1 is the classical multiply-through transform, which the scouts use.
+P_i = 1 is the classical multiply-through transform.  The scouts need no
+transform: as in the multifactor Hensel lift of von zur Gathen and Gerhard
+(Modern Computer Algebra, ch. 15), F_v lifts with lc L_v on one image
+factor and the others monic, so their bound in x_v is deg_v F_v for any r.
 
 The lift has one path on residue ints: over Zp, or over Z modulo a machine
 prime power chosen to cover the true coefficients, with candidates coming
@@ -111,15 +114,11 @@ def factor_multipoly(ring, f, seed=0):
         raise ArithmeticError("cannot factor the zero polynomial")
     K = ring.cring
     rng = random.Random((seed * 0x9E3779B1) ^ 0x5F0E1D2C)
-    if isinstance(K, rings.ZpRing):
-        if K.p <= f.degree():
-            raise UnsupportedRingError(
-                "modulus %d does not exceed the total degree %d" % (K.p, f.degree())
-            )
-        acc = _Acc(ring)
-        _factor_into(acc, f, 1, rng)
-        return acc.result()
-    if isinstance(K, rings.IntegerRing):
+    if isinstance(K, rings.ZpRing) and K.p <= f.degree():
+        raise UnsupportedRingError(
+            "modulus %d does not exceed the total degree %d" % (K.p, f.degree())
+        )
+    if isinstance(K, (rings.ZpRing, rings.IntegerRing)):
         acc = _Acc(ring)
         _factor_into(acc, f, 1, rng)
         return acc.result()
@@ -231,11 +230,8 @@ def _constant_into(acc, c, mult):
 
 def _single_var_into(acc, f, i, mult, rng):
     u = to_unipoly(f, i)
-    K = acc.K
-    if K.is_field:
-        unit, parts = factor_finite(u, seed=rng.randrange(1 << 30))
-    else:
-        unit, parts = factor_over_z(u)
+    field = acc.K.is_field
+    unit, parts = factor_finite(u, seed=rng.randrange(1 << 30)) if field else factor_over_z(u)
     acc.scalar(unit.constant(), mult)
     for g, e in parts:
         acc.add(from_unipoly(f.ring, g, i), mult * e)
@@ -303,13 +299,15 @@ def _attempt(F, m, rng, attempt):
 
     A cheap bivariate scouting pass lifts the first variable only and
     regroups image factors that split more finely than the bivariate
-    factorization, and spots irreducible inputs before the full lift.  With
-    three or more active variables, `_lc_parts` then reads each factor's
-    leading coefficient off bivariate factorizations, so the full lift
-    multiplies F through by the shared part sU only.  The lifts run on
-    residues mod p (over Zp) or mod p^ell (over Z) and always truncate their
-    error terms.  Raises _BadPoint whenever the point is unusable; every
-    result is certified by exact division.
+    factorization, and spots irreducible inputs before the full lift.  A
+    scout lifts F_v (F with the other variables at alpha) with lc L_v on
+    group 0 and every other group monic.  With three or more active
+    variables, `_lc_parts` then reads each factor's leading coefficient off
+    bivariate factorizations, so the full lift multiplies F through by the
+    shared part sU only.  The lifts run on residues mod p (over Zp) or mod
+    p^ell (over Z) and always truncate their error terms.  Raises _BadPoint
+    whenever the point is unusable; every result is certified by exact
+    division.
     """
     ring = F.ring
     K = ring.cring
@@ -328,12 +326,8 @@ def _attempt(F, m, rng, attempt):
     if uni_gcd(u, uni_derivative(u)).degree != 0:
         raise _BadPoint()
 
-    if field:
-        _, uparts = factor_finite(u, seed=rng.randrange(1 << 30))
-        us = [g for g, _ in uparts]
-    else:
-        _, uparts = factor_over_z(u)
-        us = [g for g, _ in uparts if g.degree >= 1]
+    _, uparts = factor_finite(u, seed=rng.randrange(1 << 30)) if field else factor_over_z(u)
+    us = [g for g, _ in uparts if g.degree >= 1]
     if len(us) == 1:
         return [F]
     p = K.p if field else _good_prime(u)
@@ -345,8 +339,9 @@ def _attempt(F, m, rng, attempt):
         ell = _precision(F, c, r, dF, p) + 2 * min(attempt, 3)
         return MultiRing(rings.ZmRing(p**ell), ring.vars, ring.order)
 
-    def lift(work, target, sU, P, order, groups):
-        """Lift target * sU^(r-1) with factor i's lc set to sU * P[i]."""
+    def lift(work, target, sU, P, order, groups, lead=None):
+        """Lift target * sU^(r-1) with factor i's lc set to sU * P[i]; the
+        candidates that lack group 0 take `lead` (see _subset_split)."""
         Kw = work.cring
         uhat = [
             uni_monic(_poly(Kw, [Kw.of(c) for c in reduce(uni_mul, [us[i] for i in g]).coeffs]))
@@ -355,19 +350,21 @@ def _attempt(F, m, rng, attempt):
         Fw = change_ring(multi_mul(target, multi_pow(sU, len(groups) - 1)), work)
         lcs = [change_ring(multi_mul(sU, q), work) for q in P]
         ctx = _run_levels(Fw, lcs, m, order, alpha, uhat, p)
-        return _subset_split(target, ctx.snapshots[-1], order, ctx)
+        if lead is not None:
+            lead = ctx.lay.pack_terms(change_ring(lead, work).terms)
+        return _subset_split(target, ctx.snapshots[-1], order, ctx, lead)
 
-    # every scout lifts in the ring sized for len(us) factors sharing L,
-    # as the first one must
-    scout_ring = work_ring(L, len(us))
+    scout_ring = work_ring(L, 2)
 
-    def scout(v, groups, sU, P):
-        """Bivariate factors in x_m and x_v, the others at alpha."""
+    def scout(v, groups):
+        """Bivariate factors in x_m and x_v, the others at alpha: F_v itself
+        lifts, with lc L_v on group 0 and every other group monic."""
         rest = {i: alpha[i] for i in others if i != v}
-        Fv, sUv = multi_subs(F, rest), multi_subs(sU, rest)
-        return lift(scout_ring, Fv, sUv, [multi_subs(q, rest) for q in P], [v], groups)
+        Fv, Lv = multi_subs(F, rest), multi_subs(L, rest)
+        P = [Lv] + [ring.one] * (len(groups) - 1)
+        return lift(scout_ring, Fv, ring.one, P, [v], groups, Lv)
 
-    split = scout(others[0], [(i,) for i in range(len(us))], L, [ring.one] * len(us))
+    split = scout(others[0], [(i,) for i in range(len(us))])
     if len(split) == 1:
         return [F]
     if len(others) == 1:
@@ -386,10 +383,10 @@ def _lc_parts(L, m, others, alpha, split, scout, seed):
     variables v it involves, in lifting order, until it is assigned:
     `split` holds the groups and their bivariate factors in x_m and the
     first variable, and each other variable takes one more scout, which
-    lifts with the parts found so far and must keep the grouping.  When
-    the image of l_k in x_v is squarefree, keeps its degree and is coprime
-    to the images of the other l_j, the number of times it divides the
-    image of a group's lc is that group's exponent, if these add up to e_k.
+    must keep the grouping.  When the image of l_k in x_v is squarefree,
+    keeps its degree and is coprime to the images of the other l_j, the
+    number of times it divides the image of a group's lc is that group's
+    exponent, if these add up to e_k.
     U is the product of the l_k left unassigned.  When L cannot be
     factored, or a scout fails or changes the grouping, sU = L and every
     P_i is 1.
@@ -407,24 +404,13 @@ def _lc_parts(L, m, others, alpha, split, scout, seed):
         return fallback
     s = multi_mul(s, unit)
     exps = {}
-
-    def assigned():
-        U, P = s, [ring.one] * r
-        for k, (l, e) in enumerate(ls):
-            if k not in exps:
-                U = multi_mul(U, multi_pow(l, e))
-                continue
-            for i, ei in enumerate(exps[k]):
-                P[i] = multi_mul(P[i], multi_pow(l, ei))
-        return U, P
-
     for v in others:
         todo = [k for k, (l, _) in enumerate(ls) if k not in exps and l.degree(v) > 0]
         if not todo:
             continue
         if v != others[0]:
             try:
-                split = scout(v, groups, *assigned())
+                split = scout(v, groups)
             except _BadPoint:
                 return fallback
             if sorted(subset for subset, _ in split) != [(i,) for i in range(r)]:
@@ -448,7 +434,13 @@ def _lc_parts(L, m, others, alpha, split, scout, seed):
             es = [_multiplicity(c, img) for c in lcv]
             if sum(es) == ls[k][1]:
                 exps[k] = es
-    return assigned()
+    U, P = s, [ring.one] * r
+    for k, (l, e) in enumerate(ls):
+        if k not in exps:
+            U = multi_mul(U, multi_pow(l, e))
+        for i, ei in enumerate(exps.get(k, ())):
+            P[i] = multi_mul(P[i], multi_pow(l, ei))
+    return U, P
 
 
 def _multiplicity(c, l):
@@ -475,6 +467,7 @@ def _precision(F, c, r, dF, p):
     """Prime-power exponent covering factor coefficients, Mignotte style.
 
     Estimates the norm of F * c^(r-1) without materializing the product.
+    The scouts take c = L and r = 2: their candidates divide L_v * F_v.
     """
     nf = math.isqrt(sum(int(x) * int(x) for x in F.terms.values())) + 1
     nl = sum(abs(int(x)) for x in c.terms.values())
@@ -813,9 +806,13 @@ def _mdp(e, s, ctx):
 # ------------------------------------------------------------- recombination
 
 
-def _subset_split(target, Gs, order, ctx):
+def _subset_split(target, Gs, order, ctx, lead=None):
     """Map lifted factors back, trying subset products until target is used up.
 
+    A scout's factor 0 has lc L_v and the others are monic: each candidate
+    that lacks index 0, the final `remaining` one too, takes `lead` (packed
+    L_v), so every candidate is (L_v / lc f_S) * f_S, of degree at most
+    deg_v F_v in x_v, and the truncation loses nothing.
     Returns (subset, factor) pairs so callers can reuse the index grouping.
     """
     ring = target.ring
@@ -826,9 +823,10 @@ def _subset_split(target, Gs, order, ctx):
     tested = 0
 
     def candidate(idxs):
-        prod = Gs[idxs[0]]
-        for i in idxs[1:]:
-            prod = mul_keys(prod, Gs[i], mod)
+        factors = [Gs[i] for i in idxs] + ([lead] if lead and 0 not in idxs else [])
+        prod = factors[0]
+        for g in factors[1:]:
+            prod = mul_keys(prod, g, mod)
             prod = _mod_lifted(prod, pairs, ctx)
         if not ctx.K.is_field:
             prod = {k: c for k, v in prod.items() if (c := symmetric_lift(v, mod))}

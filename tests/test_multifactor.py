@@ -3,10 +3,19 @@ import sys
 
 import pytest
 
-from ringkit import multifactor
+from ringkit import bench, multifactor
 from ringkit.errors import RetryBudgetError, UnsupportedRingError
 from ringkit.multifactor import factor_multipoly
-from ringkit.multipoly import LEX, MultiPoly, MultiRing, multi_divrem, multi_mul, multi_pow
+from ringkit.multipoly import (
+    LEX,
+    MultiPoly,
+    MultiRing,
+    lc_in,
+    multi_divrem,
+    multi_mul,
+    multi_pow,
+    multi_subs,
+)
 from ringkit.rings import QQ, ZZ, Rational, ZpRing
 
 
@@ -217,16 +226,16 @@ def test_ring_method_matches_function():
     assert R.factor(f) == factor_multipoly(R, f)
 
 
-def _record_lifts(monkeypatch):
-    """Every _run_levels call in the main variable x as (order, r, target,
-    lcs, ctx), and every _lc_parts result as (sU, P).  L has no x, so the
-    lifts that factor L are not recorded."""
+def _record_lifts(monkeypatch, main=0):
+    """Every _run_levels call whose main variable has index `main` as
+    (order, r, target, lcs, ctx), and every _lc_parts result as (sU, P).
+    L has no main variable, so the lifts that factor L are not recorded."""
     lifts, parts = [], []
     run_levels, lc_parts = multifactor._run_levels, multifactor._lc_parts
 
     def recording(Fw, lcs, m, order, alpha, uhat, p):
         ctx = run_levels(Fw, lcs, m, order, alpha, uhat, p)
-        if m == 0:
+        if m == main:
             lifts.append((list(order), len(uhat), Fw, lcs, ctx))
         return ctx
 
@@ -336,6 +345,71 @@ def test_lift_with_five_factors_and_high_degree(K, monkeypatch):
         assert ctx.mod.bit_length() > 64
     assert {g for g, _ in parts_out} == {R.normalize_unit(g)[1] for g in facs}
     assert _rebuild(R, unit, parts_out) == f
+
+
+@pytest.mark.parametrize("K", [ZpRing(1000003), ZZ], ids=["Zp", "Z"])
+def test_scout_bound_does_not_grow_with_image_factor_count(K, monkeypatch):
+    # the S1 spec at seed 0, whose main variable is x2; over Zp its image
+    # splits into 7 factors.  The first scout lifts F_v itself, with lc L_v
+    # on factor 0 and the others monic, so its bound is deg_v F_v and the
+    # packed field of x_v holds r * D_v, whatever r is
+    attempts = []
+    attempt = multifactor._attempt
+
+    def recording(F, m, rng, k):
+        attempts.append(F)
+        return attempt(F, m, rng, k)
+
+    monkeypatch.setattr(multifactor, "_attempt", recording)
+    lifts, _ = _record_lifts(monkeypatch, main=1)
+    rows, _ = bench.bench_run(bench.BenchSpec("factor-sparse", K, 3, 8, ("uniform", 0, 4)))
+    assert [row["verified"] for row in rows] == [True, True]
+    [v], r, Fw, lcs, ctx = lifts[0]
+    assert r == (7 if K != ZZ else 3)
+    # F is the squarefree primitive part that the first scout belongs to
+    rest = {u: a for u, a in ctx.alpha.items() if u != v}
+    Fv = multi_subs(_in(Fw.ring, attempts[0]), rest)
+    assert Fw == Fv
+    assert ctx.bounds == {v: Fv.degree(v)}
+    assert not lcs[0].is_constant()
+    assert lcs == [lc_in(Fv, 1)] + [Fw.ring.one] * (r - 1)
+    assert ctx.lay.bits[v] == (r * Fv.degree(v)).bit_length()
+
+
+@pytest.mark.parametrize("K", [ZpRing(1000003), ZZ], ids=["Zp", "Z"])
+def test_scout_candidate_without_the_lead_group(K, monkeypatch):
+    # at y = 1, z = 2 the image of f1 is x^2 - 25 = (x - 5)(x + 5) and that
+    # of f2 is 3x^2 + 2x + 18, irreducible over Z and mod p, so the scout
+    # finds f2 first, as image factor 2 alone.  Factor 0 carries L_v = y + 2
+    # and factor 2 is monic, so that candidate is f2 only once L_v is
+    # multiplied in
+    R = MultiRing(K, ("x", "y", "z"))
+    x, y, z = R.gens()
+    f1 = x**2 - y**4 - z**4 - R.of(8)
+    f2 = (y + R.of(2)) * x**2 + z * x + y**4 + z**4 + R.one
+    draw = multifactor._draw_alpha
+
+    def forced(K, others, rng, attempt):
+        if others == [1, 2]:
+            return {1: K.one, 2: K.of(2)}
+        return draw(K, others, rng, attempt)
+
+    splits = []
+    subset_split = multifactor._subset_split
+
+    def recording(target, Gs, order, ctx, lead=None):
+        out = subset_split(target, Gs, order, ctx, lead)
+        splits.append((order, lead, [subset for subset, _ in out]))
+        return out
+
+    monkeypatch.setattr(multifactor, "_draw_alpha", forced)
+    monkeypatch.setattr(multifactor, "_subset_split", recording)
+    unit, parts = factor_multipoly(R, f1 * f2)
+    assert {g for g, _ in parts} == {R.normalize_unit(f)[1] for f in (f1, f2)}
+    assert _rebuild(R, unit, parts) == f1 * f2
+    order, lead, subsets = splits[0]
+    assert order == [1] and lead
+    assert subsets == [(2,), (0, 1)]
 
 
 @pytest.mark.parametrize("K", [ZpRing(1000003), ZZ], ids=["Zp", "Z"])
@@ -453,7 +527,7 @@ def test_non_monic_four_variables_over_z_with_integer_content(monkeypatch):
         sU, P = parts[-1]
         assert sU == R.of(6) and set(P) == {y + w, z}
         assert [order for order, *_ in lifts[-3:]] == [[1], [2], [1, 2, 3]]
-        # the scout in z lifts with y + w already given to its factor
+        # the scout in z lifts with lc L_z on one factor, the other monic
         z_lcs = lifts[-2][3]
         assert z_lcs[0] != z_lcs[1]
         assert lifts[-1][2] == _in(lifts[-1][2].ring, R.of(6) * f)
