@@ -15,7 +15,9 @@ import threading
 from .errors import NonInvertibleError
 from .primes import next_prime
 
-PRIME_FLOOR = 1 << 62  # modular gcds take the primes above this
+# modular gcds take the primes above this; below 2^30 a residue is one
+# 30-bit CPython digit and a product of two residues is two digits
+PRIME_FLOOR = 1 << 29
 _CRT_PRIMES = []  # the primes above PRIME_FLOOR found so far, ascending
 _CRT_GROW = threading.Lock()  # a prime appended twice would break the CRT
 

@@ -17,11 +17,17 @@ through `multi_gcd` with their own seeded draws.
 
 Integer coefficients: the integer contents are split off, a gcd in one
 active variable goes to `uni_gcd`, and otherwise the field algorithm runs
-modulo primes above 2^62 inside `modular.modular_gcd`, which scales each
-image by the gcd of the leading coefficients, drops images from unlucky
-primes, combines the rest by CRT and trial-divides after every prime; it
-gives up only once the modulus passes twice a coefficient bound of the
-scaled gcd.  Rational coefficients clear denominators first.
+modulo word-size primes (one 30-bit CPython digit each) inside
+`modular.modular_gcd`, which scales each image by the gcd of the leading
+coefficients, drops images from unlucky primes, combines the rest by CRT
+and trial-divides after every prime; it gives up only once the modulus
+passes twice a coefficient bound of the scaled gcd.  As in Zippel's sparse
+modular gcd, the first prime fixes the frame: its degree bounds and the
+support of H.  Every later prime reuses them and takes H from one
+skeleton image, `count` univariate gcds; a stale frame fails the trial
+division mod p or the degree checks of the probes, and that prime runs
+the full algorithm again and stores its frame instead.  Rational
+coefficients clear denominators first.
 
 Every candidate is certified by trial division before it is returned,
 so unlucky evaluation points can cost retries but never correctness.
@@ -127,18 +133,24 @@ def gcd_many(polys, seed: int = 0):
 # ---------------------------------------------------------------- field path
 
 
-def _field_entry(a, b, rng):
-    """Zippel's gcd, with a fresh frame for each of up to 8 attempts."""
+def _field_entry(a, b, rng, frame=None):
+    """Zippel's gcd, with fresh random draws for each of up to 8 attempts.
+
+    `frame` is a dict the gcds modulo successive primes share: the first
+    stores its degree bounds and the support of H there, the later ones
+    reuse them, and a failure clears it so the retry runs in full.
+    """
     attempts = 8
     for _ in range(attempts):
         try:
-            return _field_gcd(a, b, rng)
+            return _field_gcd(a, b, rng, frame)
         except (_Unlucky, _Restart):
-            continue
+            if frame:
+                frame.clear()
     raise RetryBudgetError("gcd interpolation failed to stabilize", attempts)
 
 
-def _field_gcd(a, b, rng):
+def _field_gcd(a, b, rng, frame=None):
     """Gcd over a field.
 
     The frame handles the trivial, monomial and univariate cases, drops
@@ -146,6 +158,11 @@ def _field_gcd(a, b, rng):
     main variable x_m through `content_primitive` and imposes gamma, the
     gcd of the leading coefficients, before `_sparse_interp` returns H,
     the gcd of the primitive parts scaled to lead gamma.
+
+    With bounds and support from `frame`, H is one `_skeleton_image`
+    instead.  Bounds with a zero are taken afresh, since dropping a
+    variable the gcd does use would leave a proper divisor that passes
+    `_certify`; every other stale entry fails there or in the probes.
     """
     ring = a.ring
     # a and b are nonzero: so are the inputs, contents and leads passed here
@@ -157,7 +174,10 @@ def _field_gcd(a, b, rng):
     if len(act) == 1:
         i = act[0]
         return from_unipoly(ring, uni_gcd(to_unipoly(a, i), to_unipoly(b, i)), i)
-    bounds = _degree_bounds(a, b, act, rng)
+    frame = {} if frame is None else frame
+    bounds = frame.get(tuple(act))
+    if bounds is None or 0 in bounds.values():
+        bounds = frame[tuple(act)] = _degree_bounds(a, b, act, rng)
     if all(bounds[i] == 0 for i in act):
         return ring.one
     drop = [i for i in act if bounds[i] == 0]
@@ -165,14 +185,19 @@ def _field_gcd(a, b, rng):
         for i in drop:
             a = content_primitive(a, i)[0]
             b = content_primitive(b, i)[0]
-        return _field_gcd(a, b, rng)
+        return _field_gcd(a, b, rng, frame)
     m = max(act, key=lambda i: (bounds[i], -i))
     others = [i for i in act if i != m]
     ca, A = content_primitive(a, m)
     cb, B = content_primitive(b, m)
     cg = _field_gcd(ca, cb, rng)
     gamma = _field_gcd(lc_in(A, m), lc_in(B, m), rng)
-    H = _sparse_interp(A, B, m, others, bounds, gamma, rng)
+    skey = (m, tuple(others), bounds[m])
+    if skey in frame:
+        H = _skeleton_image(A, B, m, others, frame[skey], gamma, rng)
+    else:
+        H = _sparse_interp(A, B, m, others, bounds, gamma, rng)
+        frame[skey] = list(H.terms)
     return _certify(a, b, H, m, cg, gamma)
 
 
@@ -211,6 +236,21 @@ def _sparse_interp(A, B, m, others, bounds, gamma, rng):
     return H
 
 
+def _skeleton_image(A, B, m, others, support, gamma, rng):
+    """H on a known support: probes at powers of a random rho over every
+    non-main variable at once, one `_point_image`, `count` univariate gcds.
+    """
+    groups = {}
+    for e in support:
+        groups.setdefault(e[m], []).append(e)
+    # every non-main variable is processed, so no x_v point is ever set
+    levs = [_LevelEval(f, m, others[0], others, {}) for f in (A, B, gamma)]
+    rows = _draw_rho(groups, others, levs, A.ring.cring, rng)
+    starts = [lev.first for lev in levs]
+    count = max(len(g) for g in groups.values())
+    return _point_image(levs, starts, groups, rows, max(groups), count)
+
+
 def _lift_var(A, B, H, m, processed, v, alpha, gamma, dv, degm, rng):
     """Extend H (exact in x_m and `processed`) to carry x_v as well.
 
@@ -242,17 +282,7 @@ def _lift_var(A, B, H, m, processed, v, alpha, gamma, dv, degm, rng):
         groups.setdefault(e[m], []).append(e)
     count = max(len(g) for g in groups.values())
 
-    def redraw():
-        for _ in range(_RETRIES):
-            rho = {i: _nonzero(K, rng) for i in processed}
-            rows = _group_nodes(groups, rho, K)
-            if rows is not None:
-                for lev in levs:
-                    lev.set_rho(rho)
-                return rows
-        raise _Restart
-
-    rows = redraw()
+    rows = _draw_rho(groups, processed, levs, K, rng)
     x = alpha[v]
     pts = [x]
     imgs = [H]
@@ -279,7 +309,7 @@ def _lift_var(A, B, H, m, processed, v, alpha, gamma, dv, degm, rng):
             fails += 1
             if fails > _RETRIES:
                 raise _Restart
-            rows = redraw()
+            rows = _draw_rho(groups, processed, levs, K, rng)
             seqs = None
             continue
         pts.append(x)
@@ -487,6 +517,19 @@ class _LevelEval:
         return slot_sums(self.K, self.ems, cur, self.deg)
 
 
+def _draw_rho(groups, keys, levs, K, rng):
+    """Rows of `_group_nodes` at a random rho over the variables `keys`,
+    with `levs` pointed at it; redrawn while a group has a collision."""
+    for _ in range(_RETRIES):
+        rho = {i: _nonzero(K, rng) for i in keys}
+        rows = _group_nodes(groups, rho, K)
+        if rows is not None:
+            for lev in levs:
+                lev.set_rho(rho)
+            return rows
+    raise _Restart
+
+
 def _group_nodes(groups, rho, K):
     """Per x_m-degree group, the rows l_t / v_t that solve its transposed
     Vandermonde system over the monomial values v_t at rho; None when a
@@ -576,10 +619,11 @@ def _gcd_z(a, b, rng):
         return multi_scale(from_unipoly(ring, g, i), c)
 
     gamma = math.gcd(A.lc(), B.lc())
+    frame = {}
 
     def image(p):
         rp = MultiRing(rings.ZpRing(p), ring.vars, ring.order)
-        gp = _field_entry(change_ring(A, rp), change_ring(B, rp), rng)
+        gp = _field_entry(change_ring(A, rp), change_ring(B, rp), rng, frame)
         return None if gp.is_constant() else gp.terms
 
     def divides(terms):

@@ -643,10 +643,10 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Canonical gcd: monic over fields, positive primitive-content over Z.
 
     Strategy: Euclid below HALF_GCD_THRESHOLD and Half-GCD above it over
-    fields; over Z, Brown's algorithm: gcds modulo primes above 2^62
-    combined by `modular.modular_gcd` until a candidate passes trial
-    division; Q clears denominators and takes the Z gcd; anything else
-    takes the subresultant sequence.
+    fields; over Z, Brown's algorithm: gcds modulo word-size primes just
+    above `modular.PRIME_FLOOR` combined by `modular.modular_gcd` until a
+    candidate passes trial division; Q clears denominators and takes the
+    Z gcd; anything else takes the subresultant sequence.
     """
     K = a.ring
     if a.is_zero():

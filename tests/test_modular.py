@@ -151,6 +151,11 @@ def test_symmetric_lift():
 # ------------------------------------------------------------ modular_gcd
 
 
+# the prime width: every prime modular_gcd takes has W bits, and the
+# synthetic coefficients below are sized in units of W
+W = PRIME_FLOOR.bit_length()
+
+
 def _primes(k):
     out, p = [], PRIME_FLOOR
     for _ in range(k):
@@ -192,7 +197,7 @@ class _Frame:
 def test_modular_gcd_drops_image_with_larger_lead():
     # needs two primes; the second prime answers a degree-2 image, which
     # must be dropped rather than combined
-    target = {1: 1, 0: 3 * 2**90 + 1}
+    target = {1: 1, 0: 3 * 2 ** (3 * W // 2) + 1}
     p1, p2, p3 = _primes(3)
     frame = _Frame(target, {p2: {2: 1, 0: 5}})
     assert frame.run() == target
@@ -203,7 +208,7 @@ def test_modular_gcd_drops_image_with_larger_lead():
 def test_modular_gcd_restarts_on_smaller_lead():
     # the first prime answers a degree-3 image; the true degree-1 images
     # that follow restart the accumulation without it
-    target = {1: 1, 0: -(5 * 2**90 + 7)}
+    target = {1: 1, 0: -(5 * 2 ** (3 * W // 2) + 7)}
     p1, p2, p3 = _primes(3)
     frame = _Frame(target, {p1: {3: 1, 1: 7}})
     assert frame.run() == target
@@ -219,10 +224,10 @@ def test_modular_gcd_unit_image_gives_empty():
 
 
 def test_modular_gcd_combines_three_primes():
-    # coefficients of 150 bits need three primes above 2^62; the images are
+    # coefficients of 5W/2 bits need three primes of W bits; the images are
     # monic, so gamma = 6 over lc 3 scales them to 2 * target before the
     # primitive part is taken; the first prime divides an lc and is skipped
-    target = {2: 3, 1: -(2**150 + 5), 0: 2**149 + 2}
+    target = {2: 3, 1: -(2 ** (5 * W // 2) + 5), 0: 2 ** (5 * W // 2 - 1) + 2}
     p0, p1, p2, p3 = _primes(4)
     frame = _Frame(target)
     assert frame.run(gamma=6, lcs=(6, p0 * 5)) == target
@@ -234,10 +239,10 @@ def test_modular_gcd_combines_three_primes():
 def test_modular_gcd_stops_at_the_bound():
     # a trial division that never accepts ends once the modulus passes
     # twice the bound: here after the second prime
-    frame = _Frame({1: 1, 0: 2**90})
+    frame = _Frame({1: 1, 0: 2 ** (3 * W // 2)})
     frame.divides = lambda terms: False
     with pytest.raises(ArithmeticError):
-        frame.run(bound=2**62)
+        frame.run(bound=PRIME_FLOOR)
     assert len(frame.asked) == 2
 
 

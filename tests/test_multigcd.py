@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from ringkit import multigcd
+from ringkit import modular, multigcd
 from ringkit.errors import RetryBudgetError, RingkitError, UnsupportedRingError
 from ringkit.galois import GFRing
 from ringkit.multigcd import gcd_many, multi_gcd
@@ -486,3 +487,57 @@ def test_small_field_gcd_failures_are_typed():
         else:
             assert multi_divides(got, multi_mul(a, g)) and multi_divides(got, multi_mul(b, g))
     assert budget >= 1
+
+
+# ------------------------------------------- Z gcds: one frame for all primes
+
+
+def test_crt_primes_are_word_size():
+    # one 30-bit CPython digit per residue
+    first = list(itertools.islice(modular._crt_primes(), 3))
+    assert all(modular.PRIME_FLOOR < p < 2**30 for p in first)
+    assert first == sorted(set(first))
+
+
+def test_later_primes_take_one_skeleton_image(monkeypatch):
+    # about 200-bit coefficients need several primes; gamma is 1 and the
+    # contents are trivial, so only the top-level gcd lifts: y and z at the
+    # first prime, then one skeleton image per later prime
+    ring = MultiRing(ZZ, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    c = [3**127 + 5, -(7**71 + 2), 11**58 - 9, 2**199 + 1]
+    g = x**3 + c[0] * x**2 * y * z + c[1] * x * y**2 + c[2] * y * z**2 + c[3]
+    a = x**2 + y * z + 3
+    b = x**2 + 2 * y + z**2
+    calls = _counting(monkeypatch, "_field_entry", "_lift_var", "_skeleton_image")
+    assert multi_gcd(multi_mul(a, g), multi_mul(b, g)) == g
+    # one _field_entry per prime: 7 primes of 30 bits
+    assert calls == {"_field_entry": 7, "_lift_var": 2, "_skeleton_image": 6}
+
+
+def test_stale_skeleton_reruns_the_full_algorithm(monkeypatch):
+    # the x^2*z term of g vanishes modulo the first prime, so the support
+    # stored there misses it; the skeleton image at the second prime fails
+    # the trial division and that prime lifts y and z again
+    p1 = next(modular._crt_primes())
+    ring = MultiRing(ZZ, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    g = x**3 * y + p1 * x**2 * z + 3 * x * y * z + 2 * y**2 + 7
+    a = x**2 * y - z**2 * x + 4 * y + 1
+    b = y**2 * z + 5 * x * z + x - 2
+    calls = _counting(monkeypatch, "_lift_var", "_skeleton_image")
+    assert multi_gcd(multi_mul(a, g), multi_mul(b, g)) == g
+    assert calls == {"_lift_var": 4, "_skeleton_image": 1}
+
+
+def test_stale_zero_bound_is_checked_again():
+    # modulo the first prime the gcd loses y and z, so its frame drops both;
+    # reused blindly at the next prime that drop would return the gcd of
+    # the contents, 1, as the image and end the loop with a unit
+    p1 = next(modular._crt_primes())
+    ring = MultiRing(ZZ, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    g = x**2 + p1 * x * y + p1 * y * z + 1
+    a = x + z + 2
+    b = x**2 + z + y + 5
+    assert multi_gcd(multi_mul(a, g), multi_mul(b, g)) == g
