@@ -1,4 +1,4 @@
-"""Benchmark harness: random problem generation, timing, CSV reports.
+"""Benchmark harness: random problem generation, timing, verified rows.
 
 Problem families mirror the library's performance protocol: sparse gcd and
 factorization trials over random polynomials, the dense seven-variable
@@ -6,7 +6,6 @@ gcd/factor instances with a configurable outer exponent, Groebner bases of
 katsura/cyclic systems, and univariate factorization of 1 + sum(i*x^i).
 """
 
-import csv
 import random
 import signal
 import statistics
@@ -39,9 +38,6 @@ FAMILIES = (
     "groebner",
     "uni-factor",
 )
-
-CSV_HEADER = ("family", "ring", "n_vars", "size", "trial",
-              "elapsed_ms", "result_kind", "verified")
 
 # primes examined per factor when proving irreducibility over Z or Q, from 3
 # up; 1 + sum(i*x^i) settles after 8, 3 and 10 at degrees 10, 20 and 30
@@ -230,19 +226,6 @@ def _on_alarm(signum, frame):
 _TIMEOUT = object()  # what _timed returns for a call that hit its limit
 
 
-def _row(spec, trial, elapsed_s, kind, verified):
-    return {
-        "family": spec.family,
-        "ring": spec.ring.spec_string(),
-        "n_vars": spec.n_vars,
-        "size": spec.size,
-        "trial": trial,
-        "elapsed_ms": int(elapsed_s * 1000),
-        "result_kind": kind,
-        "verified": bool(verified),
-    }
-
-
 def _timed(fn, limit):
     """(fn(), seconds), or (_TIMEOUT, seconds) when the call ran past
     `limit` seconds and was interrupted; a limit of 0 sets no timer."""
@@ -261,6 +244,26 @@ def _timed(fn, limit):
     finally:
         signal.signal(signal.SIGALRM, previous)
     return out, time.perf_counter() - t0
+
+
+def _timed_row(spec, trial, kind, fn, check):
+    """The row of one call fn() timed under the spec's limit: a `kind` row
+    verified by check(result), or an unverified "timeout" row."""
+    out, elapsed = _timed(fn, spec.timeout)
+    if out is _TIMEOUT:
+        kind, verified = "timeout", False
+    else:
+        verified = check(out)
+    return {
+        "family": spec.family,
+        "ring": spec.ring.spec_string(),
+        "n_vars": spec.n_vars,
+        "size": spec.size,
+        "trial": trial,
+        "elapsed_ms": int(elapsed * 1000),
+        "result_kind": kind,
+        "verified": bool(verified),
+    }
 
 
 def _exact_divides(d, f):
@@ -327,52 +330,39 @@ def _irreducible_over(K, g):
 
 
 def _gcd_rows(spec, trial, ag, bg, g, seed):
-    rows = []
-    res, el = _timed(lambda: multi_gcd(ag, bg, seed=seed), spec.timeout)
-    if res is _TIMEOUT:
-        rows.append(_row(spec, trial, el, "timeout", False))
-    else:
-        ok = (
+    R = ag.ring
+
+    def divides_both(res):
+        return (
             _exact_divides(g, res)
             and _exact_divides(res, ag)
             and _exact_divides(res, bg)
         )
-        rows.append(_row(spec, trial, el, "nontrivial", ok))
-    R = ag.ring
-    res2, el2 = _timed(lambda: multi_gcd(ag + R.one, bg, seed=seed + 1),
-                       spec.timeout)
-    if res2 is _TIMEOUT:
-        rows.append(_row(spec, trial, el2, "timeout", False))
-    else:
-        rows.append(_row(spec, trial, el2, "trivial", res2.degree() == 0))
-    return rows
+
+    return [
+        _timed_row(spec, trial, "nontrivial",
+                   lambda: multi_gcd(ag, bg, seed=seed), divides_both),
+        _timed_row(spec, trial, "trivial",
+                   lambda: multi_gcd(ag + R.one, bg, seed=seed + 1),
+                   lambda res: res.degree() == 0),
+    ]
 
 
 def _factor_rows(spec, trial, prod, need_parts, seed):
-    rows = []
     R = prod.ring
-    parts, el = _timed(lambda: factor_multipoly(R, prod, seed=seed), spec.timeout)
-    if parts is _TIMEOUT:
-        rows.append(_row(spec, trial, el, "timeout", False))
-    else:
+
+    def splits(parts):
         unit, facs = parts
         nontrivial = sum(m for f, m in facs if f.degree() > 0)
-        ok = _rebuild_multi(R, unit, facs) == prod and nontrivial >= need_parts
-        rows.append(_row(spec, trial, el, "nontrivial", ok))
-    if spec.family == "factor-dense":
-        return rows
-    shifted = prod + R.one
-    parts2, el2 = _timed(
-        lambda: factor_multipoly(R, shifted, seed=seed + 1), spec.timeout
-    )
-    if parts2 is _TIMEOUT:
-        rows.append(_row(spec, trial, el2, "timeout", False))
-    else:
-        unit2, facs2 = parts2
-        rows.append(
-            _row(spec, trial, el2, "trivial",
-                 _rebuild_multi(R, unit2, facs2) == shifted)
-        )
+        return _rebuild_multi(R, unit, facs) == prod and nontrivial >= need_parts
+
+    rows = [_timed_row(spec, trial, "nontrivial",
+                       lambda: factor_multipoly(R, prod, seed=seed), splits)]
+    if spec.family != "factor-dense":
+        shifted = prod + R.one
+        rows.append(_timed_row(spec, trial, "trivial",
+                               lambda: factor_multipoly(R, shifted, seed=seed + 1),
+                               lambda parts: _rebuild_multi(R, *parts) == shifted))
     return rows
 
 
@@ -408,25 +398,26 @@ def _run_trial(spec, trial, rng):
     if spec.family == "uni-factor":
         K = spec.ring
         R, f = pdeg_poly(K, spec.size)
-        parts, el = _timed(lambda: factor_unipoly(R, f), spec.timeout)
-        if parts is _TIMEOUT:
-            return [_row(spec, trial, el, "timeout", False)]
-        unit, facs = parts
-        ok = _rebuild_uni(K, unit, facs) == f and all(
-            _irreducible_over(K, g) for g, _ in facs
-        )
-        return [_row(spec, trial, el, "nontrivial", ok)]
+
+        def certified(parts):
+            unit, facs = parts
+            return _rebuild_uni(K, unit, facs) == f and all(
+                _irreducible_over(K, g) for g, _ in facs
+            )
+
+        return [_timed_row(spec, trial, "nontrivial",
+                           lambda: factor_unipoly(R, f), certified)]
 
     # groebner: the named system, verified structurally plus by membership
     build = katsura if spec.variant == "katsura" else cyclic
     _, eqs = build(spec.size, spec.ring)
-    ideal, el = _timed(lambda: Ideal(eqs), spec.timeout)
-    if ideal is _TIMEOUT:
-        return [_row(spec, trial, el, "timeout", False)]
-    ok = all(ideal.contains(f) for f in eqs) and all(
-        g.ring.cring.is_one(g.lc()) for g in ideal.basis
-    )
-    return [_row(spec, trial, el, "nontrivial", ok)]
+
+    def reduced(ideal):
+        return all(ideal.contains(f) for f in eqs) and all(
+            g.ring.cring.is_one(g.lc()) for g in ideal.basis
+        )
+
+    return [_timed_row(spec, trial, "nontrivial", lambda: Ideal(eqs), reduced)]
 
 
 def bench_run(spec: BenchSpec):
@@ -462,31 +453,3 @@ def summarize(rows):
         }
     return out
 
-
-def write_csv(rows, fh):
-    w = csv.writer(fh)
-    w.writerow(CSV_HEADER)
-    for r in rows:
-        w.writerow(
-            [
-                r["family"],
-                r["ring"],
-                r["n_vars"],
-                r["size"],
-                r["trial"],
-                r["elapsed_ms"],
-                r["result_kind"],
-                "true" if r["verified"] else "false",
-            ]
-        )
-
-
-def format_summary(summary):
-    lines = []
-    for (family, kind), s in summary.items():
-        lines.append(
-            "%s/%s: %d trials, median %d ms, min %d ms, max %d ms, %d verified"
-            % (family, kind, s["trials"], s["median_ms"], s["min_ms"],
-               s["max_ms"], s["verified"])
-        )
-    return "\n".join(lines)

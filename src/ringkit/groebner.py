@@ -109,13 +109,8 @@ class _Engine:
         items.sort(key=lambda t: -t[1])
         if self.mode == "zz":
             _, nums = self.K.clear_denominators(c for _, _, c in items)
-            ints = [(p, o, c) for (p, o, _), c in zip(items, nums)]
-            g = 0
-            for _, _, c in ints:
-                g = math.gcd(g, c)
-            if g > 1:
-                ints = [(p, o, c // g) for p, o, c in ints]
-            return ints
+            g = math.gcd(*nums)
+            return [(p, o, c // g) for (p, o, _), c in zip(items, nums)]
         return items
 
     def to_poly(self, triples):
@@ -234,9 +229,7 @@ class _Engine:
                     else:
                         del work[np_]
         if pm is None:
-            cont = 0
-            for _, _, v in out:
-                cont = math.gcd(cont, v)
+            cont = math.gcd(*(v for _, _, v in out))
             if cont > 1:
                 out = [(p, o, v // cont) for p, o, v in out]
         return out, sugar
@@ -562,18 +555,8 @@ def _finalize(eng):
     for pos, e in enumerate(minimal):
         eng.entries = [f for f in minimal if f is not e]
         triples, _ = eng.nf([(e[0], e[1], e[6])] + e[2])
-        minimal[pos] = [
-            triples[0][0],
-            triples[0][1],
-            triples[1:],
-            e[3],
-            e[4],
-            e[5],
-            triples[0][2],
-            e[7],
-            e[8],
-            e[9],
-        ]
+        (lp, lo, lc), *tail = triples
+        minimal[pos] = [lp, lo, tail, *e[3:6], lc, *e[7:]]
     eng.entries = minimal
     return [eng.to_poly([(e[0], e[1], e[6])] + list(e[2])) for e in minimal]
 

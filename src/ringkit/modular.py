@@ -125,11 +125,7 @@ def _primitive_lift(acc, mod, key):
             terms[e] = v
     if not terms:
         return terms
-    ct = 0
-    for v in terms.values():
-        ct = math.gcd(ct, v)
-        if ct == 1:
-            break
+    ct = math.gcd(*terms.values())
     if terms[max(terms, key=key)] < 0:
         ct = -ct
     if ct != 1:

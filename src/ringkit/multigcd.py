@@ -576,23 +576,14 @@ def _interp_terms(ring, v, pts, imgs):
     support = set()
     for img in imgs:
         support |= set(img.terms)
-    p = K.coeff_modulus
     terms = {}
     for e in support:
-        if p is not None:
-            acc = [0] * k
-            for img, bc in zip(imgs, basis):
-                y = img.terms.get(e)
-                if y:
-                    for r, bcr in enumerate(bc):
-                        acc[r] = (acc[r] + y * bcr) % p
-        else:
-            acc = [K.zero] * k
-            for img, bc in zip(imgs, basis):
-                y = img.terms.get(e)
-                if y is not None and not K.is_zero(y):
-                    for r, bcr in enumerate(bc):
-                        acc[r] = K.add(acc[r], K.mul(y, bcr))
+        acc = [K.zero] * k
+        for img, bc in zip(imgs, basis):
+            y = img.terms.get(e)
+            if y is not None and not K.is_zero(y):
+                for r, bcr in enumerate(bc):
+                    acc[r] = K.add(acc[r], K.mul(y, bcr))
         for r, cc in enumerate(acc):
             if not K.is_zero(cc):
                 e2 = list(e)
@@ -606,7 +597,7 @@ def _interp_terms(ring, v, pts, imgs):
 
 def _gcd_z(a, b, rng):
     ring = a.ring
-    ca, cb = _int_content(a), _int_content(b)
+    ca, cb = math.gcd(*a.terms.values()), math.gcd(*b.terms.values())
     c = math.gcd(ca, cb)
     A = ring.normalize_unit(_int_div(a, ca))[1]
     B = ring.normalize_unit(_int_div(b, cb))[1]
@@ -643,15 +634,6 @@ def _gcd_z(a, b, rng):
 def _gcd_q(a, b, rng):
     g = change_ring(_gcd_z(clear_to_z(a), clear_to_z(b), rng), a.ring)
     return a.ring.normalize_unit(g)[1]
-
-
-def _int_content(f):
-    g = 0
-    for cc in f.terms.values():
-        g = math.gcd(g, cc)
-        if g == 1:
-            break
-    return g
 
 
 def _int_div(f, n):

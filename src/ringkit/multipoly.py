@@ -457,17 +457,7 @@ def multi_mul_naive(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def multi_pow(a: MultiPoly, e: int) -> MultiPoly:
-    if e < 0:
-        raise ValueError("negative power of a polynomial")
-    out = a.ring.one
-    base = a
-    while e:
-        if e & 1:
-            out = multi_mul(out, base)
-        e >>= 1
-        if e:
-            base = multi_mul(base, base)
-    return out
+    return rings.power(multi_mul, a.ring.one, a, e)
 
 
 def _neg_key(key):
@@ -975,12 +965,7 @@ class MultiRing(rings.Ring):
         if a.is_zero():
             return self.one, a
         K = self.cring
-        lc = a.lc()
-        if K.is_field:
-            if K.is_one(lc):
-                return self.one, a
-            return self.from_coeff(lc), multi_scale(a, K.inv(lc))
-        unit, _ = K.normalize_unit(lc)
+        unit, _ = K.normalize_unit(a.lc())
         if K.is_one(unit):
             return self.one, a
         inv = K.unit_inverse(unit)

@@ -74,28 +74,23 @@ def parse_expr(text):
     return e
 
 
-def _expr(cur):
-    e = _term(cur)
-    while True:
-        kind, val, pos = cur.peek()
-        if kind == "op" and val in ("+", "-"):
-            cur.next()
-            rhs = _term(cur)
-            e = ("add" if val == "+" else "sub", e, rhs, pos)
-        else:
-            return e
+# infix operators by precedence level, loosest first, with their node kinds
+_INFIX = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
 
 
-def _term(cur):
-    e = _unary(cur)
+def _expr(cur, level=0):
+    """Left-associative chain of the level's infix operators; operands are
+    chains of the next level, and unary expressions below the last."""
+    if level == len(_INFIX):
+        return _unary(cur)
+    ops = _INFIX[level]
+    e = _expr(cur, level + 1)
     while True:
         kind, val, pos = cur.peek()
-        if kind == "op" and val in ("*", "/"):
-            cur.next()
-            rhs = _unary(cur)
-            e = ("mul" if val == "*" else "div", e, rhs, pos)
-        else:
+        if kind != "op" or val not in ops:
             return e
+        cur.next()
+        e = (ops[val], e, _expr(cur, level + 1), pos)
 
 
 def _unary(cur):

@@ -86,13 +86,7 @@ class Ring:
     def pow(self, a, e):
         if e < 0:
             a, e = self.inv(a), -e
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return power(self.mul, self.one, a, e)
 
     def normalize_unit(self, a):
         """Split a = unit * canonical; canonical is the chosen associate."""
@@ -144,6 +138,21 @@ class Ring:
 
     def __repr__(self):
         return self.spec_string()
+
+
+def power(mul, one, a, e):
+    """a^e for e >= 0 by binary powering under `mul`, starting from `one`;
+    the base is squared only while higher bits of e remain."""
+    if e < 0:
+        raise ValueError("negative exponent %d" % e)
+    result = one
+    while True:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = mul(a, a)
 
 
 def extended_gcd(ring, a, b):

@@ -317,15 +317,7 @@ def uni_mul_karatsuba(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def uni_pow(a: UniPoly, e: int) -> UniPoly:
-    if e < 0:
-        raise ValueError("negative polynomial power")
-    result = _poly(a.ring, [a.ring.one])
-    while e:
-        if e & 1:
-            result = uni_mul(result, a)
-        a = uni_mul(a, a)
-        e >>= 1
-    return result
+    return rings.power(uni_mul, _poly(a.ring, [a.ring.one]), a, e)
 
 
 # ------------------------------------------------------------------ division
@@ -483,7 +475,7 @@ def _hgcd(a: UniPoly, b: UniPoly):
     if b.degree < m:
         return identity
     if a.degree < HGCD_BASE:
-        return _hgcd_euclid(a, b, m, identity)
+        return _hgcd_euclid(a, b, m, identity)[1]
     a1 = _poly(K, a.coeffs[m:])
     b1 = _poly(K, b.coeffs[m:])
     M = _hgcd(a1, b1)
@@ -509,7 +501,9 @@ def _hgcd(a: UniPoly, b: UniPoly):
 
 
 def _hgcd_euclid(a, b, m, M):
-    """_hgcd's base case: remainder steps until deg b < m, with their matrix."""
+    """(last remainder, M') from remainder steps until deg b < m, where M'
+    is M times their matrix: _hgcd's base case, and at m = 0 the whole
+    cofactor sequence of uni_extended_gcd."""
     m00, m01, m10, m11 = M
     while not b.is_zero() and b.degree >= m:
         q, r = uni_divrem(a, b)
@@ -520,7 +514,7 @@ def _hgcd_euclid(a, b, m, M):
             uni_sub(m00, uni_mul(q, m10)),
             uni_sub(m01, uni_mul(q, m11)),
         )
-    return m00, m01, m10, m11
+    return a, (m00, m01, m10, m11)
 
 
 def uni_gcd_half(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -685,18 +679,11 @@ def uni_extended_gcd(a: UniPoly, b: UniPoly):
     if not K.is_field:
         raise UnsupportedRingError("extended gcd needs field coefficients")
     zero, one = UniPoly(K, []), _poly(K, [K.one])
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = uni_divrem(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, uni_sub(s0, uni_mul(q, s1))
-        t0, t1 = t1, uni_sub(t0, uni_mul(q, t1))
-    if r0.is_zero():
-        return r0, s0, t0
-    lc_inv = K.inv(r0.lc())
-    return uni_scale(r0, lc_inv), uni_scale(s0, lc_inv), uni_scale(t0, lc_inv)
+    g, (s, t, _, _) = _hgcd_euclid(a, b, 0, (one, zero, zero, one))
+    if g.is_zero():
+        return g, s, t
+    w = K.inv(g.lc())
+    return uni_scale(g, w), uni_scale(s, w), uni_scale(t, w)
 
 
 # ----------------------------------------------- calculus, evaluation, misc
@@ -955,15 +942,7 @@ class PolyModContext:
         return UniPoly(K, self._barrett(c)[1])
 
     def powmod(self, a: UniPoly, e: int) -> UniPoly:
-        K = a.ring
-        result = _poly(K, [K.one])
-        a = self.rem(a)
-        while e:
-            if e & 1:
-                result = self.mulmod(result, a)
-            a = self.mulmod(a, a)
-            e >>= 1
-        return result
+        return rings.power(self.mulmod, _poly(a.ring, [a.ring.one]), self.rem(a), e)
 
 
 class FrobeniusMap:
@@ -1083,9 +1062,6 @@ class UniRing(rings.Ring):
         K = self.cring
         if a.is_zero():
             return self.one, a
-        if K.is_field:
-            lc = a.lc()
-            return self.from_const(lc), uni_monic(a)
         unit, _ = K.normalize_unit(a.lc())
         if K.is_one(unit):
             return self.one, a
@@ -1096,8 +1072,6 @@ class UniRing(rings.Ring):
         K = self.cring
         if u.degree != 0:
             raise ArithmeticError("not a unit")
-        if K.is_field:
-            return self.from_const(K.inv(u.constant()))
         return self.from_const(K.unit_inverse(u.constant()))
 
     def gcd(self, a, b):

@@ -47,3 +47,38 @@ def test_timeout_interrupts_the_call():
     # a limit the call stays within changes nothing
     rows, _ = bench_run(BenchSpec("uni-factor", rings.ZpRing(17), size=10, timeout=30))
     assert [(r["result_kind"], r["verified"]) for r in rows] == [("nontrivial", True)]
+
+
+ZP = rings.ZpRing(32003)
+TINY_SPECS = [
+    BenchSpec("gcd-sparse", rings.ZZ, 3, 4, ("uniform", 0, 4)),
+    BenchSpec("gcd-sparse", ZP, 3, 4, ("sharp", 5)),
+    BenchSpec("gcd-dense", rings.ZZ, size=1),
+    BenchSpec("factor-sparse", ZP, 3, 4, ("uniform", 0, 4)),
+    BenchSpec("factor-dense", rings.ZZ, size=2),
+    BenchSpec("groebner", rings.QQ, size=2),
+    BenchSpec("groebner", ZP, size=3, variant="cyclic"),
+    BenchSpec("uni-factor", rings.QQ, size=6),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", TINY_SPECS, ids=["%s-%s" % (s.family, s.ring) for s in TINY_SPECS]
+)
+def test_every_family_gives_verified_rows(spec):
+    rows, summary = bench_run(spec)
+    kinds = ["nontrivial", "trivial"] if spec.family in (
+        "gcd-sparse", "gcd-dense", "factor-sparse") else ["nontrivial"]
+    assert [r["result_kind"] for r in rows] == kinds
+    assert all(r["verified"] for r in rows)
+    assert all(r["family"] == spec.family and r["trial"] == 0 for r in rows)
+    assert sum(s["verified"] for s in summary.values()) == len(rows)
+
+
+def test_gcd_call_past_its_limit_gives_a_timeout_row():
+    # the nontrivial dense gcd at exponent 2 takes tens of milliseconds
+    rows, _ = bench_run(BenchSpec("gcd-dense", ZP, size=2, timeout=0.001))
+    assert (rows[0]["result_kind"], rows[0]["verified"]) == ("timeout", False)
+    # the trivial call is short and may finish within the limit
+    assert (rows[1]["result_kind"], rows[1]["verified"]) in (
+        ("timeout", False), ("trivial", True))

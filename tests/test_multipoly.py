@@ -32,6 +32,7 @@ from ringkit.multipoly import (
 )
 from ringkit.galois import GFRing
 from ringkit.rings import QQ, ZZ, ZmRing, ZpRing
+from ringkit.unipoly import UniRing, _poly
 
 
 def test_order_goldens():
@@ -550,3 +551,46 @@ def test_lead_term_multiplicative():
         prod = multi_mul(a, b)
         ea, eb = a.leading_exponent(), b.leading_exponent()
         assert prod.leading_exponent() == tuple(i + j for i, j in zip(ea, eb))
+
+
+# ------------------------------------------- entry points no workload reaches
+
+
+def test_division_operators_match_multi_divrem():
+    R = MultiRing(QQ, ("x", "y"))
+    x, y = R.gens()
+    f = x**3 * y + 2 * x * y**2 - y + 5
+    g = x * y - 1
+    (q,), r = multi_divrem(f, [g])
+    assert divmod(f, g) == (q, r) == R.divmod(f, g)
+    assert f // g == q and f % g == r
+    assert q * g + r == f
+    assert 3 - x == R.of(3) - x == -(x - 3)
+    assert R.divides(g, g * f) and not R.divides(g, f)
+    assert R.divides(R.zero, R.zero) and not R.divides(R.zero, f)
+
+
+def _unit_cases():
+    gf = GFRing(3, 2)
+    out = []
+    for K in (ZpRing(17), gf, QQ, ZZ):
+        c = gf.generator() if K is gf else K.of(-6)
+        c2 = K.mul(c, K.of(2))
+        U, M = UniRing(K, "x"), MultiRing(K, ("x", "y"))
+        out += [(U, _poly(K, [c2, K.zero, c])), (U, _poly(K, [c]))]
+        out += [(M, MultiPoly(M, {(2, 1): c, (0, 0): c2})), (M, M.from_coeff(c))]
+    return out
+
+
+@pytest.mark.parametrize("R, f", _unit_cases())
+def test_normalize_unit_splits_off_a_unit(R, f):
+    K = R.cring
+    unit, canon = R.normalize_unit(f)
+    assert R.mul(unit, canon) == f
+    assert R.mul(unit, R.unit_inverse(unit)) == R.one
+    lc = canon.lc()
+    if K.is_field:
+        assert K.is_one(lc)
+    else:
+        assert lc > 0 and R.unit_inverse(unit) == unit
+    assert R.normalize_unit(R.zero) == (R.one, R.zero)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ringkit import rings
+from ringkit import multipoly, rings
+from ringkit import unipoly as up
 from ringkit.errors import NonInvertibleError, UnsupportedRingError
 from ringkit.rings import (
     FractionField,
@@ -15,6 +16,7 @@ from ringkit.rings import (
     extended_gcd,
     solve_diophantine,
 )
+from ringkit.galois import GFRing
 from ringkit.unipoly import (
     PACKED_MUL_THRESHOLD,
     uni_mul,
@@ -209,3 +211,72 @@ def test_spec_strings_round():
     assert QQ.spec_string() == "Q"
     assert ZpRing(17).spec_string() == "Zp[17]"
     assert FractionField(ZZ).spec_string() == "Q"
+
+
+# ------------------------------------------------ rings.power behind every pow
+
+
+def _counting(fn, calls):
+    def wrapped(a, b):
+        calls.append(1)
+        return fn(a, b)
+
+    return wrapped
+
+
+def _power_cases():
+    """name -> (mul, one, a, pow_fn, patch) per user of rings.power; patch
+    installs a counting mul where pow_fn looks it up and returns the list
+    that collects its calls."""
+    gf = GFRing(3, 2)
+    R = multipoly.MultiRing(ZpRing(17), ("x", "y"))
+    x, y = R.gens()
+    ctx = up.PolyModContext(up._poly(ZpRing(17), [3, 0, 1, 1, 0, 1]))
+    base = up._poly(ZpRing(17), [5, 1, 0, 0, 2, 7, 1])  # reduced by powmod
+
+    def on(obj, name):
+        def patch(monkeypatch):
+            calls = []
+            monkeypatch.setattr(obj, name, _counting(getattr(obj, name), calls))
+            return calls
+
+        return patch
+
+    return {
+        "Q": (QQ.mul, QQ.one, QQ.make(-3, 2), QQ.pow, on(QQ, "mul")),
+        "GF9": (gf.mul, gf.one, gf.generator(), gf.pow, on(gf._ctx, "mulmod")),
+        "uni_pow": (up.uni_mul, up._poly(QQ, [QQ.one]),
+                    up._poly(QQ, [QQ.make(1, 2), QQ.make(-2, 1)]), up.uni_pow,
+                    on(up, "uni_mul")),
+        "multi_pow": (multipoly.multi_mul, R.one, 3 * x * y + 1, multipoly.multi_pow,
+                      on(multipoly, "multi_mul")),
+        "powmod": (ctx.mulmod, up._poly(ZpRing(17), [1]), ctx.rem(base),
+                   lambda a, e: ctx.powmod(base, e), on(ctx, "mulmod")),
+    }
+
+
+@pytest.mark.parametrize("name", ["Q", "GF9", "uni_pow", "multi_pow", "powmod"])
+def test_power_is_repeated_multiplication_in_binary_steps(name, monkeypatch):
+    mul, one, a, pow_fn, patch = _power_cases()[name]
+    expect = [one]
+    for _ in range(70):
+        expect.append(mul(expect[-1], a))
+    calls = patch(monkeypatch)
+    for e in range(71):
+        del calls[:]
+        assert pow_fn(a, e) == expect[e]
+        # one product per set bit, one squaring per bit below the top one
+        want = bin(e).count("1") + e.bit_length() - 1 if e else 0
+        assert len(calls) == want, e
+
+
+def test_polynomial_powers_reject_negative_exponents():
+    with pytest.raises(ValueError):
+        up.uni_pow(up._poly(QQ, [QQ.one, QQ.one]), -1)
+    R = multipoly.MultiRing(ZZ, ("x",))
+    with pytest.raises(ValueError):
+        multipoly.multi_pow(R.gens()[0], -2)
+    # a negative exponent used to keep powmod shifting -1 forever
+    ctx = up.PolyModContext(up._poly(ZpRing(17), [3, 0, 1, 1]))
+    with pytest.raises(ValueError):
+        ctx.powmod(up._poly(ZpRing(17), [0, 1]), -1)

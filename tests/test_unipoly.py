@@ -172,9 +172,10 @@ def test_half_gcd_agrees_with_euclid(monkeypatch):
 @pytest.mark.parametrize("K", [Z17, ZBIG])
 def test_hgcd_meets_its_contract_around_the_base_case(K):
     # M*(a, b) = (c, d) with deg c >= ceil(deg a / 2) > deg d, from the
-    # remainder-step base case below HGCD_BASE and the recursion above it
+    # remainder-step base case below HGCD_BASE and the recursion above it,
+    # down to several levels at degree 600
     rng = random.Random(11)
-    for da in range(up.HGCD_BASE - 4, up.HGCD_BASE + 60, 8):
+    for da in [*range(up.HGCD_BASE - 4, up.HGCD_BASE + 60, 8), 240, 380, 600]:
         a = uni_random(K, da, rng)
         b = uni_random(K, rng.randrange(da // 2, da), rng)
         M = up._hgcd(a, b)
@@ -226,6 +227,28 @@ def test_extended_gcd_bezout_over_field():
         g, s, t = uni_extended_gcd(a, b)
         assert uni_mul(s, a) + uni_mul(t, b) == g
         assert g == uni_gcd(a, b)
+
+
+@pytest.mark.parametrize("K", [Z17, GFRing(3, 2), QQ], ids=["Zp17", "GF9", "Q"])
+def test_extended_gcd_cofactors_and_zero_operands(K):
+    rng = random.Random(12)
+    zero, one = UniPoly(K, []), P(K, 1)
+
+    def rand(d):
+        return up._poly(K, [K.random_element(rng) for _ in range(d)] + [K.one])
+
+    g0 = rand(3)
+    pairs = [(uni_mul(g0, rand(5)), uni_mul(g0, rand(8)))]  # deg a < deg b
+    pairs += [(rand(rng.randrange(0, 12)), rand(rng.randrange(0, 12))) for _ in range(8)]
+    pairs += [(zero, rand(4)), (rand(4), zero), (zero, zero)]
+    for a, b in pairs:
+        g, s, t = uni_extended_gcd(a, b)
+        assert uni_mul(s, a) + uni_mul(t, b) == g
+        assert g.is_zero() or K.is_one(g.lc())
+        assert g == uni_gcd(a, b)
+    assert uni_extended_gcd(zero, zero) == (zero, one, zero)
+    assert uni_extended_gcd(zero, P(K, 2, 2)) == (P(K, 1, 1), zero, P(K, K.inv(K.of(2))))
+    assert uni_gcd(*pairs[0]) == g0
 
 
 def test_eval_and_derivative():
@@ -472,3 +495,31 @@ def test_uniring_nested_symbols_collision():
     with pytest.raises(ValueError):
         UniRing(R, "x")  # same variable twice is ambiguous
     UniRing(R, "y")  # distinct name is fine
+
+
+def test_division_operators_match_uni_divrem():
+    f, g = P(QQ, 5, -1, 0, 2, 1), P(QQ, -1, 0, 3)
+    q, r = uni_divrem(f, g)
+    assert divmod(f, g) == (q, r)
+    assert f // g == q and uni_mul(q, g) + r == f
+    assert 4 - g == P(QQ, 5, 0, -3) == -(g - 4)
+
+
+def test_uniring_is_unit():
+    assert UniRing(Z17, "x").is_unit(P(Z17, 5))
+    assert not UniRing(Z17, "x").is_unit(P(Z17, 5, 1))
+    assert not UniRing(Z17, "x").is_unit(P(Z17))
+    assert UniRing(ZZ, "x").is_unit(P(ZZ, -1))
+    assert not UniRing(ZZ, "x").is_unit(P(ZZ, 2))
+
+
+def test_gcd_over_a_polynomial_coefficient_ring():
+    # Z[x][y] is neither a field nor Z, so uni_gcd takes the subresultant PRS
+    X = UniRing(ZZ, "x")
+    R = UniRing(X, "y")
+    x = X.variable()
+    g = up._poly(X, [x, X.one])  # y + x
+    a = R.mul(g, up._poly(X, [X.one, x]))  # (y + x)(x*y + 1)
+    b = R.mul(g, up._poly(X, [x - 1, X.one]))  # (y + x)(y + x - 1)
+    assert R.gcd(a, b) == g
+    assert R.gcd(R.mul(a, R.from_const(up._poly(ZZ, [2]))), a) == a
