@@ -25,8 +25,6 @@ from .unipoly import (
     uni_content,
     uni_derivative,
     uni_gcd,
-    uni_mul,
-    uni_pow,
     uni_primitive,
 )
 
@@ -271,17 +269,11 @@ def _exact_divides(d, f):
     return rem.is_zero()
 
 
-def _rebuild_multi(R, unit, parts):
+def _rebuild(unit, parts):
+    """unit * prod g^m over the (g, m) parts of a factorization."""
     f = unit
     for g, m in parts:
-        f = multi_mul(f, multi_pow(g, m))
-    return f
-
-
-def _rebuild_uni(K, unit, parts):
-    f = unit
-    for g, m in parts:
-        f = uni_mul(f, uni_pow(g, m))
+        f = f * g**m
     return f
 
 
@@ -354,7 +346,7 @@ def _factor_rows(spec, trial, prod, need_parts, seed):
     def splits(parts):
         unit, facs = parts
         nontrivial = sum(m for f, m in facs if f.degree() > 0)
-        return _rebuild_multi(R, unit, facs) == prod and nontrivial >= need_parts
+        return _rebuild(unit, facs) == prod and nontrivial >= need_parts
 
     rows = [_timed_row(spec, trial, "nontrivial",
                        lambda: factor_multipoly(R, prod, seed=seed), splits)]
@@ -362,7 +354,7 @@ def _factor_rows(spec, trial, prod, need_parts, seed):
         shifted = prod + R.one
         rows.append(_timed_row(spec, trial, "trivial",
                                lambda: factor_multipoly(R, shifted, seed=seed + 1),
-                               lambda parts: _rebuild_multi(R, *parts) == shifted))
+                               lambda parts: _rebuild(*parts) == shifted))
     return rows
 
 
@@ -401,7 +393,7 @@ def _run_trial(spec, trial, rng):
 
         def certified(parts):
             unit, facs = parts
-            return _rebuild_uni(K, unit, facs) == f and all(
+            return _rebuild(unit, facs) == f and all(
                 _irreducible_over(K, g) for g, _ in facs
             )
 

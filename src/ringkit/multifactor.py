@@ -79,6 +79,7 @@ from .unifactor import (
 )
 from .unipoly import (
     UniPoly,
+    _divides,
     _poly,
     uni_derivative,
     uni_exact_div,
@@ -813,34 +814,47 @@ def _subset_split(target, Gs, order, ctx, lead=None):
     that lacks index 0, the final `remaining` one too, takes `lead` (packed
     L_v), so every candidate is (L_v / lc f_S) * f_S, of degree at most
     deg_v F_v in x_v, and the truncation loses nothing.
+    A raw candidate g = c * f_S is first tested at a second point beta, each
+    variable but x_m at a fixed offset from alpha: g(beta) is c(beta) times
+    a divisor of the unsplit part's image at beta, so unless g(beta) drops
+    in degree its primitive part must divide that image.  Only a candidate
+    that passes takes its content and the exact division.
     Returns (subset, factor) pairs so callers can reuse the index grouping.
     """
     ring = target.ring
+    K = ring.cring
     lay = ctx.lay
     mod = ctx.mod
+    m = ctx.m
     r = len(Gs)
     pairs = [(v, ctx.alpha[v], ctx.bounds[v]) for v in order]
+    beta = {v: K.of(symmetric_lift(a, mod) + 1 + j) for j, (v, a) in enumerate(ctx.alpha.items())}
     tested = 0
 
     def candidate(idxs):
+        """The raw product c * f_S, or None when it is constant in x_m."""
         factors = [Gs[i] for i in idxs] + ([lead] if lead and 0 not in idxs else [])
         prod = factors[0]
         for g in factors[1:]:
             prod = mul_keys(prod, g, mod)
             prod = _mod_lifted(prod, pairs, ctx)
-        if not ctx.K.is_field:
+        if not K.is_field:
             prod = {k: c for k, v in prod.items() if (c := symmetric_lift(v, mod))}
         g = MultiPoly(ring, lay.unpack_terms(prod))
-        if g.is_zero() or g.degree(ctx.m) < 1:
-            return None
-        _, prim = content_primitive(g, ctx.m)
-        if prim.degree(ctx.m) < 1:
-            return None
-        return ring.normalize_unit(prim)[1]
+        return None if g.is_zero() or g.degree(m) < 1 else g
+
+    def primitive(g):
+        _, prim = content_primitive(g, m)
+        return ring.normalize_unit(prim)[1] if prim.degree(m) >= 1 else None
+
+    def passes_at_beta(g, image):
+        gb = univariate_image(g, m, beta)
+        return gb.degree < g.degree(m) or _divides(uni_primitive(gb)[1], image)
 
     remaining = list(range(r))
     out = []
     Fcur = target
+    image = univariate_image(Fcur, m, beta)
     k = 1
     while 2 * k <= len(remaining):
         hit = False
@@ -849,12 +863,16 @@ def _subset_split(target, Gs, order, ctx, lead=None):
             if tested > _SUBSET_BUDGET:
                 raise _BadPoint()
             g = candidate(list(subset))
-            if g is None or g.is_constant():
+            if g is None or not passes_at_beta(g, image):
+                continue
+            g = primitive(g)
+            if g is None:
                 continue
             try:
                 Fcur = multi_exact_div(Fcur, g)
             except ArithmeticError:
                 continue
+            image = univariate_image(Fcur, m, beta)
             out.append((subset, g))
             drop = set(subset)
             remaining = [i for i in remaining if i not in drop]
@@ -864,8 +882,9 @@ def _subset_split(target, Gs, order, ctx, lead=None):
             k += 1
     if remaining:
         g = candidate(remaining)
+        g = g if g is None else primitive(g)
         # sections of a primitive polynomial can pick up content of their own
-        _, fc = content_primitive(Fcur, ctx.m)
+        _, fc = content_primitive(Fcur, m)
         _, fc = ring.normalize_unit(fc)
         if g is None or g != fc:
             raise _BadPoint()

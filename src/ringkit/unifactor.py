@@ -9,8 +9,9 @@ power r^((q-1)/2) are computed by repeated squaring.  The distinct-degree
 split batches its degrees in blocks (Shoup 1995): one gcd of the unsplit
 part with the product of the block's x^(q^d) - x mod f, and a per-degree
 split only inside a block whose gcd is nontrivial.  Over Z: factor an
-image modulo a 31-bit prime, Hensel-lift to the Mignotte bound, recombine
-subsets by trial division.
+image modulo a prime whose residue products sum inside one 64-bit slot
+(28-31 bits, by degree), Hensel-lift to the Mignotte bound, recombine
+subsets by trial division after the constant-term test.
 """
 
 import math
@@ -248,8 +249,15 @@ def _factor_primitive_squarefree_z(f: UniPoly):
 
 
 def _good_prime(f: UniPoly) -> int:
-    """Smallest 31-bit prime keeping f squarefree and degree-preserving."""
-    p = 1 << 30
+    """Smallest b-bit prime keeping f squarefree and degree-preserving.
+
+    b = (64 - bitlen(deg f)) // 2 is the largest prime size whose sums of
+    deg f products of residues fit one 64-bit slot, so every packed product
+    of the factorization mod p runs on 8-byte slots (`unipoly._slot_bytes`):
+    31 bits up to degree 3, 30 to 15, 29 to 63, 28 to 255.
+    """
+    b = (64 - f.degree.bit_length()) // 2
+    p = 1 << (b - 1)
     while True:
         p = next_prime(p)
         if f.lc() % p == 0:
@@ -352,17 +360,34 @@ def _hensel_lift(p, ell, f, modular_factors):
 
 
 def _recombine(f: UniPoly, lifted):
-    """Naive subset recombination with exact trial division over Z."""
+    """Subset recombination by trial division over Z, each subset first
+    passing the constant-term test (Abbott, Shoup and Zimmermann 2000).
+
+    A subset's candidate is lc(f) * prod g_i mod p^ell, symmetrically lifted,
+    with lc(f) of the input f.  For a true factor h of the part of f not yet
+    split off it is (lc(f) / lc(h)) * h, and its constant term c divides
+    lc(f) * (that part)(0), as lc(h) divides lc(f) and h(0) divides the
+    part's constant term.  A subset whose c is zero or does not divide it is
+    rejected before its product is formed; while the part's constant term
+    is 0 the test is off.
+    """
     Z = f.ring
     K = lifted[0].ring
     modulus = K.coeff_modulus
-    lc = _poly(K, [K.of(f.lc())])
+    lead = f.lc()
+    lc = _poly(K, [K.of(lead)])
+    consts = [g.constant() for g in lifted]
     remaining = list(range(len(lifted)))
     found = []
     k = 1
     while 2 * k <= len(remaining):
+        bound = lead * f.constant()
         hit = None
         for subset in combinations(remaining, k):
+            if bound:
+                c = symmetric_lift(lead * math.prod(consts[i] for i in subset), modulus)
+                if not c or bound % c:
+                    continue
             prod = lc
             for i in subset:
                 prod = uni_mul(prod, lifted[i])

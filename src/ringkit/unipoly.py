@@ -188,33 +188,36 @@ def _school_int(x, y):
     return out
 
 
-# word-aligned slots pack through array('Q'), which is native byte order:
-# only on little-endian hosts, where that order is the packing's
-_WORD_SLOTS = sys.byteorder == "little"
+# word-aligned slots pack through array('I') and array('Q'), which are in
+# native byte order: only on little-endian hosts, where that order is the
+# packing's, and where 'I' is 4 bytes
+_WORD_SLOTS = sys.byteorder == "little" and array("I").itemsize == 4
+_WORD_TYPE = {4: "I", 8: "Q"}
 
 
 def _slot_bytes(p, terms):
     """Bytes per slot holding a sum of `terms` products of residues mod p.
 
-    Rounded up to a machine word (8 bytes) or two (16), so that packing and
-    unpacking run through `array('Q')` and `memoryview.cast('Q')`; wider
-    slots keep their exact byte count.
+    Rounded up to half a machine word (4 bytes), one word (8) or two (16),
+    so that packing and unpacking run through `array` and `memoryview.cast`
+    on 4- or 8-byte items; wider slots keep their exact byte count.
     """
     s = (2 * (p - 1).bit_length() + terms.bit_length() + 7) // 8
     if not _WORD_SLOTS or s > 16:
         return s
-    return 8 if s <= 8 else 16
+    return 4 if s <= 4 else 8 if s <= 8 else 16
 
 
 def _pack(x, s):
     """Residues as the slots of one big integer: each below 2^(8s), and
     below 2^64 for 16-byte slots."""
-    if s == 8 and _WORD_SLOTS:
-        return int.from_bytes(array("Q", x), "little")
-    if s == 16 and _WORD_SLOTS:
-        w = array("Q", bytes(16 * len(x)))
-        w[::2] = array("Q", x)
-        return int.from_bytes(w, "little")
+    if _WORD_SLOTS:
+        if s in _WORD_TYPE:
+            return int.from_bytes(array(_WORD_TYPE[s], x), "little")
+        if s == 16:
+            w = array("Q", bytes(16 * len(x)))
+            w[::2] = array("Q", x)
+            return int.from_bytes(w, "little")
     return int.from_bytes(b"".join(c.to_bytes(s, "little") for c in x), "little")
 
 
@@ -222,11 +225,12 @@ def _unpack(v, s, count):
     """The first `count` slots of s bytes of a packed integer below
     2^(8 * s * count)."""
     raw = v.to_bytes(s * count, "little")
-    if s == 8 and _WORD_SLOTS:
-        return memoryview(raw).cast("Q").tolist()
-    if s == 16 and _WORD_SLOTS:
-        w = memoryview(raw).cast("Q")
-        return [lo | hi << 64 if hi else lo for lo, hi in zip(w[::2], w[1::2])]
+    if _WORD_SLOTS:
+        if s in _WORD_TYPE:
+            return memoryview(raw).cast(_WORD_TYPE[s]).tolist()
+        if s == 16:
+            w = memoryview(raw).cast("Q")
+            return [lo | hi << 64 if hi else lo for lo, hi in zip(w[::2], w[1::2])]
     return [int.from_bytes(raw[k * s : (k + 1) * s], "little") for k in range(count)]
 
 

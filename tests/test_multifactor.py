@@ -627,3 +627,32 @@ def test_accepted_factors_are_not_divided_again(K, monkeypatch):
     assert {g for g, _ in got if g.degree() > 0} == {R.normalize_unit(g)[1] for g in parts}
     assert callers.count("_subset_split") >= 2
     assert "_prim_squarefree_into" not in callers
+
+
+@pytest.mark.parametrize("K", [ZZ, ZpRing(1000003)])
+def test_candidates_whose_lc_vanishes_at_the_second_point_still_certify(K, monkeypatch):
+    # x is the main variable and alpha = (y, z) = (0, 0) at attempt 0, so
+    # _subset_split's second point is (1, 2): each factor's lc in x, y - 1
+    # and z - 2, vanishes there, every candidate image drops in degree, and
+    # the cheap test is skipped in favour of the exact division
+    orig = multifactor.univariate_image
+    images = []
+
+    def recording(g, m, values):
+        u = orig(g, m, values)
+        if sys._getframe(1).f_code.co_name == "passes_at_beta":
+            images.append((m, values, g.degree(m), u.degree))
+        return u
+
+    monkeypatch.setattr(multifactor, "univariate_image", recording)
+    R = MultiRing(K, ("x", "y", "z"))
+    x, y, z = R.gens()
+    parts = [(y - 1) * x + y * y * z + 5, (z - 2) * x + y * z * z - 3]
+    f = multi_mul(parts[0], parts[1])
+    unit, got = factor_multipoly(R, f)
+    assert _rebuild(R, unit, got) == f
+    assert {g for g, _ in got} == {R.normalize_unit(g)[1] for g in parts}
+    assert images
+    for m, values, dg, du in images:
+        assert m == 0 and values == {1: K.of(1), 2: K.of(2)}
+        assert du < dg

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from ringkit import unipoly as up
 from ringkit.errors import UnsupportedRingError
 from ringkit.galois import GFRing
 from ringkit.rings import ZZ, QQ, ZpRing
-from ringkit.primes import factor_integer
+from ringkit.primes import factor_integer, is_prime, next_prime
 from ringkit.unifactor import (
     factor_finite,
     factor_over_z,
@@ -358,8 +359,110 @@ def test_swinnerton_dyer_style_recombination():
     assert [g for g, _ in parts] == [P(ZZ, -6, 0, 1), P(ZZ, -3, 0, 1), P(ZZ, -2, 0, 1)]
 
 
+def _swinnerton_dyer(primes):
+    """prod (x - sum of +-sqrt(q) over q in primes), of degree 2^len(primes):
+    each q replaces f(x) by f(x + sqrt q) * f(x - sqrt q) = A^2 - q * B^2,
+    where f(x + y) = A(x) + y * B(x) modulo y^2 = q."""
+    f = [0, 1]
+    for q in primes:
+        A, B = [0] * len(f), [0] * len(f)
+        for k, c in enumerate(f):
+            for j in range(k + 1):
+                t = c * math.comb(k, j) * q ** (j // 2)
+                if j % 2:
+                    B[k - j] += t
+                else:
+                    A[k - j] += t
+        a, b = up._poly(ZZ, A), up._poly(ZZ, B)
+        f = up.uni_sub(up.uni_mul(a, a), up.uni_scale(up.uni_mul(b, b), q)).coeffs
+    return up._poly(ZZ, f)
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5, 7), (2, 3, 5, 7, 11)], ids=["sd16", "sd32"])
+def test_swinnerton_dyer_is_irreducible_with_few_trial_divisions(primes, monkeypatch):
+    # modulo every prime it splits into factors of degree 1 and 2, so at
+    # degree 32 there are at least 16 and the subsets up to half of them
+    # number about 39,000; the constant-term test leaves a few hundred
+    f = _swinnerton_dyer(primes)
+    assert f.degree == 2 ** len(primes)
+    divisions = []
+    orig = uf.uni_exact_div
+
+    def counting(a, b):
+        divisions.append(b.degree)
+        return orig(a, b)
+
+    monkeypatch.setattr(uf, "uni_exact_div", counting)
+    unit, parts = factor_over_z(f)
+    assert unit == P(ZZ, 1)
+    assert parts == [(f, 1)]
+    assert len(divisions) < 1000
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 8, 63, 64, 127, 128, 300])
+def test_good_prime_is_the_widest_that_fits_one_word_slot(degree):
+    # 1 + sum i*x^i, once with lc deg and once with lc the first candidate
+    # prime, which _good_prime must then skip
+    b = (64 - degree.bit_length()) // 2
+    first = next_prime(1 << (b - 1))
+    for lead in (degree, first):
+        f = P(ZZ, *range(degree), lead)
+        f = up._poly(ZZ, [1] + f.coeffs[1:])
+        p = uf._good_prime(f)
+        assert is_prime(p) and f.lc() % p != 0
+        fp = up._poly(ZpRing(p), [c % p for c in f.coeffs])
+        assert up.uni_gcd(fp, up.uni_derivative(fp)).degree == 0
+        assert up._slot_bytes(p, degree) == 8
+        # one bit more would overflow the slot
+        assert 2 * (p.bit_length() + 1) + degree.bit_length() > 64
+        if lead == first:
+            assert p != first
+
+
+def _factor_list(factors):
+    """The factor list factor_over_z returns for a product of distinct
+    primitive irreducibles with positive lc."""
+    return sorted(((g, 1) for g in factors), key=lambda fm: (uf._sort_key(fm[0]), 1))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        # negative constant terms and lc != 1
+        [(-5, 1, 3), (-7, 0, 2), (-3, 5), (-2, 0, 0, 3), (4, -1, 0, 2), (-9, 2, 0, 0, 5)],
+        # f(0) = 0: the test is off until x is split off
+        [(0, 1), (-5, 1, 3), (-3, 5), (-2, 0, 0, 3), (7, -3, 2)],
+        # each quadratic splits modulo a prime where 2, 3 or 6 is a square;
+        # it is found after linear factors were split off, from a smaller
+        # f(0) than the input's
+        [(-1, 0, 2), (-1, 0, 3), (-1, 0, 6), (-3, 5), (4, 1), (-7, 2)],
+    ],
+    ids=["negative-constants", "zero-constant", "after-split-off"],
+)
+def test_constant_term_test_keeps_every_true_factor(factors, monkeypatch):
+    gs = [up._poly(ZZ, list(c)) for c in factors]
+    f = P(ZZ, 1)
+    for g in gs:
+        f = up.uni_mul(f, g)
+    hits = []
+    orig = uf._recombine
+
+    def recording(f, lifted):
+        out = orig(f, lifted)
+        hits.append((len(lifted), len(out)))
+        return out
+
+    monkeypatch.setattr(uf, "_recombine", recording)
+    unit, parts = factor_over_z(f)
+    assert unit == P(ZZ, 1)
+    assert parts == _factor_list(gs)
+    # the prime splits some true factor, so recombination had work to do
+    [(lifted, found)] = hits
+    assert found == len(gs) < lifted
+
+
 def test_hensel_lift_of_long_factors():
-    # the lift runs mod p^3 with p = 1073741827 and its tree products are
+    # the lift runs mod p^4 with p = 134217757 and its tree products are
     # longer than PACKED_MUL_THRESHOLD, so the packed Z/p^k product serves it
     a = P(ZZ, -2, *[0] * 40, 1)  # x^41 - 2
     b = P(ZZ, -3, 1, *[0] * 35, 1)  # x^37 + x - 3

@@ -332,9 +332,11 @@ def _slow_powmod(a, e, m):
     return out
 
 
-# (p, terms) whose worst slot, terms * (p - 1)^2, needs exactly 64 and 128
-# bits, and moduli past two words that keep the byte-per-byte path
+# (p, terms) whose worst slot, terms * (p - 1)^2, needs exactly 32, 33, 64
+# and 128 bits, and moduli past two words that keep the byte-per-byte path
 SLOT_CASES = [
+    (8191, 63, 4),
+    (8191, 127, 8),
     (2**29 - 3, 63, 8),
     (1000003, 100, 8),
     (2**61 - 1, 63, 16),
@@ -361,13 +363,14 @@ def test_pack_unpack_round_trip_at_every_slot_width(p, terms, width):
 
 
 @pytest.mark.parametrize("words", [True, False], ids=["words", "bytes"])
-@pytest.mark.parametrize("s", [8, 16, 17])
+@pytest.mark.parametrize("s", [4, 8, 16, 17])
 def test_pack_puts_slot_i_at_bit_8si(s, words, monkeypatch):
     # a round trip cannot see a wrong byte order, which pack and unpack
     # would share: compare with the sum of shifted slots instead
     monkeypatch.setattr(up, "_WORD_SLOTS", words and up._WORD_SLOTS)
     rng = random.Random(s)
-    x = [rng.randrange(2**64) for _ in range(9)] + [0, 1, 2**64 - 1, 0]
+    top = 2 ** min(64, 8 * s)  # packed slots are below 2^32 at s = 4
+    x = [rng.randrange(top) for _ in range(9)] + [0, 1, top - 1, 0]
     v = up._pack(x, s)
     assert v == sum(c << 8 * s * i for i, c in enumerate(x))
     assert up._unpack(v, s, len(x)) == x
@@ -407,6 +410,9 @@ def test_packed_mulmod_and_powmod_match_classical_division(p):
             if k >= 0:
                 a = uni_random(K, n + k, rng)
                 assert ctx.rem(a) == up._divrem_classical(a, f)[1], (p, n, k)
+        if (p, n) == (17, 100) and up._WORD_SLOTS:
+            # sums of up to 3n products of 5-bit residues fit half a word
+            assert ctx._slot == 4
 
 
 @pytest.mark.parametrize("p", MULMOD_PRIMES)
