@@ -24,10 +24,17 @@ signature than f.  Two criteria discard a J-pair before it is reduced:
 
 Under LEX and GRLEX the Schreyer order lets signatures climb far above the
 degrees of the basis (katsura-5 under LEX took minutes instead of half a
-second), so those orders keep the Gebauer-Moller loop.  Either loop leaves
-a Groebner basis that `_finalize` interreduces into the unique reduced
-basis.  `groebner_basis(..., criteria=False)` runs plain Buchberger over
-every pair and serves the tests as the oracle.
+second), so those orders keep the Gebauer-Moller loop.
+
+Neither loop sees the linear generators.  They are put in echelon form
+first, leads distinct variables, and substituted into the other
+generators: inside the Schreyer order a linear generator spawns reductions
+to zero that the Koszul syzygies do not predict.  The loop's basis plus
+the linear entries is a Groebner basis by the product criterion, and
+`_finalize` interreduces it into the unique reduced basis, reducing each
+element only by the elements with smaller leads.
+`groebner_basis(..., criteria=False)` runs plain Buchberger over every pair
+of the raw generators and serves the tests as the oracle.
 
 Normal forms run in one of two kernels.  The integer kernel serves Zp and
 rational coefficients: Zp reducers are monic residues, while Q runs
@@ -359,25 +366,63 @@ def groebner_basis(generators, order=None, criteria=True):
     """Reduced Groebner basis of the generated ideal; elements come out
     monic and sorted by ascending leading monomial.
 
-    Under GREVLEX the signature loop runs (`_signature_basis`): J-pairs in
-    increasing Schreyer-order signature, regular normal forms, and the
-    syzygy and rewrite criteria.  Under LEX and GRLEX signatures climb far
-    above the degrees of the basis, so those orders run Buchberger with
-    Gebauer-Moller pruning.  `criteria=False` runs plain Buchberger over
-    every pair, the oracle the cross-check tests compare against; the
-    reduced basis is unique, so every path returns the same list.
+    With `criteria` the linear generators are put in echelon form and
+    substituted into the others (`_split_linear`), and only the substituted
+    generators enter a pair loop: the signature loop (`_signature_basis`)
+    under GREVLEX, Buchberger with Gebauer-Moller pruning under LEX and
+    GRLEX.  No substituted generator contains a linear lead variable, so
+    every pair of a linear entry with a loop element has coprime leads,
+    and by the product criterion the loop's basis plus the linear entries
+    is a Groebner basis.  `criteria=False` runs plain Buchberger over every
+    pair of the raw generators, the oracle the cross-check tests compare
+    against; the reduced basis is unique, so every path returns the same
+    list.
     """
     eng, gens = _as_engine_input(list(generators), order)
-    if criteria and eng.order == "GREVLEX":
-        if not _signature_basis(eng, gens):
+    if not criteria:
+        _buchberger(eng, [eng.to_triples(f) for f in gens], False)
+        return _finalize(eng)
+    split = _split_linear(eng, gens)
+    if split is None:
+        return [eng.ring.one]
+    linear, starts = split
+    if eng.order == "GREVLEX":
+        if not _signature_basis(eng, starts):
             return [eng.ring.one]
     else:
-        _buchberger(eng, gens, criteria)
+        _buchberger(eng, starts, True)
+    eng.entries += linear
     return _finalize(eng)
 
 
-def _buchberger(eng, gens, criteria):
-    """Buchberger's loop, with Gebauer-Moller pruning when `criteria`.
+def _split_linear(eng, gens):
+    """(linear entries, substituted triples), or None for the unit ideal.
+
+    The generators of total degree <= 1 come first and are echelonized into
+    entries whose leads are distinct variables (every admissible order
+    ranks a variable above 1).  Reducing every other generator by them
+    substitutes the linear part; zero results drop.  The entry list is left
+    empty for the pair loop.
+    """
+    eng.entries = []
+    starts = []
+    for f in sorted(gens, key=lambda f: f.degree() > 1):
+        triples, _ = eng.nf(eng.to_triples(f))
+        if not triples:
+            continue
+        if not triples[0][0]:
+            return None
+        if f.degree() > 1:
+            starts.append(triples)
+        else:
+            eng.add_entry(triples, 0)
+    linear, eng.entries = eng.entries, []
+    return linear, starts
+
+
+def _buchberger(eng, starts, criteria):
+    """Buchberger's loop over generators given as engine triples, with
+    Gebauer-Moller pruning when `criteria`.
 
     Selection is normal (smallest lcm) for graded orders and sugar-degree
     for LEX.
@@ -425,8 +470,8 @@ def _buchberger(eng, gens, criteria):
                 if d >= 0 and not (d & eng.guard):
                     e[4] = False
 
-    for f in gens:
-        triples, sug = eng.nf(eng.to_triples(f), 0)
+    for t in starts:
+        triples, sug = eng.nf(t, 0)
         if not triples:
             continue
         for p, _, _ in triples:
@@ -446,8 +491,9 @@ def _buchberger(eng, gens, criteria):
             update(eng.add_entry(triples, sug))
 
 
-def _signature_basis(eng, gens):
-    """Fill `eng.entries` with a signature Groebner basis of `gens`.
+def _signature_basis(eng, starts):
+    """Fill `eng.entries` with a signature Groebner basis of the generators
+    given as engine triples in `starts`.
 
     Returns False, with the entries incomplete, as soon as an element with
     a constant lead shows the ideal to be the whole ring.
@@ -457,13 +503,8 @@ def _signature_basis(eng, gens):
     check = eng.lay.check
     syz = {}  # generator index -> minimal syzygy signature monomials
     owned = {}  # generator index -> entries with that signature index
-    heap = []
-    starts = []
-    for i, f in enumerate(gens):
-        t = eng.to_triples(f)
-        starts.append(t)
-        # signature 1*e_i; -1 marks a generator
-        heap.append((t[0][1], i, 0, -1, 0, 0))
+    # signature 1*e_i; -1 marks a generator
+    heap = [(t[0][1], i, 0, -1, 0, 0) for i, t in enumerate(starts)]
     heapq.heapify(heap)
 
     def divisible(mons, p):
@@ -540,7 +581,12 @@ def _signature_basis(eng, gens):
 
 
 def _finalize(eng):
-    """Minimal basis, tails fully reduced, monic, ascending leading term."""
+    """Minimal basis, tails fully reduced, monic, ascending leading term.
+
+    Each element is reduced only by the minimal elements with smaller leads:
+    a lead that divides a tail monomial m is at most m < lm(e), so no larger
+    lead can rewrite e's tail.
+    """
     ents = sorted(eng.entries, key=lambda e: e[1])
     minimal = []
     for e in ents:
@@ -551,14 +597,15 @@ def _finalize(eng):
         else:
             minimal.append(e)
     # leads are pairwise indivisible and never change below, so one pass
-    # leaves every tail irreducible
-    for pos, e in enumerate(minimal):
-        eng.entries = [f for f in minimal if f is not e]
+    # leaves every tail irreducible; the entries are always the reduced
+    # elements with smaller leads
+    eng.entries = []
+    out = []
+    for e in minimal:
         triples, _ = eng.nf([(e[0], e[1], e[6])] + e[2])
-        (lp, lo, lc), *tail = triples
-        minimal[pos] = [lp, lo, tail, *e[3:6], lc, *e[7:]]
-    eng.entries = minimal
-    return [eng.to_poly([(e[0], e[1], e[6])] + list(e[2])) for e in minimal]
+        eng.add_entry(triples, 0)
+        out.append(eng.to_poly(triples))
+    return out
 
 
 class Ideal:

@@ -211,7 +211,7 @@ def test_signature_loop_keeps_singular_results():
     plain = groebner_basis(gens, criteria=False)
     assert groebner_basis(gens) == plain
     eng, moved = groebner._as_engine_input(gens, None)
-    assert groebner._signature_basis(eng, moved)
+    assert groebner._signature_basis(eng, [eng.to_triples(f) for f in moved])
     assert groebner._finalize(eng) == plain
     q = rings.QQ.make
     S = MultiRing(rings.QQ, ("x", "y", "z"), "GREVLEX")
@@ -309,11 +309,125 @@ def test_signature_loop_cuts_zero_reductions(monkeypatch):
 
     monkeypatch.setattr(groebner._Engine, "nf", counting_nf)
     K = rings.ZpRing(1000003)
-    groebner_basis(katsura(6, K)[1])
-    assert results.count(False) <= 26
+    R, eqs = katsura(6, K)
+    groebner_basis(eqs)
+    # 12 zero results with the linear generator inside the signature loop
+    assert results.count(False) <= 9
     results.clear()
     groebner_basis(cyclic(5, K)[1])
     assert len(results) <= 80
+    results.clear()
+    # katsura-6 plus a linear form that no root satisfies, like perfbench's
+    # controls: 18 zero results with both linear forms inside the loop
+    form = R.of(1234)
+    for u, c in zip(R.gens(), (1, -2, 1, 2, -1, 1, -2)):
+        form = form + R.of(c) * u
+    assert groebner_basis(eqs + [form]) == [R.one]
+    assert results.count(False) <= 10
+
+
+# ----------------------------------------------------- linear elimination
+
+ELIM_FIELDS = [rings.ZpRing(2), rings.QQ, GFRing(17, 2, "t")]
+
+
+def _elim_cases(R):
+    """(name, generators, expected sizes) for the linear split: the number
+    of linear entries and of substituted generators, or None for [1]."""
+    x, y, z, w = R.gens()
+    one = R.one
+    return [
+        ("all linear", [x + y + z + one, y + z, z + w + R.of(3)], (3, 0)),
+        ("dependent linear", [x + y, y + z, x + 2 * y + z, x * w + z * z], (2, 1)),
+        ("constant generator", [x * y + one, R.of(3), y * y - z], None),
+        ("inconsistent linear", [x + one, x - one + x, w * w], None),
+        ("substitutes to zero", [x - y, x * z - y * z, y * y - z * w], (1, 1)),
+        ("substitutes to a constant", [x - y, x * y - y * y + one, z * w], None),
+        ("becomes linear", [x - z, x * y - y * z + y + w, y * y - z * z * z], (1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("order", ["LEX", "GRLEX", "GREVLEX"])
+@pytest.mark.parametrize("K", ELIM_FIELDS, ids=str)
+def test_linear_split_cases_agree_with_plain_buchberger(K, order):
+    R = MultiRing(K, ("x", "y", "z", "w"), order)
+    for name, gens, sizes in _elim_cases(R):
+        eng, moved = groebner._as_engine_input(gens, None)
+        split = groebner._split_linear(eng, moved)
+        if sizes is None:
+            assert split is None, name
+        else:
+            linear, starts = split
+            assert (len(linear), len(starts)) == sizes, name
+            assert eng.entries == []
+            leads = [e[0] for e in linear]
+            assert len(set(leads)) == len(leads)
+            assert all(eng.tdeg(p) == 1 for p in leads), name
+            for t in starts:
+                # no substituted term keeps a linear lead variable
+                for p, _, _ in t:
+                    assert all((p - q) & eng.guard for q in leads), name
+        gb = groebner_basis(gens)
+        assert gb == groebner_basis(gens, criteria=False), (name, K, order)
+        assert (gb == [R.one]) == (sizes is None), name
+        _assert_reduced(gb)
+
+
+def _rand_linear(R, rng):
+    K = R.cring
+    terms = {}
+    n = len(R.vars)
+    for i in rng.sample(range(n), rng.randint(1, n)):
+        c = K.random_element(rng, bound=6)
+        if not K.is_zero(c):
+            terms[tuple(int(j == i) for j in range(n))] = c
+    if rng.random() < 0.5:
+        c = K.random_element(rng, bound=6)
+        if not K.is_zero(c):
+            terms[(0,) * n] = c
+    return MultiPoly(R, terms)
+
+
+def test_linear_split_fuzz_agrees_with_plain_buchberger():
+    # 300 seeded systems: 2-4 variables, 1-3 linear generators, under every
+    # order and over small and large prime fields, Q and GF(3^2).  Most
+    # random systems this size are inconsistent, so every other one drops
+    # its constant terms and keeps the origin as a root.
+    rng = random.Random(20261019)
+    fields = [rings.ZpRing(2), rings.ZpRing(7), rings.ZpRing(101), rings.QQ,
+              GFRing(3, 2, "t")]
+    orders = ["LEX", "GRLEX", "GREVLEX"]
+    units = 0
+    for trial in range(300):
+        K, order = fields[trial % 5], orders[trial // 5 % 3]
+        gens = _rand_gens(K, order, rng)
+        R = gens[0].ring
+        for _ in range(rng.randint(1, 3)):
+            f = _rand_linear(R, rng)
+            if not f.is_zero():
+                gens.insert(rng.randrange(len(gens) + 1), f)
+        if trial % 2:
+            gens = [g - R.from_coeff(g.constant()) for g in gens]
+            gens = [g for g in gens if not g.is_zero()] or R.gens()
+        gb = groebner_basis(gens)
+        assert gb == groebner_basis(gens, criteria=False), (K, order, trial)
+        units += gb == [R.one]
+    assert units < 200
+
+
+def test_plain_buchberger_never_splits_the_linear_part(monkeypatch):
+    # the oracle stays independent of the elimination it checks
+    def refuse(eng, gens):
+        raise AssertionError("criteria=False called _split_linear")
+
+    monkeypatch.setattr(groebner, "_split_linear", refuse)
+    R = MultiRing(rings.ZpRing(101), ("x", "y", "z"), "GREVLEX")
+    x, y, z = R.gens()
+    gens = [x + y + z, x * y - z * z, y * y * z - R.one]
+    for order in ("LEX", "GRLEX", "GREVLEX"):
+        assert is_groebner_basis(groebner_basis(gens, order, criteria=False), order)
+        with pytest.raises(AssertionError, match="_split_linear"):
+            groebner_basis(gens, order)
 
 
 def test_inconsistent_system_returns_unit_ideal():
