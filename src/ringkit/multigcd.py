@@ -35,8 +35,11 @@ Over Zp and Z the trial divisions run `multi_divides` on packed keys and
 stop at the first term that shows the candidate does not divide.
 """
 
+import bisect
 import math
+import operator
 import random
+from functools import reduce
 
 from . import rings
 from .errors import RetryBudgetError, UnsupportedRingError
@@ -60,7 +63,7 @@ from .multipoly import (
     to_unipoly,
     univariate_image,
 )
-from .unipoly import UniPoly, uni_eval, uni_gcd, uni_lagrange_basis, uni_scale
+from .unipoly import UniPoly, _poly, uni_eval, uni_gcd, uni_lagrange_basis, uni_scale
 
 _RETRIES = 16
 
@@ -428,7 +431,7 @@ def _point_image(levs, starts, groups, rows, degm, count):
     values `starts` of A, B and gamma at its first probe."""
     levA, levB, levG = levs
     curA, curB, curG = starts
-    K = levA.K
+    K, p = levA.K, levA.mod
     ring = levA.ring
     degA, degB = levA.deg, levB.deg
     images = []
@@ -455,9 +458,10 @@ def _point_image(levs, starts, groups, rows, degm, count):
             for img in images[: len(mons)]
         ]
         for e, row in zip(mons, rows[d]):
-            y = K.zero
-            for c, w in zip(row, ws):
-                y = K.add(y, K.mul(c, w))
+            if p is not None:
+                y = sum(map(operator.mul, row, ws)) % p
+            else:
+                y = reduce(K.add, map(K.mul, row, ws), K.zero)
             if not K.is_zero(y):
                 terms[e] = y
     return MultiPoly(ring, terms)
@@ -466,14 +470,16 @@ def _point_image(levs, starts, groups, rows, degm, count):
 class _LevelEval:
     """Per-level probe evaluator for one polynomial.
 
-    Term values split into a fixed part (coefficient times the alpha
-    values of the untouched variables), a power of the x_v point, and a
-    processed-variable monomial multiplier that advances the value by
-    one probe per multiplication.  The next geometric x_v point is one
-    multiplication by the per-term ratio beta^e_v.
+    The terms are ordered by their x_m exponent once, and `spans` holds the
+    (lo, hi) slice of each x_m degree, so an image in x_m sums one slice
+    per coefficient.  Term values split into a fixed part (coefficient
+    times the alpha values of the untouched variables), a power of the x_v
+    point, and a processed-variable monomial multiplier that advances the
+    value by one probe per multiplication.  The next geometric x_v point is
+    one multiplication by the per-term ratio beta^e_v.
     """
 
-    __slots__ = ("K", "ring", "mod", "deg", "v", "exps", "ems", "base", "mults",
+    __slots__ = ("K", "ring", "mod", "deg", "v", "exps", "spans", "base", "mults",
                  "first", "ratio")
 
     def __init__(self, f, m, v, processed, alpha):
@@ -486,9 +492,12 @@ class _LevelEval:
         skip = set(processed)
         skip.add(v)
         fixed = {j: a for j, a in alpha.items() if j not in skip}
-        self.exps = list(f.terms)
-        self.ems = [e[m] for e in self.exps]
-        self.base = term_values(K, self.exps, fixed, f.terms.values())
+        self.exps = sorted(f.terms, key=operator.itemgetter(m))
+        ems = [e[m] for e in self.exps]
+        cuts = [bisect.bisect_left(ems, d) for d in range(self.deg + 2)]
+        self.spans = list(zip(cuts, cuts[1:]))
+        coeffs = map(f.terms.__getitem__, self.exps)
+        self.base = term_values(K, self.exps, fixed, coeffs)
         self.mults = self.first = self.ratio = None
 
     def set_rho(self, rho):
@@ -513,8 +522,12 @@ class _LevelEval:
         return [K.mul(val, mt) for val, mt in zip(cur, by)]
 
     def image(self, cur):
-        """UniPoly in x_m from the current term values."""
-        return slot_sums(self.K, self.ems, cur, self.deg)
+        """UniPoly in x_m from the current term values, one slice sum per
+        coefficient."""
+        K, p = self.K, self.mod
+        if p is not None:
+            return _poly(K, [sum(cur[lo:hi]) % p for lo, hi in self.spans])
+        return _poly(K, [reduce(K.add, cur[lo:hi], K.zero) for lo, hi in self.spans])
 
 
 def _draw_rho(groups, keys, levs, K, rng):

@@ -14,10 +14,11 @@ call with several divisors, runs the standard multi-divisor reduction
 `multi_divrem`, driven by a lazy max-heap on exponent tuples.
 
 This module owns evaluation: `term_values` substitutes a point into every
-term from one power cache, and the full value, the partial substitution and
-the univariate image in one variable are built on it.  The conversions
-between a MultiPoly in one variable and a UniPoly live here too, as do the
-one content (`content_primitive`) and the one change of coefficient ring.
+term (power tables per exponent column over residue rings, a power cache
+elsewhere), and the full value, the partial substitution and the univariate
+image in one variable are built on it.  The conversions between a MultiPoly
+in one variable and a UniPoly live here too, as do the one content
+(`content_primitive`) and the one change of coefficient ring.
 """
 
 import heapq
@@ -125,13 +126,10 @@ class MultiPoly:
     def degrees(self):
         """Per-variable maximum exponents, cached."""
         if self._degs is None:
-            n = len(self.ring.vars)
-            degs = [0] * n
-            for e in self.terms:
-                for i, x in enumerate(e):
-                    if x > degs[i]:
-                        degs[i] = x
-            self._degs = tuple(degs)
+            if self.terms:
+                self._degs = tuple(map(max, zip(*self.terms)))
+            else:
+                self._degs = (0,) * len(self.ring.vars)
         return self._degs
 
     def degree(self, var=None):
@@ -640,26 +638,30 @@ def term_values(K, exps, values, coeffs=None):
 
     `values` maps variable indices to points of K; a variable it leaves out
     contributes no factor.  `coeffs` runs parallel to `exps` and defaults to
-    all ones, which gives monomial values.  Each power of a point is computed
-    once.  This is the one place a MultiPoly is evaluated: every shape below
-    and the probe evaluators of the gcd build on it.
+    all ones, which gives monomial values.  Over a residue ring a variable
+    is one pass over its exponent column with a table of the point's powers
+    by repeated products (a `pow` per exponent if the column is sparse);
+    other rings compute each power once into a dict cache.  This is the one
+    place a MultiPoly is evaluated: every shape below and the probe
+    evaluators of the gcd build on it.
     """
+    mod = K.coeff_modulus
+    if mod is not None:
+        out = [K.one] * len(exps) if coeffs is None else list(coeffs)
+        for i, v in values.items():
+            col = list(map(operator.itemgetter(i), exps))
+            top = max(col, default=0)
+            if top > 8 * len(col):  # a sparse column
+                pw = {x: pow(v, x, mod) for x in set(col)}
+            else:
+                step = itertools.repeat(v, top)
+                pw = list(itertools.accumulate(step, lambda w, u: w * u % mod, initial=1))
+            out = [c * pw[x] % mod for c, x in zip(out, col)]
+        return out
     caches = [(i, v, {}) for i, v in values.items()]
     if coeffs is None:
         coeffs = itertools.repeat(K.one)
     out = []
-    mod = K.coeff_modulus
-    if mod is not None:
-        for e, c in zip(exps, coeffs):
-            for i, v, pw in caches:
-                x = e[i]
-                if x:
-                    w = pw.get(x)
-                    if w is None:
-                        w = pw[x] = pow(v, x, mod)
-                    c = c * w % mod
-            out.append(c)
-        return out
     for e, c in zip(exps, coeffs):
         for i, v, pw in caches:
             x = e[i]
@@ -714,7 +716,9 @@ def slot_sums(K, slots, vals, deg) -> UniPoly:
     """UniPoly of degree <= deg whose x^k coefficient is the sum of the
     vals whose slot is k; slots and vals run in parallel.
 
-    This is the one place term values are summed into a univariate image.
+    This is the one place term values in any order are summed into a
+    univariate image; the gcd's probe evaluators order their terms once and
+    sum slices instead.
     """
     mod = K.coeff_modulus
     if mod is not None:

@@ -26,9 +26,10 @@ KARATSUBA_THRESHOLD = 32  # generic rings: schoolbook up to this length
 # and 93 bits and from 18-20 for 361 bits
 PACKED_MUL_WORD_THRESHOLD = 8  # moduli up to 62 bits
 PACKED_MUL_THRESHOLD = 20
-# PolyModContext over Zp packs its mulmod from this modulus degree on: in
-# powmod, 8-byte slots (p = 17, 20 bits) win from degree 4, 16-byte slots
-# (31 and 62 bits) break even at 6 and win by 1.1-1.2x at 7
+# PolyModContext over Zp packs its mulmod from these modulus degrees on: in
+# powmod, slots of at most 8 bytes (p up to 30 bits) win from degree 4,
+# 16-byte slots (31 and 62 bits) break even at 6 and win by 1.1-1.2x at 7
+PACKED_MULMOD_WORD_DEGREE = 4
 PACKED_MULMOD_DEGREE = 7
 # PolyModContext over Zp takes its Barrett step for a quotient of degree
 # k >= n - 1 only from this degree n of f on, and uni_divrem one for k >=
@@ -431,8 +432,25 @@ def uni_pseudo_divrem(a: UniPoly, b: UniPoly):
 # ----------------------------------------------------------------------- gcd
 
 
+def _rem_mod(x, y, m):
+    """`_divrem_mod(x, y, m)[1]`; a quotient q1*t + q0 of degree 1 takes one
+    pass, remainder coefficient j being x_j - q0*y_j - q1*y_(j-1) mod m."""
+    if len(x) != len(y) + 1:
+        return _divrem_mod(x, y, m)[1]
+    inv = mod_inverse(y[-1], m)
+    shifted = [0] + y
+    q1 = x[-1] * inv % m
+    q0 = (x[-2] - q1 * shifted[-2]) * inv % m
+    r = [(a - q0 * b - q1 * c) % m for a, b, c in zip(x, y, shifted)]
+    r.pop()  # the t^deg(y) coefficient, zero by the choice of q0
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def uni_gcd_euclid(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over a field by plain remainder iteration."""
+    """Monic gcd over a field by plain remainder iteration; over Zp each
+    step is `_rem_mod`, whose usual degree-1 quotient takes one pass."""
     K = a.ring
     m = K.coeff_modulus
     if m is not None:
@@ -440,7 +458,7 @@ def uni_gcd_euclid(a: UniPoly, b: UniPoly) -> UniPoly:
         if len(x) < len(y):
             x, y = y, x
         while y:
-            x, y = y, _divrem_mod(x, y, m)[1]
+            x, y = y, _rem_mod(x, y, m)
         return uni_monic(UniPoly(K, x))
     x, y = a, b
     while not y.is_zero():
@@ -848,8 +866,10 @@ def uni_random(K, degree: int, rng, monic=False) -> UniPoly:
 class PolyModContext:
     """Arithmetic modulo a fixed polynomial f of degree n.
 
-    Over Zp, from n = PACKED_MULMOD_DEGREE on, a quotient of degree k >= 8
-    with k <= n - 2 or n >= LONG_QUOTIENT_DEGREE comes from one packed
+    Over Zp, from n = PACKED_MULMOD_WORD_DEGREE on when the slots of
+    `_slot_bytes(p, n)` take at most 8 bytes and from PACKED_MULMOD_DEGREE
+    on when they are wider, a quotient of degree k >= 8 with k <= n - 2 or
+    n >= LONG_QUOTIENT_DEGREE comes from one packed
     Barrett step: the high part of the dividend times g, the Newton inverse
     of the reversed monic f to precision P, gives the quotient, and the low
     part minus the quotient times f's low part the remainder; both products
@@ -863,9 +883,10 @@ class PolyModContext:
         self.modulus = modulus
         K, n = modulus.ring, modulus.degree
         m = K.coeff_modulus
-        self._slot = None
-        if K.is_field and m is not None and n >= PACKED_MULMOD_DEGREE:
-            self._slot = _slot_bytes(m, n)
+        s = _slot_bytes(m, n) if K.is_field and m is not None else 0
+        gate = PACKED_MULMOD_WORD_DEGREE if s <= 8 else PACKED_MULMOD_DEGREE
+        self._slot = s if s and n >= gate else None
+        if self._slot is not None:
             self._lc_inv = mod_inverse(modulus.lc(), m)
             self._monic = uni_monic(modulus).coeffs
             self._g = [1]  # the reversal of monic f has constant term 1
@@ -955,7 +976,7 @@ class FrobeniusMap:
     The map is linear over the field, so it stores the rows x^(i*q) mod f
     for i < deg f (one `powmod(x, q)`, then deg f - 2 products by x^q) and
     takes an image as sum(h_i * row_i).  The rows come from `context`, the
-    PolyModContext of f: over Zp, from degree PACKED_MULMOD_DEGREE on, each
+    PolyModContext of f: over Zp, from the degree its gate allows on, each
     is a packed `mulmod` (three big-int products, one Barrett step); below
     that degree and over other fields, a product and a classical remainder.
     Over a residue ring the rows are packed once into word-slot big

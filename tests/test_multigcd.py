@@ -16,6 +16,7 @@ from ringkit.multipoly import (
     multi_mul,
     multi_random,
     multi_scale,
+    slot_sums,
     term_values,
     univariate_image,
 )
@@ -459,6 +460,38 @@ def test_level_eval_first_is_base_times_mults(K):
             ev.set_rho(rho)
             assert ev.mults == term_values(K, ev.exps, rho)
             assert ev.first == term_values(K, ev.exps, rho, ev.base)
+
+
+@pytest.mark.parametrize(
+    "K, n, terms", [(ZpRing(1000003), 5, 8), (GFRing(17, 2), 3, 4)], ids=["Zp", "GF289"]
+)
+def test_level_eval_image_is_the_slot_sum(monkeypatch, K, n, terms):
+    # the evaluator orders its terms by x_m exponent and sums one slice per
+    # coefficient: at every probe of every lifted level that is the sum of
+    # the current term values by their x_m exponent
+    ring = MultiRing(K, ("x", "y", "z", "w", "v")[:n])
+    rng = random.Random(29)
+    g, a, b = (_sparse(ring, rng, terms, 3) for _ in range(3))
+    init, image = multigcd._LevelEval.__init__, multigcd._LevelEval.image
+    main = {}
+    levels = set()
+
+    def tracked_init(self, f, m, v, processed, alpha):
+        init(self, f, m, v, processed, alpha)
+        main[id(self)] = m
+        levels.add(v)
+
+    def checked_image(self, cur):
+        u = image(self, cur)
+        ems = [e[main[id(self)]] for e in self.exps]
+        assert u == slot_sums(K, ems, cur, self.deg)
+        return u
+
+    monkeypatch.setattr(multigcd._LevelEval, "__init__", tracked_init)
+    monkeypatch.setattr(multigcd._LevelEval, "image", checked_image)
+    G = multi_gcd(multi_mul(a, g), multi_mul(b, g), seed=3)
+    assert multi_divides(_monic(g), G)
+    assert len(levels) == n - 1
 
 
 def test_small_field_gcd_failures_are_typed():

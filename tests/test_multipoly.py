@@ -88,7 +88,7 @@ def test_basic_arithmetic(rq):
     assert f.degree("x") == 2 and f.degree(1) == 1
     assert f.term_count() == 2
     assert f.degrees() == (2, 1)
-    assert rq.zero.degree() == -1
+    assert rq.zero.degree() == -1 and rq.zero.degrees() == (0, 0)
 
 
 def test_mul_strategies_agree():
@@ -461,6 +461,57 @@ def test_evaluation_shapes_match_term_sums(name):
         assert img == to_unipoly(part, 1)
         assert from_unipoly(R, img, 1) == part
         assert univariate_image(const, 1, xz).coeffs == [const.constant()]
+
+
+TERM_VALUE_RINGS = {
+    "Zp[2]": lambda: ZpRing(2),
+    "Zp[17]": lambda: ZpRing(17),
+    "Zp[1000003]": lambda: ZpRing(1000003),
+    "Z": lambda: ZZ,
+    "Q": lambda: QQ,
+    "GF(17^2)": lambda: GFRing(17, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(TERM_VALUE_RINGS))
+def test_term_values_match_the_per_term_product(name):
+    # residue rings take one exponent column at a time from a table of
+    # powers (a dict of pows for a sparse column), other rings a dict cache
+    # per variable: each must give c * prod(v_i ** e_i) per term, in order
+    K = TERM_VALUE_RINGS[name]()
+    rng = random.Random(23)
+    n = 4
+
+    def nonzero():
+        while True:
+            c = K.random_element(rng)
+            if not K.is_zero(c):
+                return c
+
+    def naive(e, c, values):
+        for i, v in values.items():
+            for _ in range(e[i]):
+                c = K.mul(c, v)
+        return c
+
+    for t in range(30):
+        # up to 60 on at most 4 terms is a sparse column
+        hi, count = ((3, 12), (9, 12), (60, 4))[t % 3]
+        terms = {}
+        for _ in range(rng.randrange(1, count + 1)):
+            e = [rng.randrange(hi + 1) for _ in range(n)]
+            e[3] = 0  # an all-zero column
+            terms[tuple(e)] = nonzero()
+        # a random subset of the variables, at times none of them
+        values = {i: K.random_element(rng) for i in rng.sample(range(n), t % (n + 1))}
+        exps, coeffs = list(terms), list(terms.values())
+        want = [naive(e, c, values) for e, c in terms.items()]
+        assert term_values(K, terms, values, terms.values()) == want
+        assert term_values(K, exps, values, coeffs) == want
+        assert term_values(K, exps, values) == [naive(e, K.one, values) for e in exps]
+        assert term_values(K, exps, {3: nonzero()}, coeffs) == coeffs
+        assert term_values(K, terms, {}, coeffs) == coeffs
+    assert term_values(K, [], {0: nonzero()}) == []
 
 
 def test_coefficients_in(rq):

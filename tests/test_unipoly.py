@@ -382,11 +382,18 @@ def test_pack_puts_slot_i_at_bit_8si(s, words, monkeypatch):
 MULMOD_PRIMES = (2, 3, 17, 1000003, 2**31 - 1, 2**61 - 1, 2**62 + 135)
 
 
+def _mulmod_gate(p):
+    # products of residues below 2^30 fit 8-byte slots at these degrees
+    if p.bit_length() <= 30:
+        return up.PACKED_MULMOD_WORD_DEGREE
+    return up.PACKED_MULMOD_DEGREE
+
+
 @pytest.mark.parametrize("p", MULMOD_PRIMES)
 def test_packed_mulmod_and_powmod_match_classical_division(p):
     K = ZpRing(p)
     rng = random.Random(p % 997)
-    gate = up.PACKED_MULMOD_DEGREE
+    gate = _mulmod_gate(p)
     for n in (1, 2, gate - 1, gate, gate + 1, 100):
         f = uni_random(K, n, rng)  # not monic: the remainder is the same
         ctx = PolyModContext(f)
@@ -419,7 +426,7 @@ def test_packed_mulmod_and_powmod_match_classical_division(p):
 def test_every_division_route_matches_classical(p):
     K = ZpRing(p)
     rng = random.Random(p % 991)
-    gate, long = up.PACKED_MULMOD_DEGREE, up.LONG_QUOTIENT_DEGREE
+    gate, long = _mulmod_gate(p), up.LONG_QUOTIENT_DEGREE
     for n in (1, gate - 1, gate, long - 1, long, 100):
         b = uni_random(K, n, rng)  # not monic
         ctx = PolyModContext(b)
@@ -468,6 +475,40 @@ def _powmod_reference(a, e, f):
         a = up._divrem_classical(uni_mul(a, a), f)[1]
         e >>= 1
     return out
+
+
+@pytest.mark.parametrize("p", (17, 1000003, 536870923, 2**31 - 1))
+def test_packed_powmod_gate_follows_the_slot_width(p):
+    K = ZpRing(p)
+    rng = random.Random(p % 983)
+    for n in range(4, 9):
+        f = uni_random(K, n, rng)
+        ctx = PolyModContext(f)
+        # 8-byte slots pack from degree 4, 16-byte ones from degree 7
+        assert (ctx._slot is not None) == (up._slot_bytes(p, n) <= 8 or n >= 7)
+        if p.bit_length() <= 30 and up._WORD_SLOTS:
+            assert ctx._slot == up._slot_bytes(p, n) <= 8
+        a = uni_random(K, n - 1, rng)
+        for e in (2, p - 2, rng.randrange(p, p * p)):
+            assert ctx.powmod(a, e) == _powmod_reference(a, e, f), (p, n, e)
+    assert PolyModContext(uni_random(K, 3, rng))._slot is None
+
+
+@pytest.mark.parametrize("p", (2, 17, 1000003, 2**61 - 1))
+def test_fused_euclid_step_is_the_remainder(p):
+    # a degree-1 quotient takes one fused pass; every degree of y from 0
+    # (a remainder that is always zero) to 300, and exact divisions
+    K = ZpRing(p)
+    rng = random.Random(p % 977)
+    for d in range(301):
+        y = uni_random(K, d, rng).coeffs
+        x = uni_random(K, d + 1, rng).coeffs
+        assert up._rem_mod(x, y, p) == up._divrem_mod(x, y, p)[1], (p, d)
+        x = uni_mul(uni_random(K, 1, rng), P(K, *y)).coeffs
+        assert up._rem_mod(x, y, p) == up._divrem_mod(x, y, p)[1] == []
+        assert up._rem_mod(y, y, p) == []
+    x, y = uni_random(K, 40, rng).coeffs, uni_random(K, 12, rng).coeffs
+    assert up._rem_mod(x, y, p) == up._divrem_mod(x, y, p)[1]
 
 
 def test_rings_without_word_residues_keep_their_mulmod_path():
