@@ -3,7 +3,8 @@
 Problem families mirror the library's performance protocol: sparse gcd and
 factorization trials over random polynomials, the dense seven-variable
 gcd/factor instances with a configurable outer exponent, Groebner bases of
-katsura/cyclic systems, and univariate factorization of 1 + sum(i*x^i).
+katsura/cyclic systems, and univariate factorization of 1 + sum(i*x^i) or
+of a seeded product of irreducibles over Z.
 """
 
 import random
@@ -36,6 +37,10 @@ FAMILIES = (
     "groebner",
     "uni-factor",
 )
+
+# a family's variants, its default first; uni-factor "product" multiplies
+# `size` random irreducibles over Z with degrees from `dist`
+VARIANTS = {"groebner": ("katsura", "cyclic"), "uni-factor": ("pdeg", "product")}
 
 # primes examined per factor when proving irreducibility over Z or Q, from 3
 # up; 1 + sum(i*x^i) settles after 8, 3 and 10 at degrees 10, 20 and 30
@@ -197,7 +202,7 @@ class BenchSpec:
     # that overruns is interrupted by a SIGALRM interval timer and gives a
     # "timeout" row, so a nonzero limit needs the main thread.
     timeout: float = 0.0
-    variant: str = "katsura"  # groebner family: katsura | cyclic
+    variant: str = ""  # one of VARIANTS[family]; "" is the first
 
     def validate(self):
         if self.family not in FAMILIES:
@@ -208,8 +213,8 @@ class BenchSpec:
             raise ValueError("uniform distribution needs Dmin < Dmax")
         if self.timeout < 0:
             raise ValueError("negative timeout")
-        if self.family == "groebner" and self.variant not in ("katsura", "cyclic"):
-            raise ValueError("unknown groebner variant %r" % (self.variant,))
+        if self.variant and self.variant not in VARIANTS.get(self.family, ()):
+            raise ValueError("unknown %s variant %r" % (self.family, self.variant))
 
 
 class _TimeLimit(BaseException):
@@ -306,6 +311,21 @@ def _proved_irreducible_z(g):
     return not possible
 
 
+def _random_product_z(rng, count, dist):
+    """The product of `count` primitive irreducibles over Z, coefficients
+    in [-100, 100], degrees from `dist` (at least 1); unproved draws redraw."""
+    f = _poly(rings.ZZ, [1])
+    for _ in range(count):
+        d = max(1, sample_exponents(rng, 1, dist)[0])
+        while True:
+            cs = [rng.randint(-100, 100) for _ in range(d)] + [rng.randint(1, 100)]
+            _, g = uni_primitive(_poly(rings.ZZ, cs))
+            if _proved_irreducible_z(g):
+                break
+        f = f * g
+    return f
+
+
 def _irreducible_over(K, g):
     """Certify one factor of factor_unipoly: Rabin's test over a finite
     field, primitive or monic plus degree patterns over Z and Q."""
@@ -389,7 +409,11 @@ def _run_trial(spec, trial, rng):
 
     if spec.family == "uni-factor":
         K = spec.ring
-        R, f = pdeg_poly(K, spec.size)
+        if spec.variant == "product":
+            R = UniRing(K, "x")
+            f = R.of_coeffs(_random_product_z(rng, spec.size, spec.dist).coeffs)
+        else:
+            R, f = pdeg_poly(K, spec.size)
 
         def certified(parts):
             unit, facs = parts
@@ -401,7 +425,7 @@ def _run_trial(spec, trial, rng):
                            lambda: factor_unipoly(R, f), certified)]
 
     # groebner: the named system, verified structurally plus by membership
-    build = katsura if spec.variant == "katsura" else cyclic
+    build = cyclic if spec.variant == "cyclic" else katsura
     _, eqs = build(spec.size, spec.ring)
 
     def reduced(ideal):
@@ -416,7 +440,7 @@ def bench_run(spec: BenchSpec):
     """Run every trial of the spec; returns (rows, summary)."""
     spec.validate()
     if spec.family == "groebner":
-        n = spec.size + 1 if spec.variant == "katsura" else spec.size
+        n = spec.size if spec.variant == "cyclic" else spec.size + 1
         if spec.n_vars != n:
             spec = replace(spec, n_vars=n)
     elif spec.family == "uni-factor" and spec.n_vars != 1:

@@ -812,7 +812,8 @@ def content_primitive(f: MultiPoly, var):
     straight off the support; the rest is 1 when some var-coefficient is a
     unit and otherwise `gcd_many` of the coefficients.  The content is
     canonical (monic over a field, positive lead over Z); a unit content
-    gives (one, f) without a division.
+    gives (one, f) without a division, and a monomial content c*x^e gives
+    f's shift by e with each coefficient divided by c.
     """
     from .multigcd import gcd_many
 
@@ -832,11 +833,17 @@ def content_primitive(f: MultiPoly, var):
         content = ring.one
     else:
         content = gcd_many(coeffs)
+    c = content.constant() if content.is_constant() else None
     if any(mono):
         content = multi_mono_mul(content, mono, ring.cring.one)
     if ring.is_unit(content):
         return ring.one, f
-    return content, multi_exact_div(f, content)
+    if c is None:
+        return content, multi_exact_div(f, content)
+    K = ring.cring
+    if not K.is_one(c):
+        f0 = MultiPoly(ring, {e: K.exact_div(v, c) for e, v in f0.terms.items()})
+    return content, f0
 
 
 def change_ring(f: MultiPoly, ring) -> MultiPoly:

@@ -8,10 +8,13 @@ once per squarefree part, not a fresh power: only x^q mod f and the short
 power r^((q-1)/2) are computed by repeated squaring.  The distinct-degree
 split batches its degrees in blocks (Shoup 1995): one gcd of the unsplit
 part with the product of the block's x^(q^d) - x mod f, and a per-degree
-split only inside a block whose gcd is nontrivial.  Over Z: factor an
+split only inside a block whose gcd is nontrivial; a two-root quadratic
+over an odd prime field splits by the quadratic formula.  Over Z: factor an
 image modulo a prime whose residue products sum inside one 64-bit slot
-(28-31 bits, by degree), Hensel-lift to the Mignotte bound, recombine
-subsets by trial division after the constant-term test.
+(28-31 bits, by degree), Hensel-lift to the Mignotte bound of a factor of
+half the degree (every split has such a side), and recombine subsets by
+trial division after the constant-term test, each division by the side of
+degree at most half.
 """
 
 import math
@@ -176,13 +179,18 @@ def _equal_degree(f: UniPoly, d: int, rng, frob):
     """Split a monic product of degree-d irreducibles into its factors.
 
     `frob` is the FrobeniusMap of a multiple of f, so the recursive splits
-    share it: an image mod f is its image reduced mod f.
+    share it: an image mod f is its image reduced mod f.  A product of two
+    linear factors over Zp with p odd splits by the quadratic formula;
+    GF(p^k) and characteristic 2 always take the random splitting.
     """
     K = f.ring
     n = f.degree
     if n == d:
         return [f]
     q = K.cardinality
+    if n == 2 and isinstance(K, rings.ZpRing) and q % 2:
+        c, b, _ = f.coeffs
+        return [_poly(K, [K.neg(r), K.one]) for r in _quadratic_roots(b, c, q)]
     ctx = PolyModContext(f)
     one = _poly(K, [K.one])
     while True:
@@ -212,6 +220,37 @@ def _equal_degree(f: UniPoly, d: int, rng, frob):
             return _equal_degree(g, d, rng, frob) + _equal_degree(
                 uni_exact_div(f, g), d, rng, frob
             )
+
+
+def _sqrt_mod(a: int, p: int):
+    """A square root of a modulo an odd prime p, or None when a is not a
+    square (Euler's criterion); Tonelli-Shanks unless p = 3 mod 4."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s, q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _quadratic_roots(b: int, c: int, p: int):
+    """The distinct roots of x^2 + b*x + c modulo an odd prime p, ascending."""
+    s = _sqrt_mod(b * b - 4 * c, p)
+    if s is None:
+        return []
+    half = (p + 1) // 2
+    return sorted({(s - b) * half % p, (-s - b) * half % p})
 
 
 # ------------------------------------------------------------------- over Z
@@ -269,19 +308,22 @@ def _good_prime(f: UniPoly) -> int:
 
 
 def _mignotte_exponent(f: UniPoly, p: int) -> int:
-    # any factor's coefficients are below 2^deg * l2norm * |lc|
+    """Least ell with p^ell > 2 * 2^(deg/2) * l2norm * |lc|.
+
+    A factor h of degree k has lc(f)/lc(h) * h below 2^k * l2norm * |lc|
+    (Mignotte).  Every split of f has a side of degree at most deg/2, the
+    side `_recombine` forms; the constant terms it tests are smaller still.
+    """
     norm = math.isqrt(sum(c * c for c in f.coeffs)) + 1
-    return _exponent_above(p, (1 << f.degree) * norm * abs(f.lc()))
+    return _exponent_above(p, (1 << (f.degree // 2)) * norm * abs(f.lc()))
 
 
 def _exponent_above(p: int, bound: int) -> int:
     """Least ell >= 1 with p^ell > 2 * bound: residues mod p^ell then
     determine every integer of absolute value at most bound."""
-    ell = 1
-    pe = p
+    ell, pe = 1, p
     while pe <= 2 * bound:
-        pe *= p
-        ell += 1
+        pe, ell = pe * p, ell + 1
     return ell
 
 
@@ -291,12 +333,8 @@ class _HenselNode:
     __slots__ = ("g", "h", "s", "t", "left", "right")
 
     def __init__(self, g, h, s, t, left, right):
-        self.g = g
-        self.h = h
-        self.s = s
-        self.t = t
-        self.left = left
-        self.right = right
+        self.g, self.h, self.s, self.t = g, h, s, t
+        self.left, self.right = left, right
 
 
 def _build_tree(factors):
@@ -311,11 +349,12 @@ def _build_tree(factors):
     return _HenselNode(g, h, s, t, left, right), uni_mul(g, h)
 
 
-def _lift_node(node, f):
+def _lift_node(node, f, last):
     """One quadratic step from valid data mod m to f's modulus m_new | m^2.
 
     The node's data are residues mod m, so they are already canonical
-    residues mod m_new and only change ring.
+    residues mod m_new and only change ring.  The `last` step lifts g and
+    h only: no later step reads the Bezout pair s, t.
     """
     K = f.ring
     g, h, s, t = (UniPoly(K, x.coeffs) for x in (node.g, node.h, node.s, node.t))
@@ -323,53 +362,57 @@ def _lift_node(node, f):
     q, r = uni_divrem(uni_mul(s, e), h)
     g_new = uni_add(g, uni_add(uni_mul(t, e), uni_mul(q, g)))
     h_new = uni_add(h, r)
-    b = uni_sub(uni_add(uni_mul(s, g_new), uni_mul(t, h_new)), _poly(K, [K.one]))
-    c, d = uni_divrem(uni_mul(s, b), h_new)
-    s_new = uni_sub(s, d)
-    t_new = uni_sub(t, uni_add(uni_mul(t, b), uni_mul(c, g_new)))
-    node.g, node.h, node.s, node.t = g_new, h_new, s_new, t_new
+    node.g, node.h = g_new, h_new
+    if not last:
+        b = uni_sub(uni_add(uni_mul(s, g_new), uni_mul(t, h_new)), _poly(K, [K.one]))
+        c, d = uni_divrem(uni_mul(s, b), h_new)
+        node.s = uni_sub(s, d)
+        node.t = uni_sub(t, uni_add(uni_mul(t, b), uni_mul(c, g_new)))
     if node.left is not None:
-        _lift_node(node.left, g_new)
+        _lift_node(node.left, g_new, last)
     if node.right is not None:
-        _lift_node(node.right, h_new)
+        _lift_node(node.right, h_new, last)
 
 
 def _hensel_lift(p, ell, f, modular_factors):
-    """Monic factors over Z/p^ell whose product is f/lc(f) mod p^ell."""
+    """Monic factors over Z/p^ell whose product is f/lc(f) mod p^ell.
+
+    Quadratic steps on a balanced tree of the factors, the last without
+    the Bezout update; at ell = 1 the factors mod p themselves.
+    """
+    if ell == 1:
+        return modular_factors
     root, _ = _build_tree(modular_factors)
     cur = 1
     while cur < ell:
         nxt = min(2 * cur, ell)
         K = rings.ZmRing(p**nxt)
-        _lift_node(root, uni_monic(_poly(K, [K.of(c) for c in f.coeffs])))
+        _lift_node(root, uni_monic(_poly(K, [K.of(c) for c in f.coeffs])), nxt == ell)
         cur = nxt
-    out = []
+    return _leaves(root, None)
 
-    def collect(node):
-        if node.left is None:
-            out.append(node.g)
-        else:
-            collect(node.left)
-        if node.right is None:
-            out.append(node.h)
-        else:
-            collect(node.right)
 
-    collect(root)
-    return out
+def _leaves(node, g):
+    """The factors at the leaves below a tree node whose product is g."""
+    if node is None:
+        return [g]
+    return _leaves(node.left, node.g) + _leaves(node.right, node.h)
 
 
 def _recombine(f: UniPoly, lifted):
     """Subset recombination by trial division over Z, each subset first
     passing the constant-term test (Abbott, Shoup and Zimmermann 2000).
 
-    A subset's candidate is lc(f) * prod g_i mod p^ell, symmetrically lifted,
-    with lc(f) of the input f.  For a true factor h of the part of f not yet
-    split off it is (lc(f) / lc(h)) * h, and its constant term c divides
-    lc(f) * (that part)(0), as lc(h) divides lc(f) and h(0) divides the
-    part's constant term.  A subset whose c is zero or does not divide it is
-    rejected before its product is formed; while the part's constant term
-    is 0 the test is off.
+    A subset S's candidate is lc(f) * prod g_i mod p^ell, symmetrically
+    lifted, with lc(f) of the input f.  For a true factor h of the part of f
+    not yet split off it is (lc(f) / lc(h)) * h, and its constant term c
+    divides lc(f) * (that part)(0), as lc(h) divides lc(f) and h(0) divides
+    the part's constant term.  The test runs first, on S: a c that is zero
+    or does not divide rejects S before any product (the test is off while
+    the part's constant term is 0).  When S holds more than half the part's
+    degree, the candidate is its complement's, the side that
+    `_mignotte_exponent` bounds, and the quotient is S's factor.  Subsets
+    run by size, so each found factor is irreducible.
     """
     Z = f.ring
     K = lifted[0].ring
@@ -388,18 +431,22 @@ def _recombine(f: UniPoly, lifted):
                 c = symmetric_lift(lead * math.prod(consts[i] for i in subset), modulus)
                 if not c or bound % c:
                     continue
+            side = subset
+            if 2 * sum(lifted[i].degree for i in subset) > f.degree:
+                side = [i for i in remaining if i not in subset]
             prod = lc
-            for i in subset:
+            for i in side:
                 prod = uni_mul(prod, lifted[i])
             cand = _poly(Z, [symmetric_lift(c, modulus) for c in prod.coeffs])
             _, cand = uni_primitive(cand)
-            if cand.degree >= 1:
-                try:
-                    quotient = uni_exact_div(f, cand)
-                except ArithmeticError:
-                    continue
-                hit = (subset, cand, quotient)
-                break
+            try:
+                quotient = uni_exact_div(f, cand)
+            except ArithmeticError:
+                continue
+            if side is not subset:
+                cand, quotient = quotient, cand
+            hit = (subset, cand, quotient)
+            break
         if hit is None:
             k += 1
             continue

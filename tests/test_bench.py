@@ -1,10 +1,11 @@
+import random
 import signal
 import time
 
 import pytest
 
 from ringkit import rings
-from ringkit.bench import BenchSpec, _irreducible_over, bench_run
+from ringkit.bench import BenchSpec, _irreducible_over, _random_product_z, bench_run
 from ringkit.unipoly import UniRing
 
 
@@ -16,6 +17,28 @@ def test_uni_factor_rows_verified(K):
     assert len(rows) == 2
     assert all(r["verified"] and r["result_kind"] == "nontrivial" for r in rows)
     assert summary[("uni-factor", "nontrivial")]["verified"] == 2
+
+
+def test_uni_factor_product_variant_is_seeded_and_certified():
+    spec = BenchSpec("uni-factor", rings.ZZ, size=4, dist=("uniform", 2, 9),
+                     trials=2, seed=5, variant="product")
+    rows, summary = bench_run(spec)
+    assert [(r["result_kind"], r["verified"]) for r in rows] == [("nontrivial", True)] * 2
+    # the same seed draws the same product, another seed another one
+    f = _random_product_z(random.Random(5), 4, ("uniform", 2, 9))
+    assert f == _random_product_z(random.Random(5), 4, ("uniform", 2, 9))
+    assert f != _random_product_z(random.Random(6), 4, ("uniform", 2, 9))
+    assert 8 <= f.degree <= 32
+    unit, parts = UniRing(rings.ZZ, "x").factor(f)
+    assert sum(m for _, m in parts) == 4
+    assert all(_irreducible_over(rings.ZZ, g) for g, _ in parts)
+    for bad in (
+        BenchSpec("uni-factor", rings.ZZ, variant="cyclic"),
+        BenchSpec("uni-factor", rings.ZZ, variant="products"),
+        BenchSpec("gcd-sparse", rings.ZZ, variant="product"),
+    ):
+        with pytest.raises(ValueError):
+            bad.validate()
 
 
 def test_irreducibility_certificate_over_z_and_q():

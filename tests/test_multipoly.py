@@ -559,6 +559,38 @@ def test_content_primitive(rq):
             assert content_primitive(f, "x") == (R.one, f)
 
 
+@pytest.mark.parametrize(
+    "K", [ZZ, ZpRing(17), QQ, GFRing(17, 2)], ids=["Z", "Zp17", "Q", "GF17^2"]
+)
+def test_monomial_content_divides_without_a_division(K, monkeypatch):
+    # a content c*x^e, c a constant, is a shift of the exponents and a
+    # division of each coefficient by c, never a polynomial division
+    from ringkit import multipoly
+
+    R = MultiRing(K, ("x", "y", "z"))
+    x, y, z = R.gens()
+    rng = random.Random(5)
+    cases = [6 * y * y * z * (x * x * y + 2 * x + 3 * z + 5), 4 * (x * y + 2 * z)]
+    for _ in range(6):
+        g = multi_random(R, rng, terms=5) + x**3 + y
+        m = y ** rng.randrange(3) * z ** rng.randrange(3)
+        cases.append(rng.choice([-10, -1, 2, 3, 12]) * m * g)
+    expected = []
+    for f in cases:
+        cont = content_primitive(f, "x")[0]
+        expected.append((cont, multi_exact_div(f, cont)))
+
+    def no_division(a, b):
+        raise AssertionError("multi_exact_div called")
+
+    monkeypatch.setattr(multipoly, "multi_exact_div", no_division)
+    for f, (cont, prim) in zip(cases, expected):
+        assert cont.is_constant() or len(cont.terms) == 1
+        got = content_primitive(f, "x")
+        assert got == (cont, prim), f
+        assert multi_mul(*got) == f
+
+
 def test_derivative(rq):
     x, y = rq.gens()
     f = x * x * y + 3 * x + y

@@ -462,13 +462,150 @@ def test_constant_term_test_keeps_every_true_factor(factors, monkeypatch):
 
 
 def test_hensel_lift_of_long_factors():
-    # the lift runs mod p^4 with p = 134217757 and its tree products are
-    # longer than PACKED_MUL_THRESHOLD, so the packed Z/p^k product serves it
+    # the lift runs mod p^2 (55 bits) with p = 134217757 and its tree
+    # products are longer than PACKED_MUL_THRESHOLD, so the packed Z/p^k
+    # product serves it
     a = P(ZZ, -2, *[0] * 40, 1)  # x^41 - 2
     b = P(ZZ, -3, 1, *[0] * 35, 1)  # x^37 + x - 3
     unit, parts = factor_over_z(up.uni_mul(a, b))
     assert unit == P(ZZ, 1)
     assert parts == [(b, 1), (a, 1)]
+
+
+def test_hensel_lift_above_one_word(monkeypatch):
+    # coefficients near 10^6 push the half-degree bound past p^2, so the
+    # lift runs mod a power of p above 62 bits, on the wide packed product;
+    # both factors are Eisenstein (at 2 and at 3), so irreducible
+    a = P(ZZ, 2 * 500001, 2 * 10**6, *[0] * 39, 1)
+    b = P(ZZ, 3 * 7, 3 * 10**6, *[0] * 35, 1)
+    widths = []
+    orig = up._packed_int
+
+    def recording(x, y, m):
+        if min(len(x), len(y)) >= up.PACKED_MUL_THRESHOLD:
+            widths.append(m.bit_length())
+        return orig(x, y, m)
+
+    monkeypatch.setattr(up, "_packed_int", recording)
+    unit, parts = factor_over_z(up.uni_mul(a, b))
+    assert unit == P(ZZ, 1)
+    assert parts == [(b, 1), (a, 1)]
+    assert max(widths) > 62
+
+
+def test_mignotte_exponent_bounds_half_the_degree():
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randrange(1, 70)
+        f = up._poly(ZZ, [rng.randrange(-10**6, 10**6) for _ in range(n)] + [rng.randrange(1, 99)])
+        p = next_prime(rng.choice([3, 1 << 20, 1 << 28]))
+        ell = uf._mignotte_exponent(f, p)
+        bound = 2 * (1 << (n // 2)) * (math.isqrt(sum(c * c for c in f.coeffs)) + 1) * f.lc()
+        assert p**ell > bound and (ell == 1 or p ** (ell - 1) <= bound)
+
+
+def _x2_minus(d):
+    return P(ZZ, -d, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [P(ZZ, -2, *[0] * 40, 1), P(ZZ, -3, 1, *[0] * 35, 1)],
+        # x^41 - 2 is found as a subset of more than half the degree
+        [P(ZZ, -2, *[0] * 40, 1), _x2_minus(6)],
+        [P(ZZ, -2, *[0] * 40, 1), _x2_minus(6), _x2_minus(7)],
+    ],
+    ids=["41x37", "41x2", "41x2x2"],
+)
+def test_recombine_divides_by_the_smaller_side(factors, monkeypatch):
+    # the lift only bounds a factor of at most half the degree, so every
+    # trial division over Z is by a candidate of at most half the part
+    divisions = []
+    orig = uf.uni_exact_div
+
+    def recording(a, b):
+        if a.ring == ZZ:
+            divisions.append((a.degree, b.degree))
+        return orig(a, b)
+
+    monkeypatch.setattr(uf, "uni_exact_div", recording)
+    f = P(ZZ, 1)
+    for g in factors:
+        f = up.uni_mul(f, g)
+    unit, parts = factor_over_z(f)
+    assert unit == P(ZZ, 1)
+    assert parts == _factor_list(factors)
+    assert divisions and all(2 * b <= a for a, b in divisions)
+
+
+def test_last_lift_step_lifts_the_factors_as_a_full_step():
+    p = 1000003
+    f = up._poly(ZZ, [1] + list(range(1, 31)))
+    fp = up._poly(ZpRing(p), [c % p for c in f.coeffs])
+    modular = [g for g, _ in factor_finite(fp)[1]]
+    assert len(modular) >= 3
+    K = uf.rings.ZmRing(p**2)
+    fk = up.uni_monic(up._poly(K, [K.of(c) for c in f.coeffs]))
+    full, _ = uf._build_tree(modular)
+    last, _ = uf._build_tree(modular)
+    uf._lift_node(full, fk, False)
+    uf._lift_node(last, fk, True)
+
+    def leaves(node):
+        if node is None:
+            return []
+        return leaves(node.left) + [node.g, node.h] + leaves(node.right)
+
+    assert leaves(last) == leaves(full)
+    prod = P(K, 1)
+    for g in uf._hensel_lift(p, 2, f, modular):
+        prod = up.uni_mul(prod, g)
+    assert prod == fk
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17])
+def test_sqrt_and_quadratic_roots_agree_with_brute_force(p):
+    squares = {x * x % p for x in range(p)}
+    for a in range(p):
+        r = uf._sqrt_mod(a, p)
+        assert (r is not None) == (a in squares)
+        assert r is None or r * r % p == a
+        for b in range(p):
+            roots = [x for x in range(p) if (x * x + b * x + a) % p == 0]
+            assert uf._quadratic_roots(b, a, p) == roots
+
+
+@pytest.mark.parametrize("p", [1000003, 536870923, 998244353, 2**31 - 1])
+def test_sqrt_mod_on_word_primes(p):
+    # p = 3 mod 4 takes one power, p = 1 mod 4 (998244353 = 119 * 2^23 + 1)
+    # the Tonelli-Shanks loop
+    rng = random.Random(p)
+    for _ in range(200):
+        x, y = rng.randrange(p), rng.randrange(p)
+        r = uf._sqrt_mod(x * x, p)
+        assert r in (x, p - x)
+        assert (uf._sqrt_mod(y, p) is None) == (pow(y, (p - 1) // 2, p) == p - 1)
+        b, c = (-x - y) % p, x * y % p  # (t - x)(t - y)
+        assert uf._quadratic_roots(b, c, p) == sorted({x, y})
+
+
+def test_two_root_quadratics_split_without_random_powers(monkeypatch):
+    # the equal-degree split would power a random element to (p - 1) / 2
+    calls = []
+    orig = up.PolyModContext.powmod
+
+    def recording(self, a, e):
+        calls.append(e)
+        return orig(self, a, e)
+
+    monkeypatch.setattr(up.PolyModContext, "powmod", recording)
+    for p in (5, 998244353, 2**31 - 1):
+        K = ZpRing(p)
+        calls.clear()
+        unit, parts = factor_finite(up.uni_mul(P(K, 1, 1), P(K, 3, 1)))
+        assert parts == [(P(K, 1, 1), 1), (P(K, 3, 1), 1)]
+        assert (p - 1) // 2 not in calls
 
 
 def test_random_multiply_back_over_z():
