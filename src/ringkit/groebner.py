@@ -1,11 +1,7 @@
 """Groebner bases over fields: signature-based Buchberger under GREVLEX,
-Buchberger with Gebauer-Moller pruning under LEX and GRLEX.
-
-The engine packs exponent vectors with a `multipoly.Layout` of 15 value
-bits and a guard bit per variable, variable 0 on top, so monomial
-divisibility is two int ops, and carries each monomial's order key as a
-second integer from `Layout.order_weights` (order keys are additive, so
-products need no repacking).
+Buchberger with Gebauer-Moller pruning under LEX and GRLEX.  Both run on
+`multipoly.Reducer`, the packed reducer table whose normal forms also serve
+`multi_divrem`; the fields widen when an exponent outgrows them.
 
 In the signature loop every basis element g carries a signature t*e_i: the
 leading term of a representation g = sum(a_j*f_j) over the input generators
@@ -35,66 +31,20 @@ the linear entries is a Groebner basis by the product criterion, and
 element only by the elements with smaller leads.
 `groebner_basis(..., criteria=False)` runs plain Buchberger over every pair
 of the raw generators and serves the tests as the oracle.
-
-Normal forms run in one of two kernels.  The integer kernel serves Zp and
-rational coefficients: Zp reducers are monic residues, while Q runs
-fraction-free on primitive integer polynomials with content stripping.
-The field kernel serves every other field, such as GF(p^k), through the
-ring's descriptor operations.  `Ideal.reduce` is `multi_divrem` by the
-reduced basis.
+`Ideal.reduce` is `multi_divrem` by the reduced basis.
 """
 
 import heapq
+import itertools
 import math
-from operator import mul
 
-from . import rings
 from .errors import UnsupportedRingError
-from .multipoly import Layout, MultiPoly, MultiRing, monomial_order, multi_divrem
-
-_BITS = 15  # value bits per variable; each field has one guard bit above them
+from .multipoly import MultiPoly, MultiRing, Reducer, multi_divrem, widening
 
 
-class _Engine:
-    """Packed-monomial arithmetic plus the reducer table.
-
-    Entries are lists [lead_packed, lead_okey, tail, sugar, alive, index,
-    lead_coeff, sig_key, sig_index, sig_packed]; tails hold (packed, okey,
-    coeff) triples sorted descending.  A signature t*e_i is stored as i, the
-    packed monomial t and the order key of t*lm(f_i); entries built outside
-    the signature loop carry zeros there.
-    `mode` picks the coefficients: "zp" (residues, monic reducers) and
-    "zz" (fraction-free Q, primitive integer reducers) share the integer
-    normal form `_nf_int`; "gen" (monic reducers over any other field)
-    uses the field normal form `_nf_gen`.
-    """
-
-    def __init__(self, ring):
-        n = len(ring.vars)
-        self.ring = ring
-        self.K = ring.cring
-        # variable 0 sits in the top field so LEX compare is int compare
-        self.lay = Layout([_BITS] * n, range(n - 1, -1, -1))
-        self.shifts = self.lay.shift
-        self.guard = self.lay.guard
-        self.mask = self.lay.mask[0]
-        self.order = ring.order.name
-        self.weights = self.lay.order_weights(ring.order)
-        self.entries = []
-        if not self.K.is_field:
-            raise UnsupportedRingError(
-                "Groebner bases need field coefficients, got %s" % (self.K,)
-            )
-        if self.K.coeff_modulus is not None:
-            self.mode = "zp"
-        elif self.K == rings.QQ:
-            # fraction-free: primitive integer coefficients throughout
-            self.mode = "zz"
-        else:
-            self.mode = "gen"
-
-    def tdeg(self, p):
-        return sum((p >> s) & self.mask for s in self.shifts)
+class _Engine(Reducer):
+    """The reducer table plus the pair loops' packed helpers: lcms,
+    S-polynomials and the monic polynomial of a normal form."""
 
     def lcm(self, pa, pb):
         """Packed lcm of two packed monomials, with its order key."""
@@ -109,22 +59,9 @@ class _Engine:
             key += a * w
         return out, key
 
-    def to_triples(self, f):
-        """MultiPoly -> descending [(packed, okey, coeff)] in engine coeffs."""
-        pack, w = self.lay.pack, self.weights
-        items = [(pack(e), sum(map(mul, e, w)), c) for e, c in f.terms.items()]
-        items.sort(key=lambda t: -t[1])
-        if self.mode == "zz":
-            _, nums = self.K.clear_denominators(c for _, _, c in items)
-            g = math.gcd(*nums)
-            return [(p, o, c // g) for (p, o, _), c in zip(items, nums)]
-        return items
-
     def to_poly(self, triples):
         """Engine triples -> monic MultiPoly."""
         K = self.K
-        if not triples:
-            return self.ring.zero
         lead = triples[0][2]
         if self.mode == "zz":
             keyed = {p: K.make(c, lead) for p, _, c in triples}
@@ -132,162 +69,6 @@ class _Engine:
             inv = K.inv(lead)
             keyed = {p: K.mul(c, inv) for p, _, c in triples}
         return MultiPoly(self.ring, self.lay.unpack_terms(keyed))
-
-    def add_entry(self, triples, sugar, sig=(0, 0, 0)):
-        """Insert a nonzero polynomial as a reducer, monic where possible.
-
-        `sig` is (key, generator index, packed monomial) of its signature.
-        """
-        lead_p, lead_o, lc = triples[0]
-        if self.mode == "zz":
-            tail = list(triples[1:])
-        else:
-            inv = self.K.inv(lc)
-            tail = [(tp, to, self.K.mul(tc, inv)) for tp, to, tc in triples[1:]]
-            lc = self.K.one
-        ent = [lead_p, lead_o, tail, sugar, True, len(self.entries), lc, *sig]
-        self.entries.append(ent)
-        return ent
-
-    # ---------------------------------------------------------- normal forms
-
-    def nf(self, terms, sugar=None, sig=None):
-        """Full normal form against every entry; returns (triples, sugar).
-
-        The heap serves monomials largest-first, so the remainder comes out
-        already sorted descending.  The sugar degree is tracked only when a
-        starting `sugar` is given.  With `sig` = (key, generator index) the
-        reduction is regular: a reducer rewrites a monomial only when its
-        shifted signature is smaller than `sig`.
-        """
-        if self.mode == "gen":
-            return self._nf_gen(terms, sugar, sig)
-        return self._nf_int(terms, sugar, sig)
-
-    def _bump_sugar(self, red, shift_p, sugar):
-        s = red[3] + (self.tdeg(shift_p) if shift_p else 0)
-        return s if s > sugar else sugar
-
-    def _nf_int(self, terms, sugar, sig):
-        """Integer heap reduction, for Zp and for fraction-free Q.
-
-        Work coefficients stay unreduced; over Zp a coefficient is reduced
-        mod p only when its monomial is popped.  Zp reducers are monic, so
-        the fraction-free rescale runs only for a reducer lead other than 1.
-        """
-        sk, si = sig or (None, None)
-        pm = self.K.coeff_modulus
-        work = {}
-        heap = []
-        for p, o, c in terms:
-            if p in work:
-                work[p] += c
-            else:
-                work[p] = c
-                heapq.heappush(heap, (-o, p))
-        entries = self.entries
-        guard = self.guard
-        out = []
-        pop = heapq.heappop
-        push = heapq.heappush
-        while heap:
-            no, pk = pop(heap)
-            c = work.pop(pk, 0)
-            if pm is not None:
-                c %= pm
-            if not c:
-                continue
-            for red in entries:
-                shift_p = pk - red[0]
-                if shift_p >= 0 and not (shift_p & guard):
-                    shift_o = -no - red[1]
-                    if sig is None:
-                        break
-                    k = red[7] + shift_o
-                    if k < sk or (k == sk and red[8] < si):
-                        break
-            else:
-                out.append((pk, -no, c))
-                continue
-            if sugar is not None:
-                sugar = self._bump_sugar(red, shift_p, sugar)
-            b = red[6]
-            if b != 1:
-                # fraction-free step: scale the whole remainder so the
-                # reducer's integer lead cancels the current coefficient
-                g = math.gcd(c, b)
-                mult = b // g
-                if mult != 1:
-                    for k in work:
-                        work[k] *= mult
-                    if out:
-                        out = [(p, o, v * mult) for p, o, v in out]
-                c //= g
-            for tp, to, tc in red[2]:
-                np_ = tp + shift_p
-                v = work.get(np_)
-                if v is None:
-                    work[np_] = -c * tc
-                    push(heap, (-(to + shift_o), np_))
-                else:
-                    nv = v - c * tc
-                    if nv:
-                        work[np_] = nv
-                    else:
-                        del work[np_]
-        if pm is None:
-            cont = math.gcd(*(v for _, _, v in out))
-            if cont > 1:
-                out = [(p, o, v // cont) for p, o, v in out]
-        return out, sugar
-
-    def _nf_gen(self, terms, sugar, sig):
-        sk, si = sig or (None, None)
-        K = self.K
-        work = {}
-        heap = []
-        for p, o, c in terms:
-            if p in work:
-                work[p] = K.add(work[p], c)
-            else:
-                work[p] = c
-                heapq.heappush(heap, (-o, p))
-        guard = self.guard
-        out = []
-        while heap:
-            no, pk = heapq.heappop(heap)
-            c = work.pop(pk, None)
-            if c is None or K.is_zero(c):
-                continue
-            for red in self.entries:
-                shift_p = pk - red[0]
-                if shift_p >= 0 and not (shift_p & guard):
-                    shift_o = -no - red[1]
-                    if sig is None:
-                        break
-                    k = red[7] + shift_o
-                    if k < sk or (k == sk and red[8] < si):
-                        break
-            else:
-                out.append((pk, -no, c))
-                continue
-            if sugar is not None:
-                sugar = self._bump_sugar(red, shift_p, sugar)
-            for tp, to, tc in red[2]:
-                np_ = tp + shift_p
-                v = work.get(np_)
-                if v is None:
-                    nv = K.neg(K.mul(c, tc))
-                    if not K.is_zero(nv):
-                        work[np_] = nv
-                        heapq.heappush(heap, (-(to + shift_o), np_))
-                else:
-                    nv = K.sub(v, K.mul(c, tc))
-                    if K.is_zero(nv):
-                        del work[np_]
-                    else:
-                        work[np_] = nv
-        return out, sugar
 
     def spoly_terms(self, ei, ej, lcm_p, lcm_o):
         """Terms of the S-polynomial of two entries; leads cancel exactly."""
@@ -306,15 +87,6 @@ class _Engine:
         return terms
 
 
-def _shadow_ring(ring, order):
-    if order is None:
-        return ring
-    order = monomial_order(order)
-    if order == ring.order:
-        return ring
-    return MultiRing(ring.cring, ring.vars, order)
-
-
 def _as_engine_input(polys, order):
     if not polys:
         raise ValueError("empty generator list")
@@ -326,10 +98,14 @@ def _as_engine_input(polys, order):
             raise ValueError("generators live in different rings")
         if f.is_zero():
             raise ValueError("zero generator")
-    ring = _shadow_ring(ring, order)
-    eng = _Engine(ring)
+    if not ring.cring.is_field:
+        raise UnsupportedRingError(
+            "Groebner bases need field coefficients, got %s" % (ring.cring,)
+        )
+    if order is not None:
+        ring = MultiRing(ring.cring, ring.vars, order)
     moved = [f if f.ring == ring else MultiPoly(ring, dict(f.terms)) for f in polys]
-    return eng, moved
+    return ring, moved
 
 
 def _gm_new_pairs(eng, cand, ent):
@@ -378,7 +154,11 @@ def groebner_basis(generators, order=None, criteria=True):
     against; the reduced basis is unique, so every path returns the same
     list.
     """
-    eng, gens = _as_engine_input(list(generators), order)
+    ring, gens = _as_engine_input(list(generators), order)
+    return widening(gens, lambda bits: _basis(_Engine(ring, bits), gens, criteria))
+
+
+def _basis(eng, gens, criteria):
     if not criteria:
         _buchberger(eng, [eng.to_triples(f) for f in gens], False)
         return _finalize(eng)
@@ -635,8 +415,6 @@ class Ideal:
             raise ValueError("polynomial does not live in %s" % (self.ring,))
         if f.ring != self.ring:
             f = MultiPoly(self.ring, dict(f.terms))
-        if f.is_zero():
-            return self.ring.zero
         return multi_divrem(f, self.basis)[1]
 
     def contains(self, f):
@@ -652,15 +430,15 @@ class Ideal:
 
 def is_groebner_basis(basis, order=None):
     """Buchberger criterion: every S-polynomial reduces to zero."""
-    polys = list(basis)
-    eng, moved = _as_engine_input(polys, order)
-    for f in moved:
-        eng.add_entry(eng.to_triples(f), 0)
-    m = len(eng.entries)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ei, ej = eng.entries[i], eng.entries[j]
-            triples, _ = eng.nf(eng.spoly_terms(ei, ej, *eng.lcm(ei[0], ej[0])))
-            if triples:
-                return False
-    return True
+    ring, moved = _as_engine_input(list(basis), order)
+
+    def check(bits):
+        eng = _Engine(ring, bits)
+        for f in moved:
+            eng.add_entry(eng.to_triples(f), 0)
+        return not any(
+            eng.nf(eng.spoly_terms(ei, ej, *eng.lcm(ei[0], ej[0])))[0]
+            for ei, ej in itertools.combinations(eng.entries, 2)
+        )
+
+    return widening(moved, check)

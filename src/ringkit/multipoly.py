@@ -4,14 +4,14 @@ Terms live in a dict mapping exponent tuples to nonzero coefficients.
 Monomial orders produce sortable keys (bigger key = bigger monomial), so
 descending term iteration is a sort.  `Layout` is the one packing of
 exponent vectors into integer keys with a guard bit per variable; the
-Hensel lift and the Groebner engine run on its keys, and multiplication
-always packs under a Layout sized by the degree sums.  `Layout.order_weights`
-is the one copy of the additive int order keys that go with them.  Exact
-division over Z and Zp (`multi_exact_div`, `multi_divides`) is the heap
-division of Monagan and Pearce on those keys, which stops at the first
-leading term that shows the division inexact.  Every other ring, and every
-call with several divisors, runs the standard multi-divisor reduction
-`multi_divrem`, driven by a lazy max-heap on exponent tuples.
+Hensel lift and `Reducer` run on its keys, and multiplication always packs
+under a Layout sized by the degree sums.  `Layout.order_weights` is the one
+copy of the additive int order keys that go with them.  Exact division over
+Z and Zp (`multi_exact_div`, `multi_divides`) is the heap division of
+Monagan and Pearce on those keys, which stops at the first leading term
+that shows the division inexact.  Every other division runs on `Reducer`,
+the packed reducer table of the Groebner bases: `multi_divrem` is its
+normal form with the quotients recorded.
 
 This module owns evaluation: `term_values` substitutes a point into every
 term (power tables per exponent column over residue rings, a power cache
@@ -23,6 +23,7 @@ in one variable and a UniPoly live here too, as do the one content
 
 import heapq
 import itertools
+import math
 import operator
 
 from . import rings
@@ -458,85 +459,286 @@ def multi_pow(a: MultiPoly, e: int) -> MultiPoly:
     return rings.power(multi_mul, a.ring.one, a, e)
 
 
-def _neg_key(key):
-    return tuple(-x for x in key)
+# ----------------------------------------------------------- normal forms
+
+
+class Reducer:
+    """Packed reducer table and the normal forms against it.
+
+    Exponents pack under a `Layout` of `bits` value bits per variable,
+    variable 0 on top, so divisibility is two int ops; each monomial carries
+    its `Layout.order_weights` key as a second int.  Entries are lists
+    [lead_packed, lead_okey, tail, sugar, alive, index, lead_coeff, sig_key,
+    sig_index, sig_packed], tails (packed, okey, coeff) triples sorted
+    descending.  `mode` picks the kernel: "zp" (residue fields, monic
+    entries) and "zz" (fraction-free Q, primitive integer entries) share
+    `_nf_int`; "gen" runs `_nf_gen` on descriptor ops for every other
+    ring, monic over a field and keeping the lead coefficient elsewhere.
+    """
+
+    def __init__(self, ring, bits=15):
+        n = len(ring.vars)
+        self.ring = ring
+        self.K = K = ring.cring
+        # variable 0 sits in the top field so LEX compare is int compare
+        self.lay = Layout([bits] * n, range(n - 1, -1, -1))
+        self.shifts = self.lay.shift
+        self.guard = self.lay.guard
+        self.mask = self.lay.mask[0]
+        self.order = ring.order.name
+        self.weights = self.lay.order_weights(ring.order)
+        self.entries = []
+        if K.coeff_modulus is not None and K.is_field:
+            self.mode = "zp"
+        elif K == rings.QQ:
+            self.mode = "zz"
+        else:
+            self.mode = "gen"
+
+    def tdeg(self, p):
+        return sum((p >> s) & self.mask for s in self.shifts)
+
+    def to_triples(self, f):
+        """MultiPoly -> descending [(packed, okey, coeff)]; primitive ints over Q."""
+        w = self.weights
+        keyed = self.lay.pack_terms(f.terms)
+        items = [(p, sum(map(operator.mul, e, w)), c)
+                 for (p, c), e in zip(keyed.items(), f.terms)]
+        items.sort(key=lambda t: -t[1])
+        if self.mode == "zz":
+            _, nums = self.K.clear_denominators(c for _, _, c in items)
+            g = math.gcd(*nums)
+            return [(p, o, c // g) for (p, o, _), c in zip(items, nums)]
+        return items
+
+    def add_entry(self, triples, sugar, sig=(0, 0, 0)):
+        """Insert a nonzero polynomial as a reducer, monic over fields but Q;
+        `sig` is (key, generator index, packed monomial) of its signature."""
+        lead_p, lead_o, lc = triples[0]
+        K = self.K
+        if self.mode == "zz" or not K.is_field:
+            tail = list(triples[1:])
+        else:
+            inv = K.inv(lc)
+            tail = [(tp, to, K.mul(tc, inv)) for tp, to, tc in triples[1:]]
+            lc = K.one
+        ent = [lead_p, lead_o, tail, sugar, True, len(self.entries), lc, *sig]
+        self.entries.append(ent)
+        return ent
+
+    def nf(self, terms, sugar=None, sig=None, quots=None):
+        """Full normal form against every entry; returns (triples, sugar).
+
+        Terms pop largest first, so the remainder comes out sorted
+        descending, and each is rewritten by the first entry whose lead
+        divides it.  Sugar is tracked only from a starting `sugar`.  With
+        `sig` = (key, generator index) a reducer rewrites a monomial only
+        when its shifted signature is smaller.  A sink `quots` gets {entry
+        index: {packed shift: coefficient}} and an exact remainder, terms -
+        sum(quotient * entry); without one a Q remainder is primitive.  A
+        term past the layout raises OverflowError.
+        """
+        if self.mode == "gen":
+            return self._nf_gen(terms, sugar, sig, quots)
+        return self._nf_int(terms, sugar, sig, quots)
+
+    def _bump_sugar(self, red, shift_p, sugar):
+        s = red[3] + (self.tdeg(shift_p) if shift_p else 0)
+        return s if s > sugar else sugar
+
+    def _nf_int(self, terms, sugar, sig, quots):
+        """Integer heap reduction, for Zp and for fraction-free Q.
+
+        Work coefficients stay unreduced; over Zp a coefficient is reduced
+        mod p only when its monomial is popped.  Zp reducers are monic, so
+        the fraction-free rescale runs only for a reducer lead other than 1;
+        `den` is the product of its multipliers.
+        """
+        sk, si = sig or (None, None)
+        pm = self.K.coeff_modulus
+        work = {}
+        heap = []
+        for p, o, c in terms:
+            if p in work:
+                work[p] += c
+            else:
+                work[p] = c
+                heapq.heappush(heap, (-o, p))
+        entries = self.entries
+        guard = self.guard
+        out = []
+        den = 1
+        pop = heapq.heappop
+        push = heapq.heappush
+        while heap:
+            no, pk = pop(heap)
+            c = work.pop(pk, 0)
+            if pm is not None:
+                c %= pm
+            if not c:
+                continue
+            if pk & guard:
+                self.lay.check(pk)
+            for red in entries:
+                shift_p = pk - red[0]
+                if shift_p >= 0 and not (shift_p & guard):
+                    shift_o = -no - red[1]
+                    if sig is None:
+                        break
+                    k = red[7] + shift_o
+                    if k < sk or (k == sk and red[8] < si):
+                        break
+            else:
+                out.append((pk, -no, c))
+                continue
+            if sugar is not None:
+                sugar = self._bump_sugar(red, shift_p, sugar)
+            b = red[6]
+            if b != 1:
+                # fraction-free step: scale the whole remainder so the
+                # reducer's integer lead cancels the current coefficient
+                g = math.gcd(c, b)
+                mult = b // g
+                if mult != 1:
+                    den *= mult
+                    for k in work:
+                        work[k] *= mult
+                    if out:
+                        out = [(p, o, v * mult) for p, o, v in out]
+                c //= g
+            if quots is not None:
+                q = c if pm else self.K.make(c, den)
+                quots.setdefault(red[5], {})[shift_p] = q
+            for tp, to, tc in red[2]:
+                np_ = tp + shift_p
+                v = work.get(np_)
+                if v is None:
+                    work[np_] = -c * tc
+                    push(heap, (-(to + shift_o), np_))
+                else:
+                    nv = v - c * tc
+                    if nv:
+                        work[np_] = nv
+                    else:
+                        del work[np_]
+        if pm is None:
+            if quots is not None:
+                return [(p, o, self.K.make(v, den)) for p, o, v in out], sugar
+            cont = math.gcd(*(v for _, _, v in out))
+            if cont > 1:
+                out = [(p, o, v // cont) for p, o, v in out]
+        return out, sugar
+
+    def _nf_gen(self, terms, sugar, sig, quots):
+        """Descriptor-op heap reduction; over a non-field an entry rewrites
+        a term only when its lead coefficient divides the term's."""
+        sk, si = sig or (None, None)
+        K = self.K
+        exact = not K.is_field
+        work = {}
+        heap = []
+        for p, o, c in terms:
+            if p in work:
+                work[p] = K.add(work[p], c)
+            else:
+                work[p] = c
+                heapq.heappush(heap, (-o, p))
+        guard = self.guard
+        out = []
+        while heap:
+            no, pk = heapq.heappop(heap)
+            c = work.pop(pk, None)
+            if c is None or K.is_zero(c):
+                continue
+            if pk & guard:
+                self.lay.check(pk)
+            for red in self.entries:
+                shift_p = pk - red[0]
+                if shift_p >= 0 and not (shift_p & guard):
+                    shift_o = -no - red[1]
+                    if exact:
+                        try:
+                            c = K.exact_div(c, red[6])
+                        except (ArithmeticError, UnsupportedRingError):
+                            continue
+                        break
+                    if sig is None:
+                        break
+                    k = red[7] + shift_o
+                    if k < sk or (k == sk and red[8] < si):
+                        break
+            else:
+                out.append((pk, -no, c))
+                continue
+            if sugar is not None:
+                sugar = self._bump_sugar(red, shift_p, sugar)
+            if quots is not None:
+                quots.setdefault(red[5], {})[shift_p] = c
+            for tp, to, tc in red[2]:
+                np_ = tp + shift_p
+                v = work.get(np_)
+                if v is None:
+                    nv = K.neg(K.mul(c, tc))
+                    if not K.is_zero(nv):
+                        work[np_] = nv
+                        heapq.heappush(heap, (-(to + shift_o), np_))
+                else:
+                    nv = K.sub(v, K.mul(c, tc))
+                    if K.is_zero(nv):
+                        del work[np_]
+                    else:
+                        work[np_] = nv
+        return out, sugar
+
+
+def widening(polys, run):
+    """run(bits) for the packed width of `polys`: 15 bits per exponent, or
+    the bit length of their largest exponent, doubled on each OverflowError."""
+    bits = max(15, max(max(f.degrees()) for f in polys).bit_length())
+    while True:
+        try:
+            return run(bits)
+        except OverflowError:
+            bits *= 2
 
 
 def multi_divrem(f: MultiPoly, dividers):
-    """(quotients, remainder) with f = sum(q_i*d_i) + r.
+    """(quotients, remainder) with f = sum(q_i*d_i) + r, on `Reducer.nf`.
 
-    Divisor selection is first-match in the given order.  A term is
-    reducible when the leading monomial divides it and the coefficient
-    quotient exists (always, over a field).  No remainder term is
-    reducible by any divider's leading term.
+    Each term, largest first, is rewritten by the first divider in the
+    given order whose leading monomial divides it and, over a non-field,
+    whose leading coefficient divides its coefficient; no remainder term
+    is reducible so.  The Layout widens until every exponent fits.
     """
     ring = f.ring
-    K = ring.cring
     if not dividers:
         raise ValueError("need at least one divider")
-    leads = []
     for d in dividers:
         if d.ring != ring:
             raise ValueError("polynomial rings differ")
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        leads.append((d.leading_exponent(), d.lc(), d))
-    okey = ring.order.key
-    work = dict(f.terms)
-    heap = [_neg_key(okey(e)) for e in work]
-    heapq.heapify(heap)
-    keyed = {okey(e): e for e in work}  # order key -> exponent tuple
-    qs = [{} for _ in dividers]
-    rem = {}
-    is_field = K.is_field
-    while heap:
-        nk = heapq.heappop(heap)
-        k = _neg_key(nk)
-        e = keyed.get(k)
-        if e is None or e not in work:
-            continue
-        c = work.pop(e)
-        if K.is_zero(c):
-            continue
-        hit = None
-        for i, (le, lcoef, d) in enumerate(leads):
-            if all(x >= y for x, y in zip(e, le)):
-                if is_field:
-                    q = K.div(c, lcoef)
-                else:
-                    try:
-                        q = K.exact_div(c, lcoef)
-                    except (ArithmeticError, UnsupportedRingError):
-                        continue
-                hit = (i, q, le, d)
-                break
-        if hit is None:
-            rem[e] = c
-            continue
-        i, q, le, d = hit
-        delta = tuple(x - y for x, y in zip(e, le))
-        qd = qs[i]
-        if delta in qd:
-            qd[delta] = K.add(qd[delta], q)
-        else:
-            qd[delta] = q
-        for u, cu in d.terms.items():
-            if u == le:
-                continue
-            v = tuple(x + y for x, y in zip(delta, u))
-            piece = K.mul(q, cu)
-            if v in work:
-                s = K.sub(work[v], piece)
-                if K.is_zero(s):
-                    del work[v]
-                else:
-                    work[v] = s
-            else:
-                work[v] = K.neg(piece)
-                kv = okey(v)
-                keyed[kv] = v
-                heapq.heappush(heap, _neg_key(kv))
-    return [MultiPoly(ring, q) for q in qs], MultiPoly(ring, rem)
+    if f.is_zero():
+        return [ring.zero for _ in dividers], ring.zero
+    return widening([f, *dividers], lambda b: _divrem(Reducer(ring, b), f, dividers))
+
+
+def _divrem(eng, f, dividers):
+    K = eng.K
+    for d in dividers:
+        eng.add_entry(eng.to_triples(d), 0)
+    terms = eng.to_triples(f)
+    sink = {}
+    rem, _ = eng.nf(terms, quots=sink)
+    # over a field terms = f*lc(terms)/lc(f), entry i = d_i*lc(entry)/lc(d_i)
+    s = K.div(f.lc(), K.of(terms[0][2])) if K.is_field else K.one
+    qs = []
+    for d, e in zip(dividers, eng.entries):
+        u = K.div(K.mul(s, K.of(e[6])), d.lc()) if K.is_field else K.one
+        q = {p: K.mul(c, u) for p, c in sink.get(e[5], {}).items()}
+        qs.append(MultiPoly(f.ring, eng.lay.unpack_terms(q)))
+    r = {p: K.mul(c, s) for p, _, c in rem}
+    return qs, MultiPoly(f.ring, eng.lay.unpack_terms(r))
 
 
 def _quotient(a: MultiPoly, b: MultiPoly):

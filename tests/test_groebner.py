@@ -210,7 +210,8 @@ def test_signature_loop_keeps_singular_results():
     ]
     plain = groebner_basis(gens, criteria=False)
     assert groebner_basis(gens) == plain
-    eng, moved = groebner._as_engine_input(gens, None)
+    ring, moved = groebner._as_engine_input(gens, None)
+    eng = groebner._Engine(ring)
     assert groebner._signature_basis(eng, [eng.to_triples(f) for f in moved])
     assert groebner._finalize(eng) == plain
     q = rings.QQ.make
@@ -352,7 +353,8 @@ def _elim_cases(R):
 def test_linear_split_cases_agree_with_plain_buchberger(K, order):
     R = MultiRing(K, ("x", "y", "z", "w"), order)
     for name, gens, sizes in _elim_cases(R):
-        eng, moved = groebner._as_engine_input(gens, None)
+        ring, moved = groebner._as_engine_input(gens, None)
+        eng = groebner._Engine(ring)
         split = groebner._split_linear(eng, moved)
         if sizes is None:
             assert split is None, name
@@ -450,6 +452,29 @@ def test_signature_past_packed_budget_raises():
         lay.pack((36000, 6))
 
 
+@pytest.mark.parametrize("order", ["LEX", "GREVLEX"])
+@pytest.mark.parametrize("K", [rings.ZpRing(1000003), rings.QQ], ids=str)
+def test_exponents_past_the_packed_fields_widen_them(K, order):
+    # y^40000 sets y's guard bit in 15-bit fields; a divisibility test on
+    # that key once let it divide x, and LEX lost x - y^20000
+    R = MultiRing(K, ("x", "y"), order)
+    x, y = R.gens()
+    t = y**20000
+    gb = groebner_basis([x**2 - R.one, x - t])
+    if order == "LEX":
+        assert gb == [t**2 - R.one, x - t]
+    else:
+        assert gb == [x**2 - R.one, t - x]
+    assert gb == groebner_basis([x**2 - R.one, x - t], criteria=False)
+    assert is_groebner_basis(gb)
+    assert groebner_basis([x**40000 - R.one, y - R.one]) == [y - R.one, x**40000 - R.one]
+    assert Ideal([x - R.one, y**2 - R.one]).reduce(x**40000) == R.one
+    eng = groebner._Engine(R)
+    eng.add_entry(eng.to_triples(x**20000 - t), 0)
+    with pytest.raises(OverflowError, match="packed budget"):
+        eng.nf(eng.to_triples(x**20000 * t))
+
+
 def test_order_names_resolve_in_any_case_and_unknown_ones_raise():
     K = rings.ZpRing(101)
     for name in ("lex", "Grlex", "grevlex"):
@@ -482,14 +507,17 @@ def test_normal_form_survives_generator_shuffle():
         assert ideal.reduce(f) == other.reduce(f)
 
 
-def test_reduce_agrees_with_multivariate_division():
+def test_reduce_agrees_with_multivariate_division(certify_divrem):
+    # the remainder is certified without the division code: f rebuilt from
+    # the quotients by naive products, no remainder term divisible by a lead
     rng = random.Random(11)
     for trial in range(10):
         K = rings.ZpRing(101) if trial % 2 else rings.QQ
         R, gens = _rand_system(K, rng)
         ideal = Ideal(gens)
         f = _rand_poly(R, rng, max_deg=5, n_terms=6)
-        _, rem = multi_divrem(f, ideal.basis)
+        qs, rem = multi_divrem(f, ideal.basis)
+        certify_divrem(f, ideal.basis, qs, rem)
         assert ideal.reduce(f) == rem
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import random
 
@@ -215,25 +216,102 @@ def test_divrem_golden(rq):
     assert r == 2 * y * y
 
 
-def test_divrem_identity_and_remainder_normal_form():
-    ring = MultiRing(ZpRing(101), ("x", "y", "z"))
-    rng = random.Random(11)
-    for _ in range(40):
-        f = multi_random(ring, rng, terms=8, max_exp=4)
-        gs = [multi_random(ring, rng, terms=3, max_exp=3) for _ in range(2)]
-        gs = [g for g in gs if not g.is_zero()]
-        if not gs:
+DIVREM_RINGS = {
+    "Z": ZZ,
+    "Zp101": ZpRing(101),
+    "Zp2": ZpRing(2),
+    "Q": QQ,
+    "GF17^2": GFRing(17, 2),
+}
+
+
+def _small_poly(ring, rng, terms, max_exp):
+    K = ring.cring
+    out = {}
+    for _ in range(terms):
+        e = tuple(rng.randint(0, max_exp) for _ in ring.vars)
+        c = K.random_element(rng, bound=3)
+        if not K.is_zero(c):
+            out[e] = c
+    return MultiPoly(ring, out)
+
+
+def _divrem_cases(K, order):
+    """20 seeded (f, dividers) pairs with 1-3 dividers each."""
+    ring = MultiRing(K, ("x", "y", "z"), order)
+    rng = random.Random("%s-%s" % (K.spec_string(), order))
+    cases = []
+    while len(cases) < 20:
+        ds = [_small_poly(ring, rng, 3, 2) for _ in range(rng.randint(1, 3))]
+        if any(d.is_zero() for d in ds):
             continue
-        qs, r = multi_divrem(f, gs)
-        back = r
-        for q, g in zip(qs, gs):
-            back = back + multi_mul(q, g)
-        assert back == f
-        # no remainder term is reducible by any divisor lead
-        for e in r.terms:
-            for g in gs:
-                le = g.leading_exponent()
-                assert any(x < y for x, y in zip(e, le))
+        f = _small_poly(ring, rng, 8, 4) + multi_mul(ds[0], _small_poly(ring, rng, 3, 2))
+        cases.append((f, ds))
+    return cases
+
+
+def _coeff_key(c):
+    if hasattr(c, "coeffs"):
+        return tuple(c.coeffs)
+    if hasattr(c, "num"):
+        return (c.num, c.den)
+    return c
+
+
+def _poly_key(f):
+    return sorted((e, _coeff_key(c)) for e, c in f.terms.items())
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=str)
+@pytest.mark.parametrize("K", list(DIVREM_RINGS.values()), ids=list(DIVREM_RINGS))
+def test_divrem_identity_and_remainder_normal_form(K, order, certify_divrem):
+    for f, ds in _divrem_cases(K, order):
+        qs, r = multi_divrem(f, ds)
+        certify_divrem(f, ds, qs, r)
+
+
+# sha256 (first 16 hex digits) of the quotients and remainders of the 20
+# cases of `_divrem_cases`, as the exponent-tuple division loop computed them
+DIVREM_DIGESTS = {
+    ("Z", "LEX"): "523de4c450ce24a6",
+    ("Z", "GRLEX"): "2d46ad4cec085907",
+    ("Z", "GREVLEX"): "496f09a3d4d9beef",
+    ("Zp101", "LEX"): "4bf37afbf1b4685a",
+    ("Zp101", "GRLEX"): "ac763bd20b2ba079",
+    ("Zp101", "GREVLEX"): "82d54adbbb79c33e",
+    ("Zp2", "LEX"): "63254df4df87af41",
+    ("Zp2", "GRLEX"): "5aa4ee44d6aff948",
+    ("Zp2", "GREVLEX"): "bca8df1e80a36b3a",
+    ("Q", "LEX"): "89c962efd58faf52",
+    ("Q", "GRLEX"): "831ab20f48692b9d",
+    ("Q", "GREVLEX"): "a3d09e0c36bbbf18",
+    ("GF17^2", "LEX"): "27d468e855f4aca5",
+    ("GF17^2", "GRLEX"): "d3a4f40683727422",
+    ("GF17^2", "GREVLEX"): "643c708232e3e0db",
+}
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=str)
+@pytest.mark.parametrize("name", list(DIVREM_RINGS))
+def test_divrem_answers_keep_their_digest(name, order):
+    out = []
+    for f, ds in _divrem_cases(DIVREM_RINGS[name], order):
+        qs, r = multi_divrem(f, ds)
+        out.append(([_poly_key(q) for q in qs], _poly_key(r)))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+    assert digest == DIVREM_DIGESTS[name, order.name]
+
+
+def test_divrem_first_match_and_wide_exponents():
+    R = MultiRing(ZZ, ("x",))
+    x = R.var("x")
+    assert multi_divrem(3 * x + 2, [2 * x, x]) == ([R.zero, R.of(3)], R.of(2))
+    assert multi_divrem(3 * x + 2, [2 * x]) == ([R.zero], 3 * x + 2)
+    for K in (ZpRing(1000003), QQ):
+        S = MultiRing(K, ("x", "y"), LEX)
+        x, y = S.gens()
+        t = y**20000
+        assert multi_divrem(x**3, [x - t]) == ([x**2 + x * t + t**2], t**3)
 
 
 def test_divrem_zero_divisor():
