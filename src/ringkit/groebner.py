@@ -1,7 +1,8 @@
 """Groebner bases over fields: signature-based Buchberger under GREVLEX,
 Buchberger with Gebauer-Moller pruning under LEX and GRLEX.  Both run on
 `multipoly.Reducer`, the packed reducer table whose normal forms also serve
-`multi_divrem`; the fields widen when an exponent outgrows them.
+`multi_divrem` and exact division; the fields widen when an exponent
+outgrows them.
 
 In the signature loop every basis element g carries a signature t*e_i: the
 leading term of a representation g = sum(a_j*f_j) over the input generators
@@ -59,31 +60,34 @@ class _Engine(Reducer):
             key += a * w
         return out, key
 
-    def to_poly(self, triples):
-        """Engine triples -> monic MultiPoly."""
+    def to_poly(self, terms):
+        """Engine terms, lead first -> monic MultiPoly."""
         K = self.K
-        lead = triples[0][2]
+        lead = terms[0][1]
         if self.mode == "zz":
-            keyed = {p: K.make(c, lead) for p, _, c in triples}
+            keyed = {self.packed(k): K.make(c, lead) for k, c in terms}
         else:
             inv = K.inv(lead)
-            keyed = {p: K.mul(c, inv) for p, _, c in triples}
+            keyed = {self.packed(k): K.mul(c, inv) for k, c in terms}
         return MultiPoly(self.ring, self.lay.unpack_terms(keyed))
 
-    def spoly_terms(self, ei, ej, lcm_p, lcm_o):
-        """Terms of the S-polynomial of two entries; leads cancel exactly."""
-        si_p, si_o = lcm_p - ei[0], lcm_o - ei[1]
-        sj_p, sj_o = lcm_p - ej[0], lcm_o - ej[1]
+    def spoly_terms(self, ei, ej, lcm_o):
+        """Terms of the S-polynomial of two entries, given the order key of
+        their leads' lcm, as a dict; the leads cancel exactly."""
+        si, sj = lcm_o - ei[1], lcm_o - ej[1]
         if self.mode == "gen":
             K = self.K
-            terms = [(tp + si_p, to + si_o, tc) for tp, to, tc in ei[2]]
-            terms += [(tp + sj_p, to + sj_o, K.neg(tc)) for tp, to, tc in ej[2]]
+            terms = {tk + si: tc for tk, tc in ei[2]}
+            for tk, tc in ej[2]:
+                k = tk + sj
+                terms[k] = K.sub(terms[k], tc) if k in terms else K.neg(tc)
             return terms
-        bi, bj = ei[6], ej[6]
-        g = math.gcd(bi, bj)
-        ci, cj = bj // g, bi // g
-        terms = [(tp + si_p, to + si_o, tc * ci) for tp, to, tc in ei[2]]
-        terms += [(tp + sj_p, to + sj_o, -tc * cj) for tp, to, tc in ej[2]]
+        g = math.gcd(ei[6], ej[6])
+        ci, cj = ej[6] // g, ei[6] // g
+        terms = {tk + si: tc * ci for tk, tc in ei[2]}
+        for tk, tc in ej[2]:
+            k = tk + sj
+            terms[k] = terms.get(k, 0) - tc * cj
         return terms
 
 
@@ -160,7 +164,7 @@ def groebner_basis(generators, order=None, criteria=True):
 
 def _basis(eng, gens, criteria):
     if not criteria:
-        _buchberger(eng, [eng.to_triples(f) for f in gens], False)
+        _buchberger(eng, [eng.to_terms(f) for f in gens], False)
         return _finalize(eng)
     split = _split_linear(eng, gens)
     if split is None:
@@ -176,7 +180,7 @@ def _basis(eng, gens, criteria):
 
 
 def _split_linear(eng, gens):
-    """(linear entries, substituted triples), or None for the unit ideal.
+    """(linear entries, substituted terms), or None for the unit ideal.
 
     The generators of total degree <= 1 come first and are echelonized into
     entries whose leads are distinct variables (every admissible order
@@ -187,21 +191,21 @@ def _split_linear(eng, gens):
     eng.entries = []
     starts = []
     for f in sorted(gens, key=lambda f: f.degree() > 1):
-        triples, _ = eng.nf(eng.to_triples(f))
-        if not triples:
+        terms, _ = eng.nf(eng.to_terms(f))
+        if not terms:
             continue
-        if not triples[0][0]:
+        if not terms[0][0]:
             return None
         if f.degree() > 1:
-            starts.append(triples)
+            starts.append(terms)
         else:
-            eng.add_entry(triples, 0)
+            eng.add_entry(terms, 0)
     linear, eng.entries = eng.entries, []
     return linear, starts
 
 
 def _buchberger(eng, starts, criteria):
-    """Buchberger's loop over generators given as engine triples, with
+    """Buchberger's loop over generators given as engine terms, with
     Gebauer-Moller pruning when `criteria`.
 
     Selection is normal (smallest lcm) for graded orders and sugar-degree
@@ -251,14 +255,14 @@ def _buchberger(eng, starts, criteria):
                     e[4] = False
 
     for t in starts:
-        triples, sug = eng.nf(t, 0)
-        if not triples:
+        terms, sug = eng.nf(t, 0)
+        if not terms:
             continue
-        for p, _, _ in triples:
-            td = eng.tdeg(p)
+        for k, _ in terms:
+            td = eng.tdeg(eng.packed(k))
             if td > sug:
                 sug = td
-        update(eng.add_entry(triples, sug))
+        update(eng.add_entry(terms, sug))
 
     while pairheap:
         _, key, L, lo = heapq.heappop(pairheap)
@@ -266,14 +270,14 @@ def _buchberger(eng, starts, criteria):
             continue
         i, j = key
         ei, ej = eng.entries[i], eng.entries[j]
-        triples, sug = eng.nf(eng.spoly_terms(ei, ej, L, lo), pair_sugar(ei, ej, L))
-        if triples:
-            update(eng.add_entry(triples, sug))
+        terms, sug = eng.nf(eng.spoly_terms(ei, ej, lo), pair_sugar(ei, ej, L))
+        if terms:
+            update(eng.add_entry(terms, sug))
 
 
 def _signature_basis(eng, starts):
     """Fill `eng.entries` with a signature Groebner basis of the generators
-    given as engine triples in `starts`.
+    given as engine terms in `starts`.
 
     Returns False, with the entries incomplete, as soon as an element with
     a constant lead shows the ideal to be the whole ring.
@@ -283,8 +287,8 @@ def _signature_basis(eng, starts):
     check = eng.lay.check
     syz = {}  # generator index -> minimal syzygy signature monomials
     owned = {}  # generator index -> entries with that signature index
-    # signature 1*e_i; -1 marks a generator
-    heap = [(t[0][1], i, 0, -1, 0, 0) for i, t in enumerate(starts)]
+    # signature 1*e_i, keyed by the lead of generator i; -1 marks a generator
+    heap = [(max(dict(t)), i, 0, -1, 0) for i, t in enumerate(starts)]
     heapq.heapify(heap)
 
     def divisible(mons, p):
@@ -306,7 +310,7 @@ def _signature_basis(eng, starts):
 
     last = None
     while heap:
-        key, i, sig_p, a, u_p, u_o = heapq.heappop(heap)
+        key, i, sig_p, a, u = heapq.heappop(heap)
         if (key, i) == last or divisible(syz.get(i, ()), sig_p):
             continue
         if a < 0:
@@ -321,18 +325,18 @@ def _signature_basis(eng, starts):
             g = entries[a]
             if r is not g:
                 continue
-            terms = [(g[0] + u_p, g[1] + u_o, g[6])]
-            terms += [(tp + u_p, to + u_o, tc) for tp, to, tc in g[2]]
+            terms = [(g[1] + u, g[6])]
+            terms += [(tk + u, tc) for tk, tc in g[2]]
         last = (key, i)
-        triples, _ = eng.nf(terms, None, last)
-        if not triples:
+        terms, _ = eng.nf(terms, None, last)
+        if not terms:
             add_syzygy(i, sig_p)
             continue
-        if not triples[0][0]:
+        if not terms[0][0]:
             return False
         # results that are only singularly top-reducible stay: the rewrite
         # criterion counts on the newest element of each signature
-        h = eng.add_entry(triples, None, (key, i, sig_p))
+        h = eng.add_entry(terms, None, (key, i, sig_p))
         owned.setdefault(i, []).append(h)
         hp, ho, hk, hi, hs = h[0], h[1], h[7], h[8], h[9]
         for g in entries[:-1]:
@@ -351,9 +355,9 @@ def _signature_basis(eng, starts):
             uh, ug = lo - ho, lo - go
             kh, kg = hk + uh, gk + ug
             if kh > kg or (kh == kg and hi > gi):
-                item = (kh, hi, check(hs + L - hp), h[5], L - hp, uh)
+                item = (kh, hi, check(hs + L - hp), h[5], uh)
             elif kh < kg or hi != gi:
-                item = (kg, gi, check(gs + L - gp), g[5], L - gp, ug)
+                item = (kg, gi, check(gs + L - gp), g[5], ug)
             else:
                 continue
             heapq.heappush(heap, item)
@@ -382,9 +386,9 @@ def _finalize(eng):
     eng.entries = []
     out = []
     for e in minimal:
-        triples, _ = eng.nf([(e[0], e[1], e[6])] + e[2])
-        eng.add_entry(triples, 0)
-        out.append(eng.to_poly(triples))
+        terms, _ = eng.nf([(e[1], e[6])] + e[2])
+        eng.add_entry(terms, 0)
+        out.append(eng.to_poly(terms))
     return out
 
 
@@ -435,9 +439,9 @@ def is_groebner_basis(basis, order=None):
     def check(bits):
         eng = _Engine(ring, bits)
         for f in moved:
-            eng.add_entry(eng.to_triples(f), 0)
+            eng.add_entry(eng.to_terms(f), 0)
         return not any(
-            eng.nf(eng.spoly_terms(ei, ej, *eng.lcm(ei[0], ej[0])))[0]
+            eng.nf(eng.spoly_terms(ei, ej, eng.lcm(ei[0], ej[0])[1]))[0]
             for ei, ej in itertools.combinations(eng.entries, 2)
         )
 

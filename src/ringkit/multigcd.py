@@ -31,8 +31,8 @@ coefficients clear denominators first.
 
 Every candidate is certified by trial division before it is returned,
 so unlucky evaluation points can cost retries but never correctness.
-Over Zp and Z the trial divisions run `multi_divides` on packed keys and
-stop at the first term that shows the candidate does not divide.
+The trial divisions run `multi_divides`, which stops at the first term
+that shows the candidate does not divide.
 """
 
 import bisect

@@ -6,12 +6,12 @@ descending term iteration is a sort.  `Layout` is the one packing of
 exponent vectors into integer keys with a guard bit per variable; the
 Hensel lift and `Reducer` run on its keys, and multiplication always packs
 under a Layout sized by the degree sums.  `Layout.order_weights` is the one
-copy of the additive int order keys that go with them.  Exact division over
-Z and Zp (`multi_exact_div`, `multi_divides`) is the heap division of
-Monagan and Pearce on those keys, which stops at the first leading term
-that shows the division inexact.  Every other division runs on `Reducer`,
-the packed reducer table of the Groebner bases: `multi_divrem` is its
-normal form with the quotients recorded.
+copy of the additive int order keys that go with them.  Every division
+runs on `Reducer`, the reducer table of the Groebner bases: `multi_divrem`
+is its normal form with the quotients recorded, and exact division
+(`multi_exact_div`, `multi_divides`) is that normal form with a room, which
+stops at the first term that shows the division inexact, as the heap
+division of Monagan and Pearce does.
 
 This module owns evaluation: `term_values` substitutes a point into every
 term (power tables per exponent column over residue rings, a power cache
@@ -21,6 +21,7 @@ in one variable and a UniPoly live here too, as do the one content
 (`content_primitive`) and the one change of coefficient ring.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -304,13 +305,9 @@ class Layout:
             sh += w
         self._steps = steps
 
-    def pack(self, e):
-        """The key of one exponent tuple; OverflowError past the budget."""
-        (key,) = self.pack_terms({e: None})
-        return key
-
     def pack_terms(self, terms):
-        """{key: coefficient} for a dict {exponent tuple: coefficient}."""
+        """{key: coefficient} for a dict {exponent tuple: coefficient};
+        OverflowError for an exponent past its field."""
         fields = list(zip(self.shift, self.bits))
         out = {}
         for e, c in terms.items():
@@ -339,7 +336,7 @@ class Layout:
         return tuple((key >> sh) & mk for sh, mk in zip(self.shift, self.mask))
 
     def check(self, key):
-        """Return key, raising as `pack` does when a guard bit is set."""
+        """Return key, raising as `pack_terms` does when a guard bit is set."""
         if key & self.guard:
             raise OverflowError(
                 "exponent %d exceeds the packed budget" % max(self.exponents(key))
@@ -364,21 +361,22 @@ class Layout:
         return max(((k >> sh) & mk for k in f), default=-1)
 
     def order_weights(self, order):
-        """Weights w making sum(e[i] * w[i]) an additive int key for `order`
-        on every exponent vector this layout holds; variable 0 must sit in
-        the top field.  LEX reads the fields, GRLEX puts the total degree
-        above them, GREVLEX puts it above the reversed fields, negated.
+        """Weights w making sum(e[i] * w[i]) an additive int order key for
+        `order` on every exponent vector these bits hold; they depend on the
+        bits alone, not on the field order.  LEX reads the fields stacked
+        with variable 0 on top, GRLEX puts the total degree above them, and
+        GREVLEX puts the total degree above the fields stacked with
+        variable 0 at the bottom, negated.
         """
-        width = sum(self.bits) + len(self.bits)
-        top = 1 << width
+        n = len(self.bits)
+        up = list(itertools.accumulate((b + 1 for b in self.bits), initial=0))
+        top = 1 << up[n]
         name = monomial_order(order).name
-        if name == "LEX":
-            return [1 << s for s in self.shift]
-        if name == "GRLEX":
-            return [top + (1 << s) for s in self.shift]
-        # the reversed field of variable i ends where its own field starts
-        ends = (width - s - b - 1 for s, b in zip(self.shift, self.bits))
-        return [top - (1 << r) for r in ends]
+        if name == "GREVLEX":
+            return [top - (1 << s) for s in up[:n]]
+        # with variable 0 on top, variable i sits above the later ones
+        top = 0 if name == "LEX" else top
+        return [top + (1 << (up[n] - s)) for s in up[1:]]
 
 
 def multi_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -462,232 +460,267 @@ def multi_pow(a: MultiPoly, e: int) -> MultiPoly:
 # ----------------------------------------------------------- normal forms
 
 
+@functools.cache
+def _keying(n, order, bits):
+    """(Layout, order weights, sign) of the Reducers of one shape: under
+    LEX and GRLEX variable 0 sits in the top field and the low bits of an
+    order key are its packed key; under GREVLEX variable 0 sits in the
+    bottom field and the low bits are minus the packed key."""
+    grevlex = monomial_order(order).name == "GREVLEX"
+    lay = Layout([bits] * n, range(n) if grevlex else range(n - 1, -1, -1))
+    return lay, lay.order_weights(order), -1 if grevlex else 1
+
+
 class Reducer:
     """Packed reducer table and the normal forms against it.
 
-    Exponents pack under a `Layout` of `bits` value bits per variable,
-    variable 0 on top, so divisibility is two int ops; each monomial carries
-    its `Layout.order_weights` key as a second int.  Entries are lists
-    [lead_packed, lead_okey, tail, sugar, alive, index, lead_coeff, sig_key,
-    sig_index, sig_packed], tails (packed, okey, coeff) triples sorted
-    descending.  `mode` picks the kernel: "zp" (residue fields, monic
-    entries) and "zz" (fraction-free Q, primitive integer entries) share
-    `_nf_int`; "gen" runs `_nf_gen` on descriptor ops for every other
-    ring, monic over a field and keeping the lead coefficient elsewhere.
+    A monomial is its `Layout.order_weights` key, one int that compares as
+    the monomial does and adds as its exponents do; `packed` reads the
+    exponents off its low bits, `bits` value bits per variable, where a lead
+    divides a monomial exactly when their difference sets no guard bit.
+    Terms are (key, coefficient) pairs with distinct keys, or a dict.
+    Entries are lists [lead_packed, lead_key, tail, sugar, alive, index,
+    lead_coeff, sig_key, sig_index, sig_packed].  `mode` picks the kernel:
+    "zp" (residue fields, monic entries), "z" (Z, an entry rewrites only
+    multiples of its lead coefficient) and "zz" (fraction-free Q) share
+    `_nf_int`; "gen" runs `_nf_gen` on descriptor ops for every other ring,
+    monic over a field and keeping the lead coefficient elsewhere.
     """
 
     def __init__(self, ring, bits=15):
         n = len(ring.vars)
         self.ring = ring
         self.K = K = ring.cring
-        # variable 0 sits in the top field so LEX compare is int compare
-        self.lay = Layout([bits] * n, range(n - 1, -1, -1))
+        self.lay, self.weights, self.sign = _keying(n, ring.order, bits)
         self.shifts = self.lay.shift
         self.guard = self.lay.guard
         self.mask = self.lay.mask[0]
+        # the mask of the low bits that hold the packed exponents
+        self.low = (1 << n * (bits + 1)) - 1
         self.order = ring.order.name
-        self.weights = self.lay.order_weights(ring.order)
         self.entries = []
         if K.coeff_modulus is not None and K.is_field:
             self.mode = "zp"
+        elif isinstance(K, rings.IntegerRing):
+            self.mode = "z"
         elif K == rings.QQ:
             self.mode = "zz"
         else:
             self.mode = "gen"
 
+    def packed(self, k):
+        """The packed key of the monomial with order key k."""
+        return k * self.sign & self.low
+
     def tdeg(self, p):
         return sum((p >> s) & self.mask for s in self.shifts)
 
-    def to_triples(self, f):
-        """MultiPoly -> descending [(packed, okey, coeff)]; primitive ints over Q."""
+    def to_terms(self, f):
+        """MultiPoly -> {key: coeff}, cleared of denominators over Q; every
+        exponent must fit its field."""
         w = self.weights
-        keyed = self.lay.pack_terms(f.terms)
-        items = [(p, sum(map(operator.mul, e, w)), c)
-                 for (p, c), e in zip(keyed.items(), f.terms)]
-        items.sort(key=lambda t: -t[1])
+        keys = [sum(map(operator.mul, e, w)) for e in f.terms]
+        coeffs = f.terms.values()
         if self.mode == "zz":
-            _, nums = self.K.clear_denominators(c for _, _, c in items)
-            g = math.gcd(*nums)
-            return [(p, o, c // g) for (p, o, _), c in zip(items, nums)]
-        return items
+            _, coeffs = self.K.clear_denominators(coeffs)
+        return dict(zip(keys, coeffs))
 
-    def add_entry(self, triples, sugar, sig=(0, 0, 0)):
-        """Insert a nonzero polynomial as a reducer, monic over fields but Q;
-        `sig` is (key, generator index, packed monomial) of its signature."""
-        lead_p, lead_o, lc = triples[0]
-        K = self.K
-        if self.mode == "zz" or not K.is_field:
-            tail = list(triples[1:])
+    def add_entry(self, terms, sugar, sig=(0, 0, 0)):
+        """Insert a nonzero polynomial, as `nf` or `to_terms` gives it, as a
+        reducer, monic over fields but Q; `sig` is (key, generator index,
+        packed monomial) of its signature."""
+        if isinstance(terms, dict):
+            lead = max(terms)
+            lc, tail = terms[lead], [t for t in terms.items() if t[0] != lead]
         else:
+            (lead, lc), tail = terms[0], terms[1:]
+        K = self.K
+        if self.mode != "zz" and K.is_field and lc != K.one:
             inv = K.inv(lc)
-            tail = [(tp, to, K.mul(tc, inv)) for tp, to, tc in triples[1:]]
+            tail = [(tk, K.mul(tc, inv)) for tk, tc in tail]
             lc = K.one
-        ent = [lead_p, lead_o, tail, sugar, True, len(self.entries), lc, *sig]
+        ent = [self.packed(lead), lead, tail, sugar, True, len(self.entries), lc, *sig]
         self.entries.append(ent)
         return ent
 
-    def nf(self, terms, sugar=None, sig=None, quots=None):
-        """Full normal form against every entry; returns (triples, sugar).
+    def nf(self, terms, sugar=None, sig=None, quots=None, room=None):
+        """Full normal form against every entry; returns (terms, sugar).
 
         Terms pop largest first, so the remainder comes out sorted
         descending, and each is rewritten by the first entry whose lead
-        divides it.  Sugar is tracked only from a starting `sugar`.  With
+        divides it and, over a non-field, whose lead coefficient divides its
+        coefficient.  Sugar is tracked only from a starting `sugar`.  With
         `sig` = (key, generator index) a reducer rewrites a monomial only
-        when its shifted signature is smaller.  A sink `quots` gets {entry
-        index: {packed shift: coefficient}} and an exact remainder, terms -
-        sum(quotient * entry); without one a Q remainder is primitive.  A
-        term past the layout raises OverflowError.
+        when its shifted signature is smaller.  A sink `quots`, one dict per
+        entry index, gets {packed shift: coefficient} and an exact
+        remainder, terms - sum(quotient * entry); without one a Q remainder
+        is primitive.
+
+        With `room`, the packed largest quotient shift, the division must be
+        exact: nf returns None at the first term that no entry rewrites or
+        whose shift leaves the room, so every key stays inside the fields.
+        Without it a term past the layout raises OverflowError.
         """
         if self.mode == "gen":
-            return self._nf_gen(terms, sugar, sig, quots)
-        return self._nf_int(terms, sugar, sig, quots)
+            return self._nf_gen(terms, sugar, sig, quots, room)
+        return self._nf_int(terms, sugar, sig, quots, room)
 
-    def _bump_sugar(self, red, shift_p, sugar):
-        s = red[3] + (self.tdeg(shift_p) if shift_p else 0)
+    def _bump_sugar(self, red, shift, sugar):
+        s = red[3] + (self.tdeg(shift) if shift else 0)
         return s if s > sugar else sugar
 
-    def _nf_int(self, terms, sugar, sig, quots):
-        """Integer heap reduction, for Zp and for fraction-free Q.
+    def _nf_int(self, terms, sugar, sig, quots, room):
+        """Integer heap reduction, for Zp, Z and fraction-free Q.
 
         Work coefficients stay unreduced; over Zp a coefficient is reduced
-        mod p only when its monomial is popped.  Zp reducers are monic, so
-        the fraction-free rescale runs only for a reducer lead other than 1;
-        `den` is the product of its multipliers.
+        mod p only when its monomial is popped.  Zp reducers are monic; over
+        Q the fraction-free rescale runs only for a reducer lead other than
+        1, and `den` is the product of its multipliers.
         """
         sk, si = sig or (None, None)
         pm = self.K.coeff_modulus
-        work = {}
-        heap = []
-        for p, o, c in terms:
-            if p in work:
-                work[p] += c
-            else:
-                work[p] = c
-                heapq.heappush(heap, (-o, p))
+        ff = self.mode == "zz"
+        work = dict(terms)
+        heap = [-k for k in work]
+        heapq.heapify(heap)
         entries = self.entries
-        guard = self.guard
+        guard, sign, low = self.guard, self.sign, self.low
+        # with no room given every field is room, and no shift leaves it
+        top = low - guard if room is None else room
         out = []
         den = 1
-        pop = heapq.heappop
-        push = heapq.heappush
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            no, pk = pop(heap)
-            c = work.pop(pk, 0)
+            k = -pop(heap)
+            c = work.pop(k, 0)
             if pm is not None:
                 c %= pm
             if not c:
                 continue
-            if pk & guard:
-                self.lay.check(pk)
+            p = k * sign & low
+            if p & guard:
+                self.lay.check(p)
             for red in entries:
-                shift_p = pk - red[0]
-                if shift_p >= 0 and not (shift_p & guard):
-                    shift_o = -no - red[1]
-                    if sig is None:
-                        break
-                    k = red[7] + shift_o
-                    if k < sk or (k == sk and red[8] < si):
-                        break
+                # a lead divides only monomials at least as large
+                if k < red[1]:
+                    continue
+                s = p - red[0]
+                if s & guard:
+                    continue
+                if (top - s) & guard:
+                    return None
+                if sig is not None:
+                    t = red[7] + k - red[1]
+                    if t > sk or (t == sk and red[8] >= si):
+                        continue
+                b = red[6]
+                if b == 1 or ff:
+                    break
+                if not c % b:
+                    c //= b
+                    break
             else:
-                out.append((pk, -no, c))
+                if room is not None:
+                    return None
+                out.append((k, c))
                 continue
             if sugar is not None:
-                sugar = self._bump_sugar(red, shift_p, sugar)
-            b = red[6]
-            if b != 1:
+                sugar = self._bump_sugar(red, s, sugar)
+            if b != 1 and ff:
                 # fraction-free step: scale the whole remainder so the
                 # reducer's integer lead cancels the current coefficient
                 g = math.gcd(c, b)
                 mult = b // g
                 if mult != 1:
                     den *= mult
-                    for k in work:
-                        work[k] *= mult
+                    for key in work:
+                        work[key] *= mult
                     if out:
-                        out = [(p, o, v * mult) for p, o, v in out]
+                        out = [(key, v * mult) for key, v in out]
                 c //= g
             if quots is not None:
-                q = c if pm else self.K.make(c, den)
-                quots.setdefault(red[5], {})[shift_p] = q
-            for tp, to, tc in red[2]:
-                np_ = tp + shift_p
-                v = work.get(np_)
+                quots[red[5]][s] = self.K.make(c, den) if ff else c
+            shift = k - red[1]
+            for tk, tc in red[2]:
+                nk = tk + shift
+                v = work.get(nk)
                 if v is None:
-                    work[np_] = -c * tc
-                    push(heap, (-(to + shift_o), np_))
+                    work[nk] = -c * tc
+                    push(heap, -nk)
+                elif v := v - c * tc:
+                    work[nk] = v
                 else:
-                    nv = v - c * tc
-                    if nv:
-                        work[np_] = nv
-                    else:
-                        del work[np_]
-        if pm is None:
+                    del work[nk]
+        if ff:
             if quots is not None:
-                return [(p, o, self.K.make(v, den)) for p, o, v in out], sugar
-            cont = math.gcd(*(v for _, _, v in out))
+                return [(k, self.K.make(v, den)) for k, v in out], sugar
+            cont = math.gcd(*(v for _, v in out))
             if cont > 1:
-                out = [(p, o, v // cont) for p, o, v in out]
+                out = [(k, v // cont) for k, v in out]
         return out, sugar
 
-    def _nf_gen(self, terms, sugar, sig, quots):
+    def _nf_gen(self, terms, sugar, sig, quots, room):
         """Descriptor-op heap reduction; over a non-field an entry rewrites
         a term only when its lead coefficient divides the term's."""
         sk, si = sig or (None, None)
         K = self.K
-        exact = not K.is_field
-        work = {}
-        heap = []
-        for p, o, c in terms:
-            if p in work:
-                work[p] = K.add(work[p], c)
-            else:
-                work[p] = c
-                heapq.heappush(heap, (-o, p))
+        work = dict(terms)
+        heap = [-k for k in work]
+        heapq.heapify(heap)
         guard = self.guard
+        top = self.low - guard if room is None else room
         out = []
         while heap:
-            no, pk = heapq.heappop(heap)
-            c = work.pop(pk, None)
+            k = -heapq.heappop(heap)
+            c = work.pop(k, None)
             if c is None or K.is_zero(c):
                 continue
-            if pk & guard:
-                self.lay.check(pk)
+            p = self.packed(k)
+            if p & guard:
+                self.lay.check(p)
             for red in self.entries:
-                shift_p = pk - red[0]
-                if shift_p >= 0 and not (shift_p & guard):
-                    shift_o = -no - red[1]
-                    if exact:
-                        try:
-                            c = K.exact_div(c, red[6])
-                        except (ArithmeticError, UnsupportedRingError):
-                            continue
-                        break
-                    if sig is None:
-                        break
-                    k = red[7] + shift_o
-                    if k < sk or (k == sk and red[8] < si):
-                        break
+                if k < red[1]:
+                    continue
+                s = p - red[0]
+                if s & guard:
+                    continue
+                if (top - s) & guard:
+                    return None
+                if sig is not None:
+                    t = red[7] + k - red[1]
+                    if t > sk or (t == sk and red[8] >= si):
+                        continue
+                if K.is_field:
+                    break
+                try:
+                    c = K.exact_div(c, red[6])
+                except (ArithmeticError, UnsupportedRingError):
+                    continue
+                break
             else:
-                out.append((pk, -no, c))
+                if room is not None:
+                    return None
+                out.append((k, c))
                 continue
             if sugar is not None:
-                sugar = self._bump_sugar(red, shift_p, sugar)
+                sugar = self._bump_sugar(red, s, sugar)
             if quots is not None:
-                quots.setdefault(red[5], {})[shift_p] = c
-            for tp, to, tc in red[2]:
-                np_ = tp + shift_p
-                v = work.get(np_)
+                quots[red[5]][s] = c
+            shift = k - red[1]
+            for tk, tc in red[2]:
+                nk = tk + shift
+                v = work.get(nk)
                 if v is None:
                     nv = K.neg(K.mul(c, tc))
                     if not K.is_zero(nv):
-                        work[np_] = nv
-                        heapq.heappush(heap, (-(to + shift_o), np_))
+                        work[nk] = nv
+                        heapq.heappush(heap, -nk)
                 else:
                     nv = K.sub(v, K.mul(c, tc))
                     if K.is_zero(nv):
-                        del work[np_]
+                        del work[nk]
                     else:
-                        work[np_] = nv
+                        work[nk] = nv
         return out, sugar
 
 
@@ -723,35 +756,43 @@ def multi_divrem(f: MultiPoly, dividers):
     return widening([f, *dividers], lambda b: _divrem(Reducer(ring, b), f, dividers))
 
 
-def _divrem(eng, f, dividers):
+def _divrem(eng, f, dividers, room=None):
+    """`multi_divrem` on eng; None when it is not exact within `room`."""
     K = eng.K
-    for d in dividers:
-        eng.add_entry(eng.to_triples(d), 0)
-    terms = eng.to_triples(f)
-    sink = {}
-    rem, _ = eng.nf(terms, quots=sink)
-    # over a field terms = f*lc(terms)/lc(f), entry i = d_i*lc(entry)/lc(d_i)
-    s = K.div(f.lc(), K.of(terms[0][2])) if K.is_field else K.one
+    tds = [eng.to_terms(d) for d in dividers]
+    for td in tds:
+        eng.add_entry(td, 0)
+    terms = eng.to_terms(f)
+    sink = [{} for _ in dividers]
+    got = eng.nf(terms, quots=sink, room=room)
+    if got is None:
+        return None
+    # the kernel divides f*m by entries d_i*lc(entry)/lc(d_i) over fields;
+    # m = terms/f clears the denominators over Q and is 1 elsewhere
+    s = K.one
+    if eng.mode == "zz":
+        c, t = next(zip(f.terms.values(), terms.values()))
+        s = K.div(c, K.of(t)) if K.of(t) != c else s
     qs = []
-    for d, e in zip(dividers, eng.entries):
-        u = K.div(K.mul(s, K.of(e[6])), d.lc()) if K.is_field else K.one
-        q = {p: K.mul(c, u) for p, c in sink.get(e[5], {}).items()}
+    for d, td, e in zip(dividers, tds, eng.entries):
+        q = sink[e[5]]
+        if K.is_field:
+            # lc(d_i) at the entry's lead, where only Q has scaled the terms
+            ld = d.terms[eng.lay.exponents(e[0])] if eng.mode == "zz" else td[e[1]]
+            if (lc := K.mul(s, K.of(e[6]))) != ld:
+                u = K.div(lc, ld)
+                q = {p: K.mul(c, u) for p, c in q.items()}
         qs.append(MultiPoly(f.ring, eng.lay.unpack_terms(q)))
-    r = {p: K.mul(c, s) for p, _, c in rem}
-    return qs, MultiPoly(f.ring, eng.lay.unpack_terms(r))
+    r = {eng.packed(k): c if s == K.one else K.mul(c, s) for k, c in got[0]}
+    return qs, MultiPoly(f.ring, eng.lay.unpack_terms(r)) if r else f.ring.zero
 
 
-def _quotient(a: MultiPoly, b: MultiPoly):
-    """a / b when b divides a, else None.
-
-    Over Z and Zp this is the heap division of Monagan and Pearce under a
-    Layout sized from a's degrees.  A monomial is one additive int, its
-    order key above its packed key, in a work dict and a max-heap; a Zp
-    coefficient is reduced only when it is popped.  The division stops at
-    the first leading term that lm(b) does not divide, whose coefficient
-    lc(b) does not divide over Z, or whose quotient exponent passes
-    deg(a) - deg(b) somewhere; a true quotient does none of these, and the
-    last test, on guard bits, keeps every key inside the Layout.
+def _exact_div(a: MultiPoly, b: MultiPoly):
+    """a / b when b divides a, else None: `Reducer.nf` in fields sized from
+    a's degrees, with the room deg(a) - deg(b) that holds a true quotient.
+    Like the heap division of Monagan and Pearce it stops at the first term
+    that lm(b) does not divide, whose coefficient lc(b) does not divide
+    over Z, or whose quotient shift leaves the room.
     """
     if b.ring != a.ring:
         raise ValueError("polynomial rings differ")
@@ -759,77 +800,28 @@ def _quotient(a: MultiPoly, b: MultiPoly):
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
         return a
-    if not isinstance(a.ring.cring, (rings.IntegerRing, rings.ZpRing)):
-        qs, r = multi_divrem(a, [b])
-        return qs[0] if r.is_zero() else None
     da = a.degrees()
     room = tuple(map(operator.sub, da, b.degrees()))
     if min(room) < 0:
         return None
-    lay = Layout([x.bit_length() for x in da], range(len(da) - 1, -1, -1))
-    low = sum(lay.bits) + len(da)
-    weights = lay.order_weights(a.ring.order)
-    ws = [(w << low) + (1 << s) for w, s in zip(weights, lay.shift)]
-
-    def keyed(terms):
-        return {sum(map(operator.mul, e, ws)): c for e, c in terms.items()}
-
-    (top,) = keyed({room: None})
-    guard, mask, mod = lay.guard, (1 << low) - 1, a.ring.cring.coeff_modulus
-    tail = keyed(b.terms)
-    lead = max(tail)
-    lc = tail.pop(lead)
-    inv = mod and pow(lc, -1, mod)
-    work = keyed(a.terms)
-    heap = [-k for k in work]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    q = {}
-    while heap:
-        k = -pop(heap)
-        c = work.pop(k, 0)
-        if mod:
-            c %= mod
-        if not c:
-            continue
-        # k - lead and top - (k - lead) keep every field's guard bit clear
-        # exactly when lm(b) divides k within the room
-        s = k - lead
-        if s & guard or (top - s) & guard:
-            return None
-        if mod:
-            c = c * inv % mod
-        else:
-            c, r = divmod(c, lc)
-            if r:
-                return None
-        q[s & mask] = c
-        for tk, tc in tail.items():
-            k = tk + s
-            v = work.get(k)
-            if v is None:
-                work[k] = -c * tc
-                push(heap, -k)
-            elif v := v - c * tc:
-                work[k] = v
-            else:
-                del work[k]
-    return MultiPoly(a.ring, lay.unpack_terms(q))
+    eng = Reducer(a.ring, max(da).bit_length())
+    got = _divrem(eng, a, [b], eng.packed(sum(map(operator.mul, room, eng.weights))))
+    return None if got is None else got[0][0]
 
 
 def multi_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """a / b by `_quotient`; ArithmeticError when b does not divide a."""
-    q = _quotient(a, b)
+    """a / b by `_exact_div`; ArithmeticError when b does not divide a."""
+    q = _exact_div(a, b)
     if q is None:
         raise ArithmeticError("inexact polynomial division")
     return q
 
 
 def multi_divides(b: MultiPoly, a: MultiPoly) -> bool:
-    """True when b divides a exactly, decided by `_quotient`."""
+    """True when b divides a exactly, decided by `_exact_div`."""
     if b.is_zero():
         return a.is_zero()
-    return _quotient(a, b) is not None
+    return _exact_div(a, b) is not None
 
 
 # ------------------------------------------------------------------ evaluate

@@ -421,7 +421,10 @@ class FractionField(Ring):
         coeffs = list(coeffs)
         den = inner.one
         for c in coeffs:
-            den = inner.exact_div(inner.mul(den, c.den), inner.gcd(den, c.den))
+            if not inner.is_one(c.den):
+                den = inner.exact_div(inner.mul(den, c.den), inner.gcd(den, c.den))
+        if inner.is_one(den):
+            return den, [c.num for c in coeffs]
         return den, [inner.mul(c.num, inner.exact_div(den, c.den)) for c in coeffs]
 
     def add(self, a, b):

@@ -58,11 +58,11 @@ def test_irreducibility_certificate_over_z_and_q():
 
 
 def test_timeout_interrupts_the_call():
-    # katsura-7 over Zp runs for seconds; the interval timer stops it
+    # katsura-8 over Zp runs for over a second; the interval timer stops it
     previous = signal.getsignal(signal.SIGALRM)
     t0 = time.perf_counter()
     rows, _ = bench_run(
-        BenchSpec("groebner", rings.ZpRing(1000003), size=7, timeout=0.2)
+        BenchSpec("groebner", rings.ZpRing(1000003), size=8, timeout=0.2)
     )
     assert time.perf_counter() - t0 < 1.5
     assert [(r["result_kind"], r["verified"]) for r in rows] == [("timeout", False)]

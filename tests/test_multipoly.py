@@ -11,6 +11,7 @@ from ringkit.multipoly import (
     Layout,
     MultiPoly,
     MultiRing,
+    Reducer,
     coefficients_in,
     content_primitive,
     from_unipoly,
@@ -107,6 +108,12 @@ def test_mul_strategies_agree():
         assert multi_mul(a, b) == multi_mul_naive(a, b)
 
 
+def _key(lay, e):
+    """The packed key of one exponent tuple."""
+    (k,) = lay.pack_terms({e: None})
+    return k
+
+
 def _lay(ring, bits):
     n = len(ring.vars)
     return Layout([bits] * n, range(n))
@@ -124,27 +131,27 @@ def test_layout_packs_checks_and_divides(bits, top):
     terms = {e: i + 1 for i, e in enumerate(exps)}
     keyed = lay.pack_terms(terms)
     assert lay.unpack_terms(keyed) == terms
-    assert all(lay.exponents(lay.pack(e)) == e for e in exps)
-    assert lay.check(lay.pack((hi, hi, hi))) == lay.pack((hi, hi, hi))
+    assert all(lay.exponents(_key(lay, e)) == e for e in exps)
+    assert lay.check(_key(lay, (hi, hi, hi))) == _key(lay, (hi, hi, hi))
     if bits:
         # the top field holds x0 exactly when x0 is on top, so keys order LEX
-        assert (lay.pack((1, 0, 0)) > lay.pack((0, hi, hi))) == top
+        assert (_key(lay, (1, 0, 0)) > _key(lay, (0, hi, hi))) == top
     for i in range(n):
         e = [0] * n
         e[i] = 1 << bits
         with pytest.raises(OverflowError, match="packed budget"):
-            lay.pack(tuple(e))
+            _key(lay, tuple(e))
         # two in-range exponents summing past the range set the guard bit
         e[i] = hi
-        k = lay.pack(tuple(e))
+        k = _key(lay, tuple(e))
         other = [0] * n
         other[i] = 1
         with pytest.raises(OverflowError, match="packed budget"):
-            lay.check(k + lay.pack(tuple(other)))
+            lay.check(k + _key(lay, tuple(other)))
     # d divides k exactly when k - d is nonnegative with no guard bit set
     for ek in exps[:8]:
         for ed in exps[:8]:
-            k, d = lay.pack(ek), lay.pack(ed)
+            k, d = _key(lay, ek), _key(lay, ed)
             divides = all(x >= y for x, y in zip(ek, ed))
             assert (k - d >= 0 and not (k - d) & lay.guard) == divides
 
@@ -330,7 +337,7 @@ def test_exact_division(rq):
         multi_exact_div(x * y + 1, x + y)
 
 
-DIV_RINGS = {"Z": ZZ, "Zp1000003": ZpRing(1000003), "Zp2": ZpRing(2), "Zp3": ZpRing(3)}
+DIV_RINGS = {"Z": ZZ, "Q": QQ, "Zp1000003": ZpRing(1000003), "Zp2": ZpRing(2), "Zp3": ZpRing(3)}
 # degrees at the edges of the packed fields: bit lengths 1..5, each side
 WIDTH_EDGES = (1, 2, 3, 4, 7, 8, 15, 16)
 
@@ -360,7 +367,7 @@ def _divrem_divides(b, a):
 
 @pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=str)
 @pytest.mark.parametrize("K", list(DIV_RINGS.values()), ids=list(DIV_RINGS))
-def test_packed_division_agrees_with_divrem(K, order):
+def test_packed_division_agrees_with_divrem(K, order, certify_divrem):
     ring = MultiRing(K, ("x", "y", "z"), order)
     x, y, z = ring.gens()
     rng = random.Random(15)
@@ -373,17 +380,43 @@ def test_packed_division_agrees_with_divrem(K, order):
         assert ab.degrees() == tuple(total)
         assert multi_exact_div(ab, b) == a
         assert multi_exact_div(ab, a) == b
-        # near misses and unrelated pairs decide exactly as multi_divrem
+        # near misses and unrelated pairs decide exactly as multi_divrem,
+        # whose results are certified without the division code
         pairs = [(b, ab + x * y), (b, ab + ring.one), (b + z, ab), (a, b), (b, a)]
         pairs += [(b, multi_mul(ab, x + ring.one)), (x * b, ab)]
         for g, f in pairs:
-            ok = _divrem_divides(g, f)
+            qs, r = multi_divrem(f, [g])
+            certify_divrem(f, [g], qs, r)
+            ok = r.is_zero()
             assert multi_divides(g, f) == ok
             if ok:
-                assert multi_exact_div(f, g) == multi_divrem(f, [g])[0][0]
+                assert multi_exact_div(f, g) == qs[0]
             else:
                 with pytest.raises(ArithmeticError):
                     multi_exact_div(f, g)
+
+
+@pytest.mark.parametrize("K", [ZZ, ZpRing(1000003)], ids=["Z", "Zp"])
+def test_integer_division_runs_on_the_int_kernel(monkeypatch, K, certify_divrem):
+    # Z and Zp divide on `_nf_int`'s int arithmetic, never on descriptor ops
+    def refuse(*args):
+        raise AssertionError("descriptor-op kernel used")
+
+    monkeypatch.setattr(Reducer, "_nf_gen", refuse)
+    ring = MultiRing(K, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    rng = random.Random(26)
+    a = _with_degrees(ring, rng, [3, 2, 4])
+    b = 2 * x * y + _with_degrees(ring, rng, [1, 3, 2])
+    ab = multi_mul(a, b)
+    assert multi_exact_div(ab, b) == a
+    assert multi_divides(a, ab)
+    assert not multi_divides(b, ab + ring.one)
+    with pytest.raises(ArithmeticError):
+        multi_exact_div(ab + z, b)
+    f = ab + 3 * x * y**2
+    qs, r = multi_divrem(f, [b, a])
+    certify_divrem(f, [b, a], qs, r)
 
 
 def _counting_pops(monkeypatch):
