@@ -495,19 +495,6 @@ def _lift_layout(m, order, degs, r):
     return Layout(bits, fields)
 
 
-def _add(a, b, mod, sign=1):
-    """a + sign * b on packed dicts of residues; zeros drop."""
-    out = dict(a)
-    get = out.get
-    for k, c in b.items():
-        s = (get(k, 0) + sign * c) % mod
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 class _LiftCtx:
     """Carries the lifted factor versions and the diophantine machinery."""
 
@@ -649,7 +636,7 @@ def _run_levels(Fw, lcs, m, order, alpha, uhat, p):
             # row 0 without its x_m^d term, then lc rows times x_m^d
             rows = {0: {k: c for k, c in ctx.snapshots[s - 1][i].items() if k & mmask != d}}
             for j, lp in _shift_rows(lay.split(Ls[i], v), a, mod).items():
-                rows[j] = _add(rows.get(j, {}), {k + d: c for k, c in lp.items()}, mod)
+                rows[j] = K.add_terms(rows.get(j, {}), {k + d: c for k, c in lp.items()})
             grows.append({j: q for j, q in rows.items() if q})
         _level(ctx, s, v, D, rowsF, grows)
         ctx.snapshots.append([lay.join(_shift_rows(g, -a % mod, mod), v) for g in grows])
@@ -695,7 +682,7 @@ def _level(ctx, s, v, D, rowsF, grows):
         fj = rowsF.get(j)
         if pj is None and fj is None:
             continue
-        ej = _add(fj or {}, pj or {}, mod, -1)
+        ej = ctx.K.add_terms(fj or {}, pj or {}, -1)
         ej = _mod_lifted(ej, processed, ctx)
         if not ej:
             continue
@@ -706,7 +693,7 @@ def _level(ctx, s, v, D, rowsF, grows):
             d = ds[i]
             if not d:
                 continue
-            grows[i][j] = _add(grows[i].get(j, {}), d, mod)
+            grows[i][j] = ctx.K.add_terms(grows[i].get(j, {}), d)
             for t in range(2, r + 1):
                 cache = memo[t]
                 if j not in cache or i >= t:

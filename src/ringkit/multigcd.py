@@ -13,7 +13,10 @@ early termination of Kaltofen, Lee and Lobo); at the degree bound it
 interpolates densely instead.  A frame whose skeleton or points go bad is
 drawn afresh, up to 8 times.  Every content comes through
 `multipoly.content_primitive`, whose gcds fold in `gcd_many` and run
-through `multi_gcd` with their own seeded draws.
+through `multi_gcd` with their own seeded draws.  The probes' list work
+(term-value products, slice sums, the interpolation rows' dot products,
+Berlekamp-Massey) runs on the coefficient ring's list steps, so one code
+path serves Zp and every other field.
 
 Integer coefficients: the integer contents are split off, a gcd in one
 active variable goes to `uni_gcd`, and otherwise the field algorithm runs
@@ -39,7 +42,6 @@ import bisect
 import math
 import operator
 import random
-from functools import reduce
 
 from . import rings
 from .errors import RetryBudgetError, UnsupportedRingError
@@ -63,7 +65,7 @@ from .multipoly import (
     to_unipoly,
     univariate_image,
 )
-from .unipoly import UniPoly, _poly, uni_eval, uni_gcd, uni_lagrange_basis, uni_scale
+from .unipoly import _poly, uni_gcd, uni_lagrange_basis, uni_scale
 
 _RETRIES = 16
 
@@ -301,7 +303,7 @@ def _lift_var(A, B, H, m, processed, v, alpha, gamma, dv, degm, rng):
     while len(pts) < dv + 1:
         if seqs is not None:
             x = K.mul(x, powers[1])
-            cur = [lev.advance(c, lev.ratio) for lev, c in zip(levs, cur)]
+            cur = [K.vmul(c, lev.ratio) for lev, c in zip(levs, cur)]
         else:
             x = _fresh_point(K, rng, used)
             cur = [lev.start(x) for lev in levs]
@@ -368,24 +370,16 @@ class _Massey:
     def push(self, s):
         """Take the next term; True when C did not change and the terms
         seen number at least 2L+1."""
-        K = self.K
-        seq = self.seq
+        K, seq, C, L = self.K, self.seq, self.conn, self.length
         seq.append(s)
         n = len(seq) - 1
-        C = self.conn
-        L = self.length
-        d = s
-        for i in range(1, L + 1):
-            d = K.add(d, K.mul(C[i], seq[n - i]))
+        d = K.dot(C, reversed(seq))  # the discrepancy sum C[i] * s[n-i]
         if K.is_zero(d):
             self.gap += 1
             return n >= 2 * L
-        coef = K.div(d, self.dprev)
-        gap = self.gap
-        B = self.prev
-        new = C + [K.zero] * (len(B) + gap - len(C))
-        for i, c in enumerate(B):
-            new[i + gap] = K.sub(new[i + gap], K.mul(coef, c))
+        # C - (d / dprev) * x^gap * B
+        step = K.vscale(self.prev, K.div(K.neg(d), self.dprev))
+        new = K.vadd(C, [K.zero] * self.gap + step)
         if 2 * L <= n:
             self.prev = C
             self.length = n + 1 - L
@@ -409,16 +403,14 @@ def _sparse_terms(ring, v, seqs, powers, a):
     ainv = K.inv(a)
     terms = {}
     for e, s in seqs.items():
-        lam = UniPoly(K, s.conn[::-1])
-        ks = [k for k, w in enumerate(powers) if K.is_zero(uni_eval(lam, w))]
+        lam = s.conn[::-1]
+        ks = [k for k, w in enumerate(powers) if K.is_zero(K.horner(lam, w))]
         if len(ks) != s.length:
             return None
         basis = uni_lagrange_basis(K, [powers[k] for k in ks])
         e2 = list(e)
         for k, ell in zip(ks, basis):
-            b = K.zero
-            for c, y in zip(ell.coeffs, s.seq):
-                b = K.add(b, K.mul(c, y))
+            b = K.dot(ell.coeffs, s.seq)
             if K.is_zero(b):
                 return None
             e2[v] = k
@@ -431,15 +423,15 @@ def _point_image(levs, starts, groups, rows, degm, count):
     values `starts` of A, B and gamma at its first probe."""
     levA, levB, levG = levs
     curA, curB, curG = starts
-    K, p = levA.K, levA.mod
+    K = levA.K
     ring = levA.ring
     degA, degB = levA.deg, levB.deg
     images = []
     for s in range(count):
         if s:
-            curA = levA.advance(curA, levA.mults)
-            curB = levB.advance(curB, levB.mults)
-            curG = levG.advance(curG, levG.mults)
+            curA = K.vmul(curA, levA.mults)
+            curB = K.vmul(curB, levB.mults)
+            curG = K.vmul(curG, levG.mults)
         ua = levA.image(curA)
         ub = levB.image(curB)
         ug = levG.image(curG)
@@ -458,10 +450,7 @@ def _point_image(levs, starts, groups, rows, degm, count):
             for img in images[: len(mons)]
         ]
         for e, row in zip(mons, rows[d]):
-            if p is not None:
-                y = sum(map(operator.mul, row, ws)) % p
-            else:
-                y = reduce(K.add, map(K.mul, row, ws), K.zero)
+            y = K.dot(row, ws)
             if not K.is_zero(y):
                 terms[e] = y
     return MultiPoly(ring, terms)
@@ -479,14 +468,13 @@ class _LevelEval:
     one multiplication by the per-term ratio beta^e_v.
     """
 
-    __slots__ = ("K", "ring", "mod", "deg", "v", "exps", "spans", "base", "mults",
-                 "first", "ratio")
+    __slots__ = ("K", "ring", "deg", "v", "exps", "spans", "base", "mults", "first",
+                 "ratio")
 
     def __init__(self, f, m, v, processed, alpha):
         K = f.ring.cring
         self.K = K
         self.ring = f.ring
-        self.mod = K.coeff_modulus
         self.deg = f.degree(m)
         self.v = v
         skip = set(processed)
@@ -503,7 +491,7 @@ class _LevelEval:
     def set_rho(self, rho):
         """Point the processed variables at rho; rho has exactly those keys."""
         self.mults = term_values(self.K, self.exps, rho)
-        self.first = self.advance(self.base, self.mults)
+        self.first = self.K.vmul(self.base, self.mults)
 
     def set_ratio(self, beta):
         """Per-term beta^e_v, the step between geometric x_v points."""
@@ -513,21 +501,10 @@ class _LevelEval:
         """Term values at the first probe with x_v = x."""
         return term_values(self.K, self.exps, {self.v: x}, self.first)
 
-    def advance(self, cur, by):
-        """cur times by, term by term."""
-        p = self.mod
-        if p is not None:
-            return [val * mt % p for val, mt in zip(cur, by)]
-        K = self.K
-        return [K.mul(val, mt) for val, mt in zip(cur, by)]
-
     def image(self, cur):
         """UniPoly in x_m from the current term values, one slice sum per
         coefficient."""
-        K, p = self.K, self.mod
-        if p is not None:
-            return _poly(K, [sum(cur[lo:hi]) % p for lo, hi in self.spans])
-        return _poly(K, [reduce(K.add, cur[lo:hi], K.zero) for lo, hi in self.spans])
+        return _poly(self.K, self.K.vsums(cur, self.spans))
 
 
 def _draw_rho(groups, keys, levs, K, rng):
@@ -584,19 +561,17 @@ def _interp_terms(ring, v, pts, imgs):
     per monomial as a linear combination of coefficient lists.
     """
     K = ring.cring
-    k = len(pts)
     basis = [ell.coeffs for ell in uni_lagrange_basis(K, pts)]
     support = set()
     for img in imgs:
         support |= set(img.terms)
     terms = {}
     for e in support:
-        acc = [K.zero] * k
+        acc = []
         for img, bc in zip(imgs, basis):
             y = img.terms.get(e)
             if y is not None and not K.is_zero(y):
-                for r, bcr in enumerate(bc):
-                    acc[r] = K.add(acc[r], K.mul(y, bcr))
+                acc = K.vadd(acc, K.vscale(bc, y))
         for r, cc in enumerate(acc):
             if not K.is_zero(cc):
                 e2 = list(e)

@@ -206,72 +206,25 @@ def _mk(ring, terms):
 
 
 def multi_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    K = a.ring.cring
-    out = dict(a.terms)
-    mod = K.coeff_modulus
-    if mod is not None:
-        for e, c in b.terms.items():
-            s = (out.get(e, 0) + c) % mod
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(a.ring, out)
-    for e, c in b.terms.items():
-        if e in out:
-            s = K.add(out[e], c)
-            if K.is_zero(s):
-                del out[e]
-            else:
-                out[e] = s
-        else:
-            out[e] = c
-    return MultiPoly(a.ring, out)
+    return MultiPoly(a.ring, a.ring.cring.add_terms(a.terms, b.terms))
 
 
 def multi_sub(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    K = a.ring.cring
-    mod = K.coeff_modulus
-    if mod is not None:
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            s = (out.get(e, 0) - c) % mod
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(a.ring, out)
-    return multi_add(a, multi_neg(b))
+    return MultiPoly(a.ring, a.ring.cring.add_terms(a.terms, b.terms, -1))
 
 
 def multi_neg(a: MultiPoly) -> MultiPoly:
-    K = a.ring.cring
-    return MultiPoly(a.ring, {e: K.neg(c) for e, c in a.terms.items()})
+    return MultiPoly(a.ring, dict(zip(a.terms, a.ring.cring.vneg(a.terms.values()))))
 
 
 def multi_scale(a: MultiPoly, c) -> MultiPoly:
-    K = a.ring.cring
-    if K.is_zero(c):
-        return MultiPoly(a.ring, {})
-    return _mk(a.ring, {e: K.mul(coef, c) for e, coef in a.terms.items()})
+    return _mk(a.ring, dict(zip(a.terms, a.ring.cring.vscale(a.terms.values(), c))))
 
 
 def multi_mono_mul(a: MultiPoly, exp, c) -> MultiPoly:
     """a * c*x^exp for a single monomial."""
-    K = a.ring.cring
-    out = {}
-    mod = K.coeff_modulus
-    if mod is not None:
-        for e, coef in a.terms.items():
-            v = coef * c % mod
-            if v:
-                out[tuple(x + y for x, y in zip(e, exp))] = v
-        return MultiPoly(a.ring, out)
-    for e, coef in a.terms.items():
-        v = K.mul(coef, c)
-        if not K.is_zero(v):
-            out[tuple(x + y for x, y in zip(e, exp))] = v
-    return MultiPoly(a.ring, out)
+    vals = a.ring.cring.vscale(a.terms.values(), c)
+    return _mk(a.ring, {tuple(map(operator.add, e, exp)): v for e, v in zip(a.terms, vals)})
 
 
 class Layout:
@@ -780,8 +733,7 @@ def _divrem(eng, f, dividers, room=None):
             # lc(d_i) at the entry's lead, where only Q has scaled the terms
             ld = d.terms[eng.lay.exponents(e[0])] if eng.mode == "zz" else td[e[1]]
             if (lc := K.mul(s, K.of(e[6]))) != ld:
-                u = K.div(lc, ld)
-                q = {p: K.mul(c, u) for p, c in q.items()}
+                q = dict(zip(q, K.vscale(q.values(), K.div(lc, ld))))
         qs.append(MultiPoly(f.ring, eng.lay.unpack_terms(q)))
     r = {eng.packed(k): c if s == K.one else K.mul(c, s) for k, c in got[0]}
     return qs, MultiPoly(f.ring, eng.lay.unpack_terms(r)) if r else f.ring.zero
@@ -871,10 +823,7 @@ def term_values(K, exps, values, coeffs=None):
 def multi_value(f: MultiPoly, values):
     """f at a point given by variable index; assign every variable f uses."""
     K = f.ring.cring
-    acc = K.zero
-    for v in term_values(K, f.terms, values, f.terms.values()):
-        acc = K.add(acc, v)
-    return acc
+    return K.vsum(term_values(K, f.terms, values, f.terms.values()))
 
 
 def multi_subs(f: MultiPoly, values) -> MultiPoly:

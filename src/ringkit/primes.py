@@ -155,10 +155,20 @@ def factor_integer(n: int) -> dict:
     stack = [n]
     while stack:
         m = stack.pop()
+        for p in result:  # primes found so far divide out without rho
+            while m % p == 0:
+                result[p] += 1
+                m //= p
+        if m == 1:
+            continue
         if is_prime(m):
             result[m] = result.get(m, 0) + 1
             continue
+        r = math.isqrt(m)
+        if r * r == m:
+            stack += (r, r)
+            continue
         g = _split(m, rng)
-        stack.append(g)
-        stack.append(m // g)
+        # the smaller part pops first: its primes may divide the larger out
+        stack += sorted((g, m // g), reverse=True)
     return result

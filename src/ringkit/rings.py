@@ -4,9 +4,16 @@ Integers are Python ints, residues mod m (Z/m and Zp) are ints in [0, m),
 fractions are Rational pairs over the inner ring.  Polynomial rings live in
 unipoly.py and multipoly.py; GF(p, k) in galois.py.  All descriptors are
 immutable.
+
+Every descriptor also carries the coefficient-list and term-dict steps the
+polynomial modules are built from (`vadd` ... `horner`, `add_terms`):
+`Ring` defines them on `add`, `mul` and `neg`, and `ZmRing` overrides each
+with int comprehensions reduced mod m, the one residue kernel of Z/m and Zp.
 """
 
 import math
+import operator
+from functools import reduce
 
 from .errors import UnsupportedRingError
 from .modular import mod_inverse
@@ -23,8 +30,10 @@ class Ring:
 
     zero = None
     one = None
-    # m when elements are ints in [0, m) under `% m` arithmetic; the int
-    # fast paths of the polynomial modules key on it
+    # m when elements are ints in [0, m) under `% m` arithmetic; read only
+    # by algorithms on unreduced int sums: uni_mul's packing, _divrem_mod,
+    # PolyModContext, FrobeniusMap's rows, multi_mul, the Reducer, the
+    # tables of term_values and slot_sums, and the factorizers' lifts
     coeff_modulus = None
 
     def of(self, x):
@@ -120,6 +129,55 @@ class Ring:
 
     def random_element(self, rng, **opts):
         raise NotImplementedError
+
+    # list and term-dict steps: lists keep their length, dicts drop zeros
+
+    def vadd(self, x, y):
+        """Elementwise x + y, the shorter list read as padded with zeros."""
+        if len(x) < len(y):
+            x, y = y, x
+        out = list(map(self.add, x, y))
+        out += x[len(y) :]
+        return out
+
+    def vneg(self, x):
+        return list(map(self.neg, x))
+
+    def vscale(self, x, c):
+        return [self.mul(a, c) for a in x]
+
+    def vmul(self, x, y):
+        return list(map(self.mul, x, y))
+
+    def vsum(self, x):
+        return reduce(self.add, x, self.zero)
+
+    def vsums(self, x, spans):
+        """The sum of each slice x[lo:hi] for (lo, hi) in spans."""
+        return [self.vsum(x[lo:hi]) for lo, hi in spans]
+
+    def dot(self, x, y):
+        """sum(x[i] * y[i]) over the length of the shorter operand."""
+        return self.vsum(map(self.mul, x, y))
+
+    def horner(self, x, t):
+        """The polynomial with coefficients x, lowest first, at t."""
+        acc = self.zero
+        for c in reversed(x):
+            acc = self.add(self.mul(acc, t), c)
+        return acc
+
+    def add_terms(self, a, b, sign=1):
+        """The dict a + b (a - b for sign=-1) of {key: coefficient} dicts."""
+        out = dict(a)
+        for k, c in b.items():
+            c = c if sign > 0 else self.neg(c)
+            s = self.add(out[k], c) if k in out else c
+            if self.is_zero(s):
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return out
 
     def format(self, a) -> str:
         return str(a)
@@ -305,6 +363,53 @@ class ZmRing(Ring):
         if e < 0:
             return pow(self.inv(a), -e, self.m)
         return pow(a, e, self.m)
+
+    def vadd(self, x, y):
+        if len(x) < len(y):
+            x, y = y, x
+        out = x[:]
+        m = self.m
+        for i, c in enumerate(y):
+            s = out[i] + c
+            out[i] = s - m if s >= m else s
+        return out
+
+    def vneg(self, x):
+        m = self.m
+        return [m - c if c else 0 for c in x]
+
+    def vscale(self, x, c):
+        m = self.m
+        return [a * c % m for a in x]
+
+    def vmul(self, x, y):
+        m = self.m
+        return [a * b % m for a, b in zip(x, y)]
+
+    def vsum(self, x):
+        return sum(x) % self.m
+
+    def vsums(self, x, spans):
+        m = self.m
+        return [sum(x[lo:hi]) % m for lo, hi in spans]
+
+    def dot(self, x, y):
+        return sum(map(operator.mul, x, y)) % self.m
+
+    def horner(self, x, t):
+        m, acc = self.m, 0
+        for c in reversed(x):
+            acc = (acc * t + c) % m
+        return acc
+
+    def add_terms(self, a, b, sign=1):
+        m, out = self.m, dict(a)
+        for k, c in b.items():
+            if s := (out.get(k, 0) + sign * c) % m:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return out
 
     def random_element(self, rng, **opts):
         return rng.randrange(self.m)

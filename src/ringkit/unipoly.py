@@ -1,9 +1,11 @@
 """Dense univariate polynomials over an arbitrary coefficient ring.
 
 A UniPoly is a coefficient list (lowest degree first, no trailing zeros)
-plus the coefficient ring.  Residue rings (Z/m and Zp, the rings with a
-`coeff_modulus`) share one set of int-list kernels; every other ring goes
-through the generic ring operations.
+plus the coefficient ring.  Sums, negation, scaling and evaluation are the
+coefficient ring's list steps (`Ring.vadd` ... `Ring.horner`), which Z/m
+and Zp run on ints reduced mod m.  Products, classical division and the
+Euclid loop of the residue rings (those with a `coeff_modulus`) defer the
+reduction or pack the residues into big integers instead.
 
 Division is classical except over Zp, where `PolyModContext` is the one
 fast division: a packed Barrett step with the Newton inverse of the
@@ -135,20 +137,7 @@ def _poly(K, coeffs):
 
 
 def uni_add(a: UniPoly, b: UniPoly) -> UniPoly:
-    K = a.ring
-    x, y = a.coeffs, b.coeffs
-    if len(x) < len(y):
-        x, y = y, x
-    out = x[:]
-    m = K.coeff_modulus
-    if m is not None:
-        for i, c in enumerate(y):
-            s = out[i] + c
-            out[i] = s - m if s >= m else s
-    else:
-        for i, c in enumerate(y):
-            out[i] = K.add(out[i], c)
-    return _poly(K, out)
+    return _poly(a.ring, a.ring.vadd(a.coeffs, b.coeffs))
 
 
 def uni_sub(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -156,21 +145,14 @@ def uni_sub(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def uni_neg(a: UniPoly) -> UniPoly:
-    K = a.ring
-    m = K.coeff_modulus
-    if m is not None:
-        return UniPoly(K, [m - c if c else 0 for c in a.coeffs])
-    return UniPoly(K, [K.neg(c) for c in a.coeffs])
+    return UniPoly(a.ring, a.ring.vneg(a.coeffs))
 
 
 def uni_scale(a: UniPoly, c) -> UniPoly:
     K = a.ring
     if K.is_zero(c):
         return UniPoly(K, [])
-    m = K.coeff_modulus
-    if m is not None:
-        return _poly(K, [x * c % m for x in a.coeffs])
-    return _poly(K, [K.mul(x, c) for x in a.coeffs])
+    return _poly(K, K.vscale(a.coeffs, c))
 
 
 def uni_monic(a: UniPoly) -> UniPoly:
@@ -260,20 +242,11 @@ def _kara_generic(K, x, y):
     y0, y1 = y[:h], y[h:]
     lo = _kara_generic(K, x0, y0) if x0 and y0 else []
     hi = _kara_generic(K, x1, y1) if x1 and y1 else []
-    sx = [K.add(a, b) for a, b in zip(x0, x1)] + (x1[len(x0) :] or x0[len(x1) :])
-    sy = [K.add(a, b) for a, b in zip(y0, y1)] + (y1[len(y0) :] or y0[len(y1) :])
+    sx, sy = K.vadd(x0, x1), K.vadd(y0, y1)
     mid = _kara_generic(K, sx, sy) if sx and sy else []
-    out = [K.zero] * (len(x) + len(y) - 1)
-    for i, c in enumerate(lo):
-        out[i] = K.add(out[i], c)
-    for i, c in enumerate(mid):
-        out[i + h] = K.add(out[i + h], c)
-    for i, c in enumerate(lo):
-        out[i + h] = K.sub(out[i + h], c)
-    for i, c in enumerate(hi):
-        out[i + h] = K.sub(out[i + h], c)
-        out[i + 2 * h] = K.add(out[i + 2 * h], c)
-    return out
+    mid = K.vadd(mid, K.vneg(K.vadd(lo, hi)))  # x0 * y1 + x1 * y0
+    # lo + mid * t^h + hi * t^2h; trailing zeros are left to the caller
+    return K.vadd(K.vadd(lo, [K.zero] * h + mid), [K.zero] * (2 * h) + hi)
 
 
 def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -576,7 +549,7 @@ def uni_primitive(a: UniPoly):
     unit, _ = K.normalize_unit(pp.lc())
     if not K.is_one(unit):
         w = K.unit_inverse(unit)
-        pp = _poly(K, [K.mul(x, w) for x in pp.coeffs])
+        pp = uni_scale(pp, w)
         c = K.mul(c, unit)
     return c, pp
 
@@ -721,19 +694,7 @@ def uni_derivative(a: UniPoly) -> UniPoly:
 
 def uni_eval(a: UniPoly, x):
     """Horner evaluation at a coefficient-ring point."""
-    K = a.ring
-    if a.is_zero():
-        return K.zero
-    m = K.coeff_modulus
-    if m is not None:
-        acc = 0
-        for c in reversed(a.coeffs):
-            acc = (acc * x + c) % m
-        return acc
-    acc = K.zero
-    for c in reversed(a.coeffs):
-        acc = K.add(K.mul(acc, x), c)
-    return acc
+    return a.ring.horner(a.coeffs, x)
 
 
 def uni_lagrange_basis(K, xs):
@@ -1012,12 +973,10 @@ class FrobeniusMap:
                     acc += c * row
             n = len(self._rows)
             return _poly(K, [c % m for c in _unpack(acc, self._slot, n)])
-        add, mul = K.add, K.mul
-        out = [K.zero] * len(self._rows)
+        out = []
         for c, row in zip(h.coeffs, self._rows):
             if not K.is_zero(c):
-                for j, r in enumerate(row):
-                    out[j] = add(out[j], mul(c, r))
+                out = K.vadd(out, K.vscale(row, c))
         return _poly(K, out)
 
 

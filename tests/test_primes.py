@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ringkit import primes
 from ringkit.primes import factor_integer, is_prime, next_prime, primes_up_to
 
 
@@ -90,6 +91,33 @@ def test_factor_semiprimes_built_from_known_primes():
                 break
         assert factor_integer(p * q) == {p: 1, q: 1}
         assert factor_integer(p * p * q) == {p: 2, q: 1}
+
+
+def test_factor_square_takes_no_split(monkeypatch):
+    # an exact square splits by its integer square root, not by rho
+    p = next_prime(random.Random(3).getrandbits(50))
+
+    def no_split(n, rng):
+        raise AssertionError("rho called on %d" % n)
+
+    monkeypatch.setattr(primes, "_split", no_split)
+    assert factor_integer(p * p) == {p: 2}
+    assert factor_integer(p**4) == {p: 4}
+
+
+def test_factor_divides_cofactors_by_found_primes(monkeypatch):
+    # p^2 * q splits once: the smaller part p pops first and divides p * q
+    rng = random.Random(4)
+    p, q = next_prime(rng.getrandbits(45)), next_prime(rng.getrandbits(45))
+    calls = []
+
+    def split_at_p(n, rng):
+        calls.append(n)
+        return p
+
+    monkeypatch.setattr(primes, "_split", split_at_p)
+    assert factor_integer(p * p * q) == {p: 2, q: 1}
+    assert calls == [p * p * q]
 
 
 def test_factor_roundtrip_random():

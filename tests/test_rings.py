@@ -280,3 +280,70 @@ def test_polynomial_powers_reject_negative_exponents():
     ctx = up.PolyModContext(up._poly(ZpRing(17), [3, 0, 1, 1]))
     with pytest.raises(ValueError):
         ctx.powmod(up._poly(ZpRing(17), [0, 1]), -1)
+
+
+RESIDUE_RINGS = [ZpRing(1000003), ZpRing(17), ZmRing(12)]
+LIST_STEPS = ["vadd", "vneg", "vscale", "vmul", "vsum", "vsums", "dot", "horner", "add_terms"]
+
+
+@pytest.mark.parametrize("K", RESIDUE_RINGS, ids=lambda K: K.spec_string())
+def test_residue_list_steps_match_the_generic_ones(K):
+    # each override is a second implementation, checked against Ring's
+    assert all(getattr(ZmRing, s) is not getattr(rings.Ring, s) for s in LIST_STEPS)
+    rng = random.Random(K.m)
+
+    def rand(n):
+        return [rng.randrange(K.m) for _ in range(n)]
+
+    for lx, ly in [(0, 0), (0, 3), (4, 0), (1, 1), (5, 3), (3, 7), (12, 12)]:
+        for _ in range(5):
+            x, y, c = rand(lx), rand(ly), rng.randrange(K.m)
+            x0, y0 = x[:], y[:]
+            for name, args in [
+                ("vadd", (x, y)),
+                ("vadd", (y, x)),
+                ("vneg", (x,)),
+                ("vscale", (x, c)),
+                ("vmul", (x, y)),
+                ("vsum", (x,)),
+                ("vsums", (x, [(0, lx), (0, 0), (1, lx // 2), (lx // 2, lx)])),
+                ("dot", (x, y)),
+                ("horner", (x, c)),
+            ]:
+                got = getattr(K, name)(*args)
+                assert got == getattr(rings.Ring, name)(K, *args), (name, args)
+            assert (x, y) == (x0, y0)  # inputs are not changed
+    x = rand(9)
+    assert K.vadd(x, K.vneg(x)) == rings.Ring.vadd(K, x, rings.Ring.vneg(K, x)) == [0] * 9
+    assert K.vsum([]) == K.dot([], x) == K.horner([], 5) == 0
+    # lists keep their length: no trimming of zeros
+    assert K.vscale(x, 0) == [0] * 9 and K.vmul(x, [0] * 4) == [0] * 4
+
+
+@pytest.mark.parametrize("K", RESIDUE_RINGS, ids=lambda K: K.spec_string())
+def test_residue_term_sums_match_the_generic_ones(K):
+    rng = random.Random(K.m + 1)
+    for _ in range(30):
+        a = {k: rng.randrange(1, K.m) for k in rng.sample(range(10), 6)}
+        b = {k: rng.randrange(1, K.m) for k in rng.sample(range(10), 6)}
+        common = sorted(set(a) & set(b))
+        for sign in (1, -1):
+            # the first common key cancels to zero and must be dropped
+            b2 = dict(b)
+            if common:
+                k = common[0]
+                b2[k] = K.neg(a[k]) if sign > 0 else a[k]
+            a0, b0 = dict(a), dict(b2)
+            got = K.add_terms(a, b2, sign)
+            assert got == rings.Ring.add_terms(K, a, b2, sign)
+            assert (a, b2) == (a0, b0)
+            assert all(got.values()) and (not common or common[0] not in got)
+            want = {
+                k: (a.get(k, 0) + sign * b2.get(k, 0)) % K.m for k in set(a) | set(b2)
+            }
+            assert got == {k: v for k, v in want.items() if v}
+    assert K.add_terms(a, a, -1) == rings.Ring.add_terms(K, a, a, -1) == {}
+    assert K.add_terms({}, {}) == rings.Ring.add_terms(K, {}, {}) == {}
+    assert K.add_terms(a, {}) == a and K.add_terms({}, a, -1) == {
+        k: K.neg(c) for k, c in a.items()
+    }

@@ -71,7 +71,7 @@ def test_mul_strategies_agree(K):
     # residue rings: lengths t - 1 and t straddle each threshold
     t, w = up.PACKED_MUL_THRESHOLD, up.PACKED_MUL_WORD_THRESHOLD
     sizes = [(0, 0), (1, 5), (w - 2, w - 2), (w - 1, w - 1), (t - 2, t - 2), (t - 1, t - 1)]
-    sizes += [(33, 40), (64, 100), (257, 300)]
+    sizes += [(33, 40), (64, 100), (257, 300), (33, 300), (300, 40)]
     for da, db in sizes:
         a = uni_random(K, da, rng)
         b = uni_random(K, db, rng)
