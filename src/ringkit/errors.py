@@ -31,15 +31,6 @@ class UnsupportedRingError(RingkitError, ValueError):
     """Requested operation or construction is not defined for this ring."""
 
 
-class SingularSystemError(RingkitError, ArithmeticError):
-    """Linear system has no unique solution; carries rank and consistency."""
-
-    def __init__(self, message, rank, consistent):
-        super().__init__("%s (rank=%d, consistent=%s)" % (message, rank, consistent))
-        self.rank = rank
-        self.consistent = consistent
-
-
 class RetryBudgetError(RingkitError, ArithmeticError):
     """Every randomized attempt failed; .attempts is how many were made."""
 

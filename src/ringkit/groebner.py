@@ -63,12 +63,12 @@ class _Engine(Reducer):
     def to_poly(self, terms):
         """Engine terms, lead first -> monic MultiPoly."""
         K = self.K
-        lead = terms[0][1]
+        keys, coeffs = zip(*terms)
         if self.mode == "zz":
-            keyed = {self.packed(k): K.make(c, lead) for k, c in terms}
+            coeffs = [K.make(c, coeffs[0]) for c in coeffs]
         else:
-            inv = K.inv(lead)
-            keyed = {self.packed(k): K.mul(c, inv) for k, c in terms}
+            coeffs = K.vscale(coeffs, K.inv(coeffs[0]))
+        keyed = dict(zip(map(self.packed, keys), coeffs))
         return MultiPoly(self.ring, self.lay.unpack_terms(keyed))
 
     def spoly_terms(self, ei, ej, lcm_o):

@@ -489,8 +489,8 @@ class Reducer:
             (lead, lc), tail = terms[0], terms[1:]
         K = self.K
         if self.mode != "zz" and K.is_field and lc != K.one:
-            inv = K.inv(lc)
-            tail = [(tk, K.mul(tc, inv)) for tk, tc in tail]
+            keys = [t[0] for t in tail]
+            tail = list(zip(keys, K.vscale([t[1] for t in tail], K.inv(lc))))
             lc = K.one
         ent = [self.packed(lead), lead, tail, sugar, True, len(self.entries), lc, *sig]
         self.entries.append(ent)
@@ -831,21 +831,10 @@ def multi_subs(f: MultiPoly, values) -> MultiPoly:
     ring = f.ring
     K = ring.cring
     mask = tuple(0 if i in values else 1 for i in range(len(ring.vars)))
-    out = {}
+    groups = {}
     for e, v in zip(f.terms, term_values(K, f.terms, values, f.terms.values())):
-        if K.is_zero(v):
-            continue
-        e = tuple(map(operator.mul, e, mask))
-        s = out.get(e)
-        if s is None:
-            out[e] = v
-            continue
-        s = K.add(s, v)
-        if K.is_zero(s):
-            del out[e]
-        else:
-            out[e] = s
-    return MultiPoly(ring, out)
+        groups.setdefault(tuple(map(operator.mul, e, mask)), []).append(v)
+    return _mk(ring, {e: K.vsum(vs) for e, vs in groups.items()})
 
 
 def univariate_image(f: MultiPoly, m, values) -> UniPoly:
@@ -873,23 +862,6 @@ def slot_sums(K, slots, vals, deg) -> UniPoly:
     for k, v in zip(slots, vals):
         coeffs[k] = K.add(coeffs[k], v)
     return _poly(K, coeffs)
-
-
-def multi_eval(f: MultiPoly, assignment):
-    """Substitute variables by name; full evaluation gives a coefficient.
-
-    Partial assignments return a MultiPoly in the same ring with the
-    assigned variables eliminated from the support.
-    """
-    ring = f.ring
-    K = ring.cring
-    for name in assignment:
-        if name not in ring.vars:
-            raise ValueError("unknown variable %r" % name)
-    values = {ring.vars.index(name): K.of(v) for name, v in assignment.items()}
-    if len(values) == len(ring.vars):
-        return multi_value(f, values)
-    return multi_subs(f, values)
 
 
 # ------------------------------------------------- univariate conversions

@@ -230,16 +230,6 @@ def extended_gcd(ring, a, b):
     return g, x0, y0
 
 
-def solve_diophantine(ring, fs):
-    """(g, [x_i]) with sum(x_i * f_i) = g = gcd(fs), by folding extended_gcd."""
-    g, coeffs = ring.zero, []
-    for f in fs:
-        g, x, y = ring.extended_gcd(g, f)
-        coeffs = [ring.mul(c, x) for c in coeffs]
-        coeffs.append(y)
-    return g, coeffs
-
-
 class IntegerRing(Ring):
     """The ring of integers; canonical associates are non-negative."""
 
@@ -358,6 +348,15 @@ class ZmRing(Ring):
 
     def inv(self, a):
         return mod_inverse(a, self.m)
+
+    def exact_div(self, a, b):
+        """The least q with q*b = a, which exists when gcd(b, m) divides a;
+        a*b^-1 for a unit b.  There is no divmod, so `Ring.gcd` still raises."""
+        g = math.gcd(b, self.m)
+        if a % g:
+            raise ArithmeticError("inexact division in %s" % (self,))
+        n = self.m // g
+        return a // g * mod_inverse(b // g, n) % n
 
     def pow(self, a, e):
         if e < 0:

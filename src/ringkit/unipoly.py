@@ -711,18 +711,6 @@ def uni_lagrange_basis(K, xs):
     return out
 
 
-def uni_interpolate(K, xs, ys) -> UniPoly:
-    """Unique degree < n interpolant through (xs[i], ys[i]) over a field."""
-    if len(xs) != len(ys):
-        raise ValueError("point/value count mismatch")
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    out = UniPoly(K, [])
-    for ell, y in zip(uni_lagrange_basis(K, xs), ys):
-        out = uni_add(out, uni_scale(ell, y))
-    return out
-
-
 def _synthetic_div(a: UniPoly, x):
     """a / (X - x) when x is a root-free quotient context (exact by use)."""
     K = a.ring

@@ -453,7 +453,7 @@ def test_signature_past_packed_budget_raises():
 
 
 @pytest.mark.parametrize("order", ["LEX", "GREVLEX"])
-@pytest.mark.parametrize("K", [rings.ZpRing(1000003), rings.QQ], ids=str)
+@pytest.mark.parametrize("K", [rings.ZpRing(1000003), rings.QQ, GFRing(3, 2)], ids=str)
 def test_exponents_past_the_packed_fields_widen_them(K, order):
     # y^40000 sets y's guard bit in 15-bit fields; a divisibility test on
     # that key once let it divide x, and LEX lost x - y^20000

@@ -18,7 +18,6 @@ from ringkit.multipoly import (
     multi_derivative,
     multi_divides,
     multi_divrem,
-    multi_eval,
     multi_exact_div,
     multi_mul,
     multi_mul_naive,
@@ -337,6 +336,31 @@ def test_exact_division(rq):
         multi_exact_div(x * y + 1, x + y)
 
 
+def test_division_over_a_composite_residue_ring():
+    # Z/12 has no divmod: an entry rewrites a term when ZmRing.exact_div
+    # finds a quotient of the coefficients, here of 4 by 2 but not of 3 by 2
+    R = MultiRing(ZmRing(12), ("x", "y"))
+    x, y = R.gens()
+    assert multi_divrem(x**2 * y + 5 * x + 7, [x]) == ([x * y + 5], R.from_coeff(7))
+    assert multi_exact_div(x**2 * y, x) == x * y
+    assert multi_divides(x, x * y)
+    assert multi_divrem(4 * x**2 + 3 * x, [2 * x]) == ([2 * x], 3 * x)
+    assert not multi_divides(2 * x, 3 * x)
+
+
+@pytest.mark.parametrize("K", [GFRing(3, 2), ZmRing(12)], ids=lambda K: K.spec_string())
+def test_inexact_division_on_descriptor_ops_stops_early(K):
+    R = MultiRing(K, ("x", "y"))
+    x, y = R.gens()
+    # the quotient's second term y leaves the room deg(a) - deg(b) = (1, 0)
+    assert not multi_divides(x + y, x**2 + y)
+    with pytest.raises(ArithmeticError):
+        multi_exact_div(x**2 + y, x + y)
+    # the quotient y fits, and then x does not divide the term 1
+    assert not multi_divides(x, x * y + R.one)
+    assert multi_divides(x + y, (x + y) * (x - y))
+
+
 DIV_RINGS = {"Z": ZZ, "Q": QQ, "Zp1000003": ZpRing(1000003), "Zp2": ZpRing(2), "Zp3": ZpRing(3)}
 # degrees at the edges of the packed fields: bit lengths 1..5, each side
 WIDTH_EDGES = (1, 2, 3, 4, 7, 8, 15, 16)
@@ -486,11 +510,8 @@ def test_packed_division_edge_inputs(K):
 def test_eval(rq):
     x, y = rq.gens()
     f = x * x - y * y
-    assert multi_eval(f, {"x": QQ.of(3), "y": QQ.of(2)}) == QQ.of(5)
-    part = multi_eval(f, {"x": QQ.zero})
-    assert part == -(y * y)
-    with pytest.raises(ValueError):
-        multi_eval(f, {"w": QQ.one})
+    assert multi_value(f, {0: QQ.of(3), 1: QQ.of(2)}) == QQ.of(5)
+    assert multi_subs(f, {0: QQ.zero}) == -(y * y)
 
 
 def _gf_element(K, k):
@@ -543,8 +564,6 @@ def test_evaluation_shapes_match_term_sums(name):
     for pt in points:
         for g in (f, const, R.zero):
             assert multi_value(g, pt) == full(g, pt)
-            named = {R.vars[i]: v for i, v in pt.items()}
-            assert multi_eval(g, named) == full(g, pt)
         assert term_values(K, list(f.terms), pt) == [
             term(e, K.one, pt) for e in f.terms
         ]
@@ -558,7 +577,6 @@ def test_evaluation_shapes_match_term_sums(name):
         want = {e: c for e, c in want.items() if not K.is_zero(c)}
         part = multi_subs(f, xz)
         assert part.ring == R and part.terms == want
-        assert multi_eval(f, {"x": pt[0], "z": pt[2]}) == part
         assert multi_subs(const, xz) == const
 
         # univariate image in y, and its agreement with the substitution

@@ -1,8 +1,6 @@
 import ast
 import importlib
 import pathlib
-import re
-from collections import Counter
 
 import pytest
 
@@ -22,17 +20,53 @@ def test_console_script_targets_import():
         assert callable(obj), name
 
 
+# the roots of the library's reach: the ring and polynomial classes with all
+# their methods, the parser's entry points, and the reference products the
+# tests compare the fast ones with; perfbench and bench.py add theirs below
+RING_CLASSES = ("IntegerRing", "ZmRing", "ZpRing", "FractionField", "GFRing",
+                "UniRing", "UniPoly", "MultiRing", "MultiPoly", "Ideal")
+ENTRY_POINTS = ("parse_ring", "parse_element")
+TEST_ORACLES = ("multi_mul_naive", "uni_mul_schoolbook", "uni_mul_karatsuba")
+
+
+def _mentions(node):
+    """Every bare name and attribute name in the tree under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
 def test_every_module_level_name_has_a_user():
-    # a module-level def or class that nothing in the library, its tests or
-    # the benchmark mentions is dead code; names counted as whole words
+    # a module-level def or class that the closure of the roots by name does
+    # not reach is dead code, whatever the tests say of it; a reached name
+    # counts wherever it is defined, and module-level statements other than
+    # imports run on import, so they are roots too
     root = PYPROJECT.parent
-    sources = [p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")]
-    words = Counter(w for p in sources for w in re.findall(r"\w+", p.read_text()))
-    unused = []
+    defs = {}
+    roots = set(RING_CLASSES + ENTRY_POINTS + TEST_ORACLES)
     for path in sorted((root / "src" / "ringkit").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                # the def or class line itself is one mention
-                if words[node.name] < 2:
-                    unused.append("%s.%s" % (path.stem, node.name))
-    assert unused == []
+                defs.setdefault(node.name, []).append((path.stem, node))
+                if path.stem == "bench" and not node.name.startswith("_"):
+                    roots.add(node.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.update(_mentions(node))
+    bench = root / "perfbench"
+    roots.update(_mentions(ast.parse((bench / "problems.py").read_text())))
+    for node in ast.parse((bench / "spans.py").read_text()).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS":
+            for _, name, _ in ast.literal_eval(node.value):
+                roots.update(name.split("."))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in defs.get(name, ()):
+                todo.extend(_mentions(node))
+    unreached = sorted("%s.%s" % (module, name) for name, found in defs.items()
+                       if name not in reached for module, _ in found)
+    assert unreached == []

@@ -128,6 +128,10 @@ def test_division_rules():
         parse_element("x/y", M())
     with pytest.raises(ParseError):
         parse_element("1/0", rings.QQ)
+    # over Z/12 a quotient exists when gcd(divisor, 12) divides the dividend
+    assert parse_element("5/7", rings.ZmRing(12)) == 11
+    with pytest.raises(ParseError):
+        parse_element("3/2", rings.ZmRing(12))
     v = parse_element("1/(3 - 3*x^2 - x^3 + x^5)", parse_ring("Frac(Poly(Zp[17]; x))"))
     assert v.den.degree == 5
 

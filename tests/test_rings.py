@@ -14,7 +14,6 @@ from ringkit.rings import (
     ZZ,
     QQ,
     extended_gcd,
-    solve_diophantine,
 )
 from ringkit.galois import GFRing
 from ringkit.unipoly import (
@@ -157,17 +156,6 @@ def test_extended_gcd_over_field_normalizes_to_one():
     assert (6 * x + 9 * y) % 13 == 1
 
 
-def test_solve_diophantine_fold():
-    g, cs = solve_diophantine(ZZ, [6, 10, 15])
-    assert g == 1
-    assert sum(c * f for c, f in zip(cs, [6, 10, 15])) == 1
-    g, cs = solve_diophantine(ZZ, [12, 18])
-    assert g == 6
-    assert 12 * cs[0] + 18 * cs[1] == 6
-    # edge: empty list gives the zero gcd with no witnesses
-    assert solve_diophantine(ZZ, []) == (0, [])
-
-
 def test_rational_normalization():
     assert QQ.make(2, 4) == Rational(1, 2)
     assert QQ.make(-2, -4) == Rational(1, 2)
@@ -196,6 +184,77 @@ def test_rational_field_arithmetic():
 def test_fraction_field_rejects_field_inner():
     with pytest.raises(UnsupportedRingError):
         FractionField(ZpRing(5))
+
+
+def _cramer(F, lhs, rhs):
+    """The solution of a 3x3 system over a field by Cramer's rule, or None
+    when the matrix is singular."""
+
+    def det(m):
+        (a, b, c), (d, e, f), (g, h, i) = m
+
+        def cross(p, q, r, s):
+            return F.sub(F.mul(p, q), F.mul(r, s))
+
+        return F.add(F.sub(F.mul(a, cross(e, i, f, h)), F.mul(b, cross(d, i, f, g))),
+                     F.mul(c, cross(d, h, e, g)))
+
+    d = det(lhs)
+    if F.is_zero(d):
+        return None
+    cols = [[row[:i] + [b] + row[i + 1:] for row, b in zip(lhs, rhs)] for i in range(3)]
+    return [F.div(det(m), d) for m in cols]
+
+
+def _solves(F, lhs, sol, rhs):
+    """True when substituting sol into every row of lhs gives rhs."""
+    return all(F.is_zero(F.sub(F.dot(row, sol), b)) for row, b in zip(lhs, rhs))
+
+
+def test_symbolic_system_over_gf17_cubed():
+    # 3x3 system whose coefficients are rational functions in x, y, z
+    # with GF(17^3) scalars; the solution is checked by substitution.
+    gf = GFRing(17, 3, "t")
+    R = multipoly.MultiRing(gf, ("x", "y", "z"))
+    F = FractionField(R)
+    x, y, z = (F.from_inner(g) for g in R.gens())
+    t = F.from_inner(R.from_coeff(gf.generator()))
+
+    div, mul, add, sub = F.div, F.mul, F.add, F.sub
+    lhs = [
+        [add(add(t, x), z), mul(y, z), sub(z, mul(x, y))],
+        [sub(sub(x, y), t), div(x, y), add(z, div(x, y))],
+        [div(mul(x, y), t), add(x, y), add(div(z, x), y)],
+    ]
+    rhs = [x, y, z]
+    sol = _cramer(F, lhs, rhs)
+    assert _solves(F, lhs, sol, rhs)
+    # solution is a genuine rational function, not a constant
+    assert any(not R.is_zero(s.num) and s.den != R.one for s in sol)
+
+
+def test_random_rational_function_system():
+    K = ZpRing(101)
+    R = multipoly.MultiRing(K, ("x", "y"))
+    F = FractionField(R)
+    rng = random.Random(4)
+
+    def entry():
+        num = R.random_element(rng, terms=2, max_exp=1)
+        den = R.zero
+        while R.is_zero(den):
+            den = R.random_element(rng, terms=1, max_exp=1)
+        return F.make(num, den)
+
+    solved = 0
+    for _ in range(3):
+        lhs = [[entry() for _ in range(3)] for _ in range(3)]
+        rhs = [entry() for _ in range(3)]
+        sol = _cramer(F, lhs, rhs)
+        if sol is not None:
+            solved += 1
+            assert _solves(F, lhs, sol, rhs)
+    assert solved
 
 
 def test_integer_factor_method():

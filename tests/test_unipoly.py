@@ -11,6 +11,7 @@ from ringkit.unipoly import (
     PolyModContext,
     UniPoly,
     UniRing,
+    uni_add,
     uni_derivative,
     uni_divrem,
     uni_eval,
@@ -20,12 +21,13 @@ from ringkit.unipoly import (
     uni_gcd_half,
     uni_gcd_subresultant,
     uni_gcd_z_brown,
-    uni_interpolate,
+    uni_lagrange_basis,
     uni_mul,
     uni_mul_karatsuba,
     uni_mul_schoolbook,
     uni_pow,
     uni_random,
+    uni_scale,
     uni_squarefree,
 )
 
@@ -276,7 +278,11 @@ def test_interpolation_roundtrip():
                 if x not in xs:
                     xs.append(x)
             ys = [uni_eval(f, x) for x in xs]
-            assert uni_interpolate(K, xs, ys) == f
+            # sum of y_i * l_i over the Lagrange basis
+            out = P(K)
+            for ell, v in zip(uni_lagrange_basis(K, xs), ys):
+                out = uni_add(out, uni_scale(ell, v))
+            assert out == f
 
 
 def test_squarefree_yun_over_z():
