@@ -121,17 +121,8 @@ class GFRing(rings.Ring):
     def spec_string(self):
         return "GF[%d,%d,%s]" % (self.p, self.k, self.var)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GFRing)
-            and other.p == self.p
-            and other.k == self.k
-            and other.var == self.var
-            and other.min_poly == self.min_poly
-        )
-
-    def __hash__(self):
-        return hash((GFRing, self.p, self.k, self.var, tuple(self.min_poly.coeffs)))
+    def _key(self):
+        return self.p, self.k, self.var, self.min_poly
 
 
 def _random_irreducible(zp, k, rng) -> UniPoly:

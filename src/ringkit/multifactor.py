@@ -1,7 +1,7 @@
 """Multivariate factorization over Zp and Z by evaluation and ideal-adic lifting.
 
 The input is first made primitive in every variable (contents are factored
-recursively), multiplicities are split off with Yun's algorithm along one
+recursively), multiplicities are split off with Musser's loop along one
 variable, and each squarefree primitive part is reduced to one variable: all
 but a chosen main variable are evaluated at a random point, the univariate
 image is factored, and the image factors are lifted back one variable at a
@@ -62,7 +62,6 @@ from .multipoly import (
     mul_keys,
     mul_keys_into,
     multi_pow,
-    multi_sub,
     multi_subs,
     multi_value,
     reduce_keys,
@@ -81,6 +80,7 @@ from .unipoly import (
     UniPoly,
     _divides,
     _poly,
+    squarefree_parts,
     uni_derivative,
     uni_exact_div,
     uni_extended_gcd,
@@ -202,16 +202,28 @@ def _factor_into(acc, f, mult, rng):
     if len(act) == 1:
         _single_var_into(acc, f, act[0], mult, rng)
         return
-    # multiplicities via Yun along the lowest active variable: f is primitive
-    # in every variable, so each irreducible factor shows up in the derivative
-    parts = _yun(f, act[0], rng)
-    rest = f
+    # multiplicities via Musser's loop along the lowest active variable: f is
+    # primitive in every variable, so each irreducible factor shows up in the
+    # derivative, and the characteristic is 0 or above deg f: no p-th powers
+    v = act[0]
+    parts, _ = squarefree_parts(
+        f,
+        lambda a, b: multi_gcd(a, b, seed=rng.randrange(1 << 30)),
+        multi_exact_div,
+        lambda g: multi_derivative(g, v),
+    )
+    # f is the product of the parts' powers times a constant: the ratio of
+    # leading coefficients, as leading monomials multiply under any order
+    K = ring.cring
+    c = f.lc()
+    deg = f.degree()
     for part, k in parts:
-        rest = multi_exact_div(rest, multi_pow(part, k))
+        c = K.exact_div(c, K.pow(part.lc(), k))
+        deg -= k * part.degree()
         _prim_squarefree_into(acc, part, mult * k, rng)
-    if not rest.is_constant():
+    if deg:
         raise ArithmeticError("squarefree decomposition left a non-constant cofactor")
-    _constant_into(acc, rest.constant(), mult)
+    _constant_into(acc, c, mult)
 
 
 def _constant_into(acc, c, mult):
@@ -238,33 +250,11 @@ def _single_var_into(acc, f, i, mult, rng):
         acc.add(from_unipoly(f.ring, g, i), mult * e)
 
 
-def _yun(f, v, rng):
-    """[(squarefree part, multiplicity)] along variable v.
-
-    Valid because the characteristic is zero or exceeds the total degree.
-    """
-    df = multi_derivative(f, v)
-    g = multi_gcd(f, df, seed=rng.randrange(1 << 30))
-    if g.is_constant():
-        return [(f, 1)]
-    out = []
-    c = multi_exact_div(f, g)
-    d = multi_sub(multi_exact_div(df, g), multi_derivative(c, v))
-    k = 1
-    while not c.is_constant():
-        a = multi_gcd(c, d, seed=rng.randrange(1 << 30))
-        if not a.is_constant():
-            out.append((a, k))
-        c = multi_exact_div(c, a)
-        d = multi_sub(multi_exact_div(d, a), multi_derivative(c, v))
-        k += 1
-    return out
-
-
 def _prim_squarefree_into(acc, F, mult, rng):
     """F squarefree and primitive in every variable; emit its irreducibles.
 
-    Each Yun part of _factor_into has all of its (two or more) active variables.
+    Each squarefree part of _factor_into has all of its (two or more) active
+    variables.
     """
     ring = F.ring
     act = [i for i in range(len(ring.vars)) if F.degree(i) > 0]

@@ -1131,13 +1131,5 @@ class MultiRing(rings.Ring):
             self.order.name,
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiRing)
-            and other.cring == self.cring
-            and other.vars == self.vars
-            and other.order == self.order
-        )
-
-    def __hash__(self):
-        return hash((type(self), self.cring, self.vars, self.order))
+    def _key(self):
+        return self.cring, self.vars, self.order

@@ -9,7 +9,7 @@ every element the formatters emit.
 import re
 
 from . import rings
-from .errors import NonInvertibleError, ParseError, UnsupportedRingError
+from .errors import NonInvertibleError, ParseError
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^();,\[\]]))"

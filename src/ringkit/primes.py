@@ -23,7 +23,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 
 _TRIAL_BOUND = 1 << 16
 _MR_ROUNDS = 48  # random Miller-Rabin bases above the deterministic range
-_P1_BOUND = 100000  # smoothness bound of Pollard's p-1
 _trial_primes = None  # lazy sieve cache, grows once and is then read-only
 
 
@@ -81,8 +80,12 @@ def next_prime(n: int) -> int:
     return k
 
 
-def _pollard_rho(n: int, rng) -> int:
-    """Brent's cycle variant with gcds batched over 128 steps."""
+def _split(n: int, rng) -> int:
+    """A proper factor of composite n with no factor < 2^16.
+
+    Brent's cycle variant of Pollard's rho with gcds batched over 128 steps;
+    a cycle that ends in g = n draws fresh parameters from rng.
+    """
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -108,30 +111,6 @@ def _pollard_rho(n: int, rng) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(x - ys, n)
         if g != n:
-            return g
-
-
-def _pollard_p1(n: int) -> int:
-    """Pollard's p-1 with smoothness bound _P1_BOUND; 0 when it finds nothing."""
-    a = 2
-    for p in primes_up_to(_P1_BOUND):
-        a = pow(a, p ** int(math.log(_P1_BOUND, p)), n)
-    g = math.gcd(a - 1, n)
-    return g if 1 < g < n else 0
-
-
-def _split(n: int, rng) -> int:
-    """Some nontrivial factor of composite n with no factor < 2^16."""
-    for _ in range(8):
-        g = _pollard_rho(n, rng)
-        if 1 < g < n:
-            return g
-    g = _pollard_p1(n)
-    if g:
-        return g
-    while True:  # rho succeeds eventually with fresh parameters
-        g = _pollard_rho(n, rng)
-        if 1 < g < n:
             return g
 
 

@@ -197,6 +197,14 @@ class Ring:
     def __repr__(self):
         return self.spec_string()
 
+    # descriptors are equal when they are the same object, or of one type
+    # with equal `_key()`: the parameters that define the ring
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and other._key() == self._key())
+
+    def __hash__(self):
+        return hash((type(self), self._key()))
+
 
 def power(mul, one, a, e):
     """a^e for e >= 0 by binary powering under `mul`, starting from `one`;
@@ -293,11 +301,8 @@ class IntegerRing(Ring):
     def spec_string(self):
         return "Z"
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash(IntegerRing)
+    def _key(self):
+        return ()
 
 
 class ZmRing(Ring):
@@ -416,11 +421,8 @@ class ZmRing(Ring):
     def spec_string(self):
         return "Zm[%d]" % self.m
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.m == self.m
-
-    def __hash__(self):
-        return hash((type(self), self.m))
+    def _key(self):
+        return self.m
 
 
 class ZpRing(ZmRing):
@@ -589,11 +591,8 @@ class FractionField(Ring):
         inner = self.inner.spec_string()
         return "Q" if inner == "Z" else "Frac(%s)" % inner
 
-    def __eq__(self, other):
-        return isinstance(other, FractionField) and other.inner == self.inner
-
-    def __hash__(self):
-        return hash((FractionField, self.inner))
+    def _key(self):
+        return self.inner
 
 
 ZZ = IntegerRing()

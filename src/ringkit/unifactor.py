@@ -59,6 +59,7 @@ def _sort_key(f: UniPoly):
 def factor_unipoly(R, f: UniPoly):
     """(unit, [(factor, exponent), ...]) with canonical, sorted factors."""
     K = R.cring
+    f = R.of(f)
     if f.is_zero():
         raise ArithmeticError("cannot factor the zero polynomial")
     if K.is_field and K.is_finite:

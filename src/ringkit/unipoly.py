@@ -726,8 +726,8 @@ def uni_squarefree(a: UniPoly):
     """Squarefree decomposition (lead, [(g, multiplicity), ...]).
 
     lead * prod(g^m) reproduces the input; lead is a constant polynomial
-    (the lc over fields, the signed content over Z).  Yun's algorithm in
-    characteristic zero, Musser's with p-th root descent over finite fields.
+    (the lc over fields, the signed content over Z).  Musser's algorithm in
+    every characteristic, with p-th root descent over finite fields.
     """
     K = a.ring
     if a.is_zero():
@@ -739,48 +739,39 @@ def uni_squarefree(a: UniPoly):
         lead, f = uni_primitive(a)
     if f.degree < 1:
         return _poly(K, [K.mul(lead, f.constant())]), []
-    parts = _yun(f) if K.characteristic == 0 else _musser(f)
-    return _poly(K, [lead]), parts
+    return _poly(K, [lead]), _musser(f)
 
 
-def _yun(f: UniPoly):
-    df = uni_derivative(f)
-    g = uni_gcd(f, df)
-    v = uni_exact_div(f, g)
-    w = uni_exact_div(df, g)
-    out = []
+def squarefree_parts(f, gcd, quo, diff):
+    """([(z_i, i), ...], c) with f = unit * c * prod z_i^i, by Musser's loop.
+
+    Musser (1971); von zur Gathen and Gerhard, Modern Computer Algebra, 14.6.
+    The z_i are squarefree and pairwise coprime; c collects the factors whose
+    derivative vanishes (p-th powers), so it is a constant in characteristic
+    0 or above deg f.  gcd, quo (exact division) and diff act on f's type;
+    when gcd(f, f') is constant f comes back whole, with no division.
+    """
+    c = gcd(f, diff(f))
+    if c.is_constant():
+        return [(f, 1)], c
+    w = quo(f, c)
+    parts = []
     i = 1
-    while v.degree > 0:
-        z = uni_sub(w, uni_derivative(v))
-        h = uni_gcd(v, z)
-        if h.degree > 0:
-            out.append((h, i))
-        v = uni_exact_div(v, h)
-        w = uni_exact_div(z, h)
+    while not w.is_constant():
+        y = gcd(w, c)
+        z = quo(w, y)
+        if not z.is_constant():
+            parts.append((z, i))
+        w = y
+        c = quo(c, y)
         i += 1
-    return out
+    return parts, c
 
 
 def _musser(f: UniPoly):
-    K = f.ring
-    p = K.characteristic
-    df = uni_derivative(f)
-    if df.is_zero():
-        # f = g(x^p) = (pth root of g)^p
-        return [(g, m * p) for g, m in _musser(_pth_root_poly(f))]
-    parts = []
-    c = uni_gcd(f, df)
-    w = uni_exact_div(f, c)
-    i = 1
-    while w.degree > 0:
-        y = uni_gcd(w, c)
-        z = uni_exact_div(w, y)
-        if z.degree > 0:
-            parts.append((z, i))
-        w = y
-        c = uni_exact_div(c, y)
-        i += 1
+    parts, c = squarefree_parts(f, uni_gcd, uni_exact_div, uni_derivative)
     if c.degree > 0:
+        p = f.ring.characteristic
         parts.extend((g, m * p) for g, m in _musser(_pth_root_poly(c)))
     merged = {}
     for g, m in parts:
@@ -1078,12 +1069,5 @@ class UniRing(rings.Ring):
     def spec_string(self):
         return "Poly(%s; %s)" % (self.cring.spec_string(), self.var)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniRing)
-            and other.cring == self.cring
-            and other.var == self.var
-        )
-
-    def __hash__(self):
-        return hash((UniRing, self.cring, self.var))
+    def _key(self):
+        return self.cring, self.var

@@ -70,3 +70,17 @@ def test_every_module_level_name_has_a_user():
     unreached = sorted("%s.%s" % (module, name) for name, found in defs.items()
                        if name not in reached for module, _ in found)
     assert unreached == []
+
+
+def test_every_module_level_import_is_used():
+    # an import that its module never reads is left over from a deletion
+    root = PYPROJECT.parent
+    unused = []
+    for path in sorted((root / "src" / "ringkit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += ["%s.%s" % (path.stem, name) for name in imported if name not in used]
+    assert unused == []

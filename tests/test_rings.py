@@ -272,6 +272,48 @@ def test_spec_strings_round():
     assert FractionField(ZZ).spec_string() == "Q"
 
 
+def _descriptors():
+    # pairwise different rings; a second call builds equal, fresh objects
+    Z2 = ZpRing(2)
+    return [
+        IntegerRing(),
+        FractionField(IntegerRing()),
+        ZmRing(7),
+        ZpRing(7),
+        ZpRing(11),
+        ZmRing(9),
+        GFRing(2, 3, min_poly=up._poly(Z2, [1, 1, 0, 1])),
+        GFRing(2, 3, min_poly=up._poly(Z2, [1, 0, 1, 1])),
+        GFRing(2, 3, var="s", min_poly=up._poly(Z2, [1, 1, 0, 1])),
+        GFRing(3, 2),
+        up.UniRing(IntegerRing(), "x"),
+        up.UniRing(IntegerRing(), "y"),
+        up.UniRing(ZpRing(7), "x"),
+        up.UniRing(ZmRing(7), "x"),
+        multipoly.MultiRing(IntegerRing(), ("x", "y")),
+        multipoly.MultiRing(IntegerRing(), ("y", "x")),
+        multipoly.MultiRing(IntegerRing(), ("x", "y"), multipoly.LEX),
+        multipoly.MultiRing(FractionField(IntegerRing()), ("x", "y")),
+        FractionField(multipoly.MultiRing(IntegerRing(), ("x", "y"))),
+    ]
+
+
+def test_descriptor_equality_and_hash_matrix():
+    # equal exactly when type and defining parameters agree: ZpRing(7) is
+    # not ZmRing(7), and the variable, the order and min_poly count
+    left, right = _descriptors(), _descriptors()
+    for i, a in enumerate(left):
+        assert a == a and hash(a) == hash(a)
+        for j, b in enumerate(right):
+            assert a is not b
+            assert (a == b) == (i == j), (a, b)
+            assert (a != b) == (i != j), (a, b)
+            if i == j:
+                assert hash(a) == hash(b)
+    assert left[0] == ZZ and left[1] == QQ
+    assert len(set(left + right)) == len(left)
+
+
 # ------------------------------------------------ rings.power behind every pow
 
 

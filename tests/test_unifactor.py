@@ -664,3 +664,13 @@ def test_constants_and_errors():
     with pytest.raises(UnsupportedRingError):
         inner = up.UniRing(ZZ, "y")
         factor_unipoly(up.UniRing(inner, "x"), up._poly(inner, [P(ZZ, 1)]))
+
+
+@pytest.mark.parametrize("K, L", [(QQ, ZZ), (ZpRing(7), ZZ), (ZZ, ZpRing(7))],
+                         ids=["Q-from-Z", "Zp-from-Z", "Z-from-Zp"])
+def test_wrong_ring_input_is_a_value_error(K, L):
+    # f over another coefficient ring is refused as ring.of refuses it,
+    # not factored in its own ring or failing deep inside
+    f = P(L, 1, 2, 1)
+    with pytest.raises(ValueError, match="coefficient ring"):
+        factor_unipoly(up.UniRing(K, "x"), f)
