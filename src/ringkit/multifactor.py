@@ -1,7 +1,7 @@
 """Multivariate factorization over Zp and Z by evaluation and ideal-adic lifting.
 
 The input is first made primitive in every variable (contents are factored
-recursively), multiplicities are split off with Musser's loop along one
+recursively), multiplicities are split off with Yun's loop along one
 variable, and each squarefree primitive part is reduced to one variable: all
 but a chosen main variable are evaluated at a random point, the univariate
 image is factored, and the image factors are lifted back one variable at a
@@ -62,6 +62,7 @@ from .multipoly import (
     mul_keys,
     mul_keys_into,
     multi_pow,
+    multi_sub,
     multi_subs,
     multi_value,
     reduce_keys,
@@ -202,15 +203,16 @@ def _factor_into(acc, f, mult, rng):
     if len(act) == 1:
         _single_var_into(acc, f, act[0], mult, rng)
         return
-    # multiplicities via Musser's loop along the lowest active variable: f is
+    # multiplicities via Yun's loop along the lowest active variable: f is
     # primitive in every variable, so each irreducible factor shows up in the
-    # derivative, and the characteristic is 0 or above deg f: no p-th powers
+    # derivative, and the characteristic is 0 or above deg f
     v = act[0]
-    parts, _ = squarefree_parts(
+    parts = squarefree_parts(
         f,
         lambda a, b: multi_gcd(a, b, seed=rng.randrange(1 << 30)),
         multi_exact_div,
         lambda g: multi_derivative(g, v),
+        multi_sub,
     )
     # f is the product of the parts' powers times a constant: the ratio of
     # leading coefficients, as leading monomials multiply under any order

@@ -726,8 +726,8 @@ def uni_squarefree(a: UniPoly):
     """Squarefree decomposition (lead, [(g, multiplicity), ...]).
 
     lead * prod(g^m) reproduces the input; lead is a constant polynomial
-    (the lc over fields, the signed content over Z).  Musser's algorithm in
-    every characteristic, with p-th root descent over finite fields.
+    (the lc over fields, the signed content over Z).  Yun's loop in
+    characteristic 0, Musser's with p-th root descent over finite fields.
     """
     K = a.ring
     if a.is_zero():
@@ -739,37 +739,53 @@ def uni_squarefree(a: UniPoly):
         lead, f = uni_primitive(a)
     if f.degree < 1:
         return _poly(K, [K.mul(lead, f.constant())]), []
-    return _poly(K, [lead]), _musser(f)
+    if K.characteristic:
+        return _poly(K, [lead]), _musser(f)
+    parts = squarefree_parts(f, uni_gcd, uni_exact_div, uni_derivative, uni_sub)
+    return _poly(K, [lead]), parts
 
 
-def squarefree_parts(f, gcd, quo, diff):
-    """([(z_i, i), ...], c) with f = unit * c * prod z_i^i, by Musser's loop.
+def squarefree_parts(f, gcd, quo, diff, sub):
+    """[(a_i, i), ...] with f = unit * prod a_i^i, by Yun's loop.
 
-    Musser (1971); von zur Gathen and Gerhard, Modern Computer Algebra, 14.6.
-    The z_i are squarefree and pairwise coprime; c collects the factors whose
-    derivative vanishes (p-th powers), so it is a constant in characteristic
-    0 or above deg f.  gcd, quo (exact division) and diff act on f's type;
+    Yun (1976); von zur Gathen and Gerhard, Modern Computer Algebra, 14.6.
+    The a_i are squarefree and pairwise coprime when the characteristic is 0
+    or above deg f.  gcd, quo (exact division), diff and sub act on f's type;
     when gcd(f, f') is constant f comes back whole, with no division.
     """
-    c = gcd(f, diff(f))
-    if c.is_constant():
-        return [(f, 1)], c
-    w = quo(f, c)
+    df = diff(f)
+    g = gcd(f, df)
+    if g.is_constant():
+        return [(f, 1)]
+    v, w = quo(f, g), quo(df, g)
     parts = []
     i = 1
-    while not w.is_constant():
-        y = gcd(w, c)
-        z = quo(w, y)
-        if not z.is_constant():
-            parts.append((z, i))
-        w = y
-        c = quo(c, y)
+    while not v.is_constant():
+        z = sub(w, diff(v))
+        h = gcd(v, z)
+        if not h.is_constant():
+            parts.append((h, i))
+        v, w = quo(v, h), quo(z, h)
         i += 1
-    return parts, c
+    return parts
 
 
 def _musser(f: UniPoly):
-    parts, c = squarefree_parts(f, uni_gcd, uni_exact_div, uni_derivative)
+    """Musser's loop (1971) with p-th root descent, over a finite field."""
+    c = uni_gcd(f, uni_derivative(f))
+    if c.degree == 0:
+        return [(f, 1)]
+    w = uni_exact_div(f, c)
+    parts = []
+    i = 1
+    while w.degree > 0:
+        y = uni_gcd(w, c)
+        z = uni_exact_div(w, y)
+        if z.degree > 0:
+            parts.append((z, i))
+        w, c = y, uni_exact_div(c, y)
+        i += 1
+    # c is left with the factors whose multiplicity p divides: a p-th power
     if c.degree > 0:
         p = f.ring.characteristic
         parts.extend((g, m * p) for g, m in _musser(_pth_root_poly(c)))

@@ -98,26 +98,23 @@ def test_multiplicity_from_squarefree_split():
     unit, parts = factor_multipoly(R, f)
     assert {(g, e) for g, e in parts} == {(x - y, 1), (inner, 2)}
     assert _rebuild(R, unit, parts) == f
-
-
-@pytest.mark.parametrize("K", [ZZ, ZpRing(1000003)], ids=["Z", "Zp"])
-def test_planted_multiplicities_come_back(K):
     # irreducible factors (each of degree 1 in some variable, and primitive)
-    # raised to planted powers, some of them equal
-    R = MultiRing(K, ("x", "y", "z"))
-    x, y, z = R.gens()
-    one = R.one
-    irreducible = [x + 2 * y + one, x * y + 3 * one, y * y + x + 5 * one, x * z - y + 2 * one]
-    for mults in [(1, 2, 3, 4), (3, 3, 1, 1), (2, 1, 2, 1), (4, 1, 1, 2)]:
-        f = 3 * one if K == ZZ else one
-        for g, m in zip(irreducible, mults):
-            f = multi_mul(f, multi_pow(g, m))
-        unit, parts = factor_multipoly(R, f)
-        assert _rebuild(R, unit, parts) == f
-        want = {g: m for g, m in zip(irreducible, mults)}
-        if K == ZZ:
-            want[3 * one] = 1
-        assert dict(parts) == want
+    # raised to planted powers, some of them equal, over Z and Zp
+    for K in (ZZ, ZpRing(1000003)):
+        R = MultiRing(K, ("x", "y", "z"))
+        x, y, z = R.gens()
+        one = R.one
+        irreducible = [x + 2 * y + one, x * y + 3 * one, y * y + x + 5 * one, x * z - y + 2 * one]
+        for mults in [(1, 2, 3, 4), (3, 3, 1, 1), (2, 1, 2, 1), (4, 1, 1, 2)]:
+            f = 3 * one if K == ZZ else one
+            for g, m in zip(irreducible, mults):
+                f = multi_mul(f, multi_pow(g, m))
+            unit, parts = factor_multipoly(R, f)
+            assert _rebuild(R, unit, parts) == f
+            want = {g: m for g, m in zip(irreducible, mults)}
+            if K == ZZ:
+                want[3 * one] = 1
+            assert dict(parts) == want
 
 
 def test_squarefree_input_is_not_divided_by_itself(monkeypatch):
